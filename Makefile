@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test bench-smoke bench sweep verify verify-faults verify-obs \
 	verify-serve verify-sim verify-memo verify-chaos verify-cluster \
 	verify-tenancy golden-update golden-update-tenancy \
-	reproduce reproduce-smoke
+	reproduce reproduce-smoke perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -q
@@ -89,6 +89,13 @@ golden-update-tenancy:
 
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
+
+# Repo benchmark smoke: one short traced perfbench run (policy_sweep,
+# seed 1) that must be correct, fail nothing, and show nonzero self
+# time in every fast-path layer (a layer reads 0 when the method the
+# benchmark wraps has gone).
+perfbench-smoke:
+	$(PYTHON) scripts/perfbench_smoke.py
 
 # One-command reproduce-all: every paper table/figure through the
 # parallel harness into results/artifacts/<run-id>/ (manifest.json,

@@ -106,10 +106,11 @@ class AccessCounterFile:
 
     def reset_group(self, page: int) -> None:
         """Clear every GPU's counter for ``page``'s group (after migration)."""
-        group = self.group_of(page)
-        base = group * self._n_gpus
-        for gpu in range(self._n_gpus):
-            self._counts.pop(base + gpu, None)
+        counts = self._counts
+        if counts:
+            base = self.group_of(page) * self._n_gpus
+            for key in range(base, base + self._n_gpus):
+                counts.pop(key, None)
 
     def reset_all(self) -> None:
         """Drop all counters."""

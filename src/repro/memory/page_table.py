@@ -16,21 +16,38 @@ page index) because the simulator touches single pages on its hot path;
 bulk views for analysis are exposed via :meth:`policy_histogram` and
 friends.
 
+Two kinds of mutator change the columns.  The *whole-page transitions*
+(:meth:`install_exclusive`, :meth:`install_duplicate`,
+:meth:`release_to_host`) are what the UVM driver's migrate, collapse,
+duplicate and evict primitives call: each moves one page to its final
+state with one bounds check, one ``version`` bump and one mirror mark,
+and returns the page's prior columns so the caller derives copy source,
+shootdown victims and released holders with bit operations.  The
+*fine-grained* mutators (``map_local``, ``unmap_all_except``,
+``set_exclusive``, ``add_copy``, ...) change one aspect at a time; the
+policies, eviction and fault injection use them, and every transition
+equals a fixed sequence of them.
+
 For the vectorized steady-state replay path the same columns are also
 available as numpy arrays (:meth:`bulk_views`).  The arrays are built
-lazily on first request and then kept in sync incrementally by every
-mutator, so the fast-path eligibility scan is a handful of numpy mask
-operations instead of a dict/list probe per trace record.  ``version``
-increments on every mutation; the replay loop uses it to know when a
+lazily on first request.  After that every mutator records the page
+indices it changed, and :meth:`bulk_views` flushes them with one
+fancy-index store per column before returning, so the fast-path
+eligibility scan is a handful of numpy mask operations instead of a
+dict/list probe per trace record.  ``version`` increments on every
+mutation (once per transition); the replay loop uses it to know when a
 previously computed eligibility mask went stale.
 
 Invariants maintained by the mutators (checked by :meth:`check_invariants`):
 
 * if ``owner`` is a GPU, that GPU is in the copy set;
-* a GPU with a *local* mapping holds a copy;
 * write permission is exclusive: at most one device may be writable, and a
   writable page has no other copies (no stale duplicates);
 * ``writable`` implies ``mapped``.
+
+That a GPU with a *local* mapping holds a copy needs no check: a mapped
+bit without a copy bit *is* a remote mapping, and :meth:`map_local`
+refuses to map a GPU that holds no copy.
 """
 
 from __future__ import annotations
@@ -43,6 +60,11 @@ from repro.memory.page import POLICY_ON_TOUCH
 
 class PageTables:
     """Unified page-table state, indexed by global virtual page number."""
+
+    #: Indices whose numpy mirrors are stale, flushed by :meth:`bulk_views`;
+    #: ``None`` while no mirrors exist.  A class attribute too, so tables
+    #: restored from snapshots pickled before it existed resolve it.
+    _dirty: list[int] | None = None
 
     def __init__(
         self,
@@ -86,6 +108,7 @@ class PageTables:
         #: Bumped on every mutation; consumers cache derived state per version.
         self.version = 0
         self._views: dict[str, np.ndarray] | None = None
+        self._dirty = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -111,39 +134,62 @@ class PageTables:
         Returns arrays indexed by ``page - first_page``: ``owner`` (device
         ids), ``copies`` / ``mapped`` / ``writable`` (per-GPU bitmasks) and
         ``policy`` (PTE policy bits), all int64.  Built lazily on first
-        call, then updated in place by every mutator — callers must treat
-        them as read-only and re-check :attr:`version` to detect staleness
-        of anything they derived from them.
+        call; every later call first flushes the pages mutated since the
+        previous one, so the arrays are current when returned.  Callers
+        must treat them as read-only, call again after any mutation, and
+        re-check :attr:`version` to detect staleness of anything they
+        derived from them.
         """
-        if self._views is None:
-            self._views = {
+        views = self._views
+        if views is None:
+            views = self._views = {
                 "owner": np.array(self._owner, dtype=np.int64),
                 "copies": np.array(self._copy_mask, dtype=np.int64),
                 "mapped": np.array(self._mapped_mask, dtype=np.int64),
                 "writable": np.array(self._writable_mask, dtype=np.int64),
                 "policy": np.array(self._policy, dtype=np.int64),
             }
-        return self._views
+            self._dirty = []
+        elif self._dirty:
+            dirty = self._dirty
+            idxs = np.array(dirty, dtype=np.intp)
+            for name, column in (
+                ("owner", self._owner),
+                ("copies", self._copy_mask),
+                ("mapped", self._mapped_mask),
+                ("writable", self._writable_mask),
+                ("policy", self._policy),
+            ):
+                views[name][idxs] = [column[idx] for idx in dirty]
+            dirty.clear()
+        return views
 
-    def _sync_page(self, idx: int) -> None:
-        """Refresh the numpy mirrors for one page after a mutation."""
+    def _touch(self, idx: int) -> None:
+        """Record a mutation of one page: bump the version, mark its mirrors.
+
+        Once more marks pile up than the table has pages (a slow-path
+        run reads the mirrors only at phase boundaries), rebuilding is
+        cheaper than flushing: the mirrors are dropped instead.
+        """
         self.version += 1
-        views = self._views
-        if views is not None:
-            views["owner"][idx] = self._owner[idx]
-            views["copies"][idx] = self._copy_mask[idx]
-            views["mapped"][idx] = self._mapped_mask[idx]
-            views["writable"][idx] = self._writable_mask[idx]
-            views["policy"][idx] = self._policy[idx]
+        dirty = self._dirty
+        if dirty is not None:
+            dirty.append(idx)
+            if len(dirty) > self._n_pages:
+                self._views = self._dirty = None
 
     def bulk_install_exclusive(
         self, idxs: np.ndarray, gpus: np.ndarray
     ) -> None:
-        """Fast-path batch of ``set_exclusive`` + ``map_local(writable)``.
+        """Batch of :meth:`install_exclusive` for the fast path's fault lane.
 
-        Only valid for previously *virgin* pages (host owner, no copies,
-        no mappings) — the caller proves that before batching, which is
-        what makes the result identical to per-page mutator calls.
+        The resulting columns do not depend on a page's prior state, so
+        for distinct ``idxs`` the batch equals per-page transitions from
+        any state.  The caller must have applied the rest of each
+        transition itself — the shootdowns, capacity releases and
+        transfers the prior state implied: the fault lane installs
+        virgin first touches and, under plain on-touch, cross-GPU
+        bounces and pulls of exclusively held pages.
         """
         owner = self._owner
         copies = self._copy_mask
@@ -167,11 +213,12 @@ class PageTables:
     def bulk_install_duplicate(
         self, idxs: np.ndarray, gpus: np.ndarray
     ) -> None:
-        """Fast-path batch of ``add_copy`` + ``map_local(read-only)``.
+        """Batch of :meth:`install_duplicate` for distinct virgin pages.
 
-        Only valid for virgin pages; the owner (the host) keeps the
-        authoritative copy and the requester gets a read-only duplicate,
-        exactly as ``UVMDriver.duplicate`` leaves a first-touch page.
+        Only valid for virgin pages (host owner, no copies, no mappings);
+        the host keeps the authoritative copy and the requester gets a
+        read-only duplicate, exactly as ``UVMDriver.duplicate`` leaves a
+        first-touch page.
         """
         copies = self._copy_mask
         mapped = self._mapped_mask
@@ -242,7 +289,7 @@ class PageTables:
             self._writable_mask[idx] |= bit
         else:
             self._writable_mask[idx] &= ~bit
-        self._sync_page(idx)
+        self._touch(idx)
 
     def map_remote(self, gpu: int, page: int) -> None:
         """Install a PTE pointing at the remote authoritative copy."""
@@ -254,7 +301,7 @@ class PageTables:
             )
         self._mapped_mask[idx] |= bit
         self._writable_mask[idx] &= ~bit
-        self._sync_page(idx)
+        self._touch(idx)
 
     def unmap(self, gpu: int, page: int) -> bool:
         """Invalidate ``gpu``'s PTE; returns True if it was valid."""
@@ -263,7 +310,7 @@ class PageTables:
         was = bool(self._mapped_mask[idx] & bit)
         self._mapped_mask[idx] &= ~bit
         self._writable_mask[idx] &= ~bit
-        self._sync_page(idx)
+        self._touch(idx)
         return was
 
     def unmap_all_except(self, page: int, keep: int | None = None) -> list[int]:
@@ -276,7 +323,7 @@ class PageTables:
         keep_bit = 0 if keep is None else (mask & (1 << keep))
         self._mapped_mask[idx] = keep_bit
         self._writable_mask[idx] &= keep_bit
-        self._sync_page(idx)
+        self._touch(idx)
         return victims
 
     # -- data movement ------------------------------------------------------
@@ -290,7 +337,7 @@ class PageTables:
         idx = self._idx(page)
         self._owner[idx] = device
         self._copy_mask[idx] = 0 if device == HOST else (1 << device)
-        self._sync_page(idx)
+        self._touch(idx)
 
     def add_copy(self, gpu: int, page: int) -> None:
         """Record a duplicate of the page on ``gpu``.
@@ -302,7 +349,7 @@ class PageTables:
         self._copy_mask[idx] |= 1 << gpu
         if self._coherent:
             self._writable_mask[idx] = 0
-        self._sync_page(idx)
+        self._touch(idx)
 
     def drop_copy(self, gpu: int, page: int) -> None:
         """Discard ``gpu``'s duplicate (PTE must be unmapped separately)."""
@@ -310,7 +357,77 @@ class PageTables:
         if self._owner[idx] == gpu:
             raise ValueError(f"cannot drop the owner copy of page {page}")
         self._copy_mask[idx] &= ~(1 << gpu)
-        self._sync_page(idx)
+        self._touch(idx)
+
+    # -- whole-page transitions ---------------------------------------------
+
+    def install_exclusive(
+        self, page: int, gpu: int
+    ) -> tuple[int, int, int, int]:
+        """Make ``gpu`` the sole holder, locally mapped and writable.
+
+        The page-table side of a migration and of a write-collapse:
+        equal to ``unmap_all_except`` → ``set_exclusive(gpu)`` →
+        ``map_local(gpu, writable=True)`` (with ``keep=None`` or
+        ``keep=gpu``, which end in the same state).  Returns the prior
+        ``(owner, copies, mapped, writable)`` columns.
+        """
+        return self._replace(page, gpu, 1 << gpu)
+
+    def release_to_host(self, page: int) -> tuple[int, int, int, int]:
+        """Unmap the page everywhere and make the host its sole holder.
+
+        The page-table side of an eviction: equal to
+        ``unmap_all_except(keep=None)`` → ``set_exclusive(HOST)``.
+        Returns the prior ``(owner, copies, mapped, writable)`` columns.
+        """
+        return self._replace(page, HOST, 0)
+
+    def _replace(
+        self, page: int, owner: int, mask: int
+    ) -> tuple[int, int, int, int]:
+        """Set the page's owner and all three GPU masks; return the prior."""
+        idx = self._idx(page)
+        prior = (self._owner[idx], self._copy_mask[idx],
+                 self._mapped_mask[idx], self._writable_mask[idx])
+        self._owner[idx] = owner
+        self._copy_mask[idx] = mask
+        self._mapped_mask[idx] = mask
+        self._writable_mask[idx] = mask
+        self._touch(idx)
+        return prior
+
+    def install_duplicate(
+        self, page: int, gpu: int
+    ) -> tuple[int, int, int, int]:
+        """Give ``gpu`` a read-only local copy of the page.
+
+        The page-table side of a duplication: equal to ``add_copy(gpu)``
+        → ``map_local(gpu, writable=False)``, plus — when ``gpu`` held no
+        copy before — ``map_local(writer, writable=False)`` for the
+        lowest GPU with a writable mapping.  In coherent mode any copy
+        strips every write permission; incoherent tables only lose the
+        two demoted bits.  Returns the prior ``(owner, copies, mapped,
+        writable)`` columns.
+        """
+        idx = self._idx(page)
+        _owner, copies, mapped, writable = prior = (
+            self._owner[idx], self._copy_mask[idx],
+            self._mapped_mask[idx], self._writable_mask[idx],
+        )
+        bit = 1 << gpu
+        self._copy_mask[idx] = copies | bit
+        self._mapped_mask[idx] = mapped | bit
+        if self._coherent:
+            self._writable_mask[idx] = 0
+        else:
+            demoted = bit
+            if not copies & bit:
+                writers = mapped & writable
+                demoted |= writers & -writers
+            self._writable_mask[idx] = writable & ~demoted
+        self._touch(idx)
+        return prior
 
     # -- PTE policy bits -----------------------------------------------------
 
@@ -322,7 +439,7 @@ class PageTables:
         """Set the PTE policy bits of one page."""
         idx = self._idx(page)
         self._policy[idx] = bits
-        self._sync_page(idx)
+        self._touch(idx)
 
     def set_policy_range(self, first_page: int, n_pages: int, bits: int) -> None:
         """Set the policy bits of a contiguous page range (object-wide)."""
@@ -368,7 +485,3 @@ class PageTables:
                     assert n_holders <= 1, (
                         f"page {page}: writable while duplicated"
                     )
-            # A local mapping requires a local copy.
-            local_mapped = mapped & copies
-            # (Remote mappings are mapped bits not in copies.)
-            del local_mapped

@@ -135,15 +135,19 @@ class CounterMigrationMixin:
         group = counters.group_of(page)
         first = group * counters.pages_per_group
         origin = pt.location(page)
+        # State is read per candidate, after the previous migration: under
+        # capacity pressure a migration may evict a later candidate.
+        tracks_page = machine.tracks_page
+        has_copy = pt.has_copy
+        location = pt.location
+        migrate = machine.driver.migrate
         cost = 0.0
         n_migrated = 0
         for candidate in range(first, first + counters.pages_per_group):
-            if not machine.tracks_page(candidate):
+            if not tracks_page(candidate) or has_copy(gpu, candidate):
                 continue
-            if pt.has_copy(gpu, candidate):
-                continue
-            if candidate == page or pt.location(candidate) == origin:
-                cost += machine.driver.migrate(gpu, candidate)
+            if candidate == page or location(candidate) == origin:
+                cost += migrate(gpu, candidate)
                 n_migrated += 1
         counters.reset_group(page)
         if n_migrated:

@@ -25,11 +25,16 @@ when, under the page-table state current at mask-build time:
   *every* record weight the chunk still holds for that (gpu, group) key.
 
 Eligibility masks are derived from the page tables' numpy mirrors
-(:meth:`PageTables.bulk_views`) and are invalidated by the page-table
-``version`` counter: any fault resolution mutates the page tables, which
-bumps the version, which forces per-record replay until the mask is
-rebuilt (rebuilds are throttled so a fault storm degrades gracefully to
-the slow path instead of thrashing on mask recomputation).
+(:meth:`PageTables.bulk_views`, which flushes the pages mutated since
+its last call) and are invalidated by the page-table ``version``
+counter: any fault resolution mutates the page tables, which bumps the
+version, which forces per-record replay until the mask is rebuilt
+(rebuilds are throttled so a fault storm degrades gracefully to the
+slow path instead of thrashing on mask recomputation).  What a mask
+needs from the trace alone — each chunk's counter-key factorization and
+per-page occurrence facts — is computed once per chunk and cached with
+the phase's SoA arrays (:class:`PhaseArrays`); a rebuild only combines
+it with the current page-table state.
 
 Why the bulk math is exact and not merely close:
 
@@ -95,10 +100,109 @@ MIN_RUN = 16
 #: amortizes the O(window) rebuild cost during fault storms.
 REBUILD_MIN_STEPS = 64
 
+#: Dtype of the chunk-relative positions and ids in :class:`PhaseArrays`
+#: (every chunk-relative value lies in ``[-1, CHUNK)``).
+_POS = np.int16
+assert CHUNK <= np.iinfo(_POS).max
+
 
 def force_slow_path() -> bool:
     """True when ``REPRO_FORCE_SLOW_PATH`` requests per-record replay."""
     return os.environ.get("REPRO_FORCE_SLOW_PATH", "").strip() not in ("", "0")
+
+
+class PhaseArrays:
+    """Replay arrays that depend only on one phase's records.
+
+    They are pure functions of the records and the ``(first_page,
+    n_gpus, pages_per_group)`` geometry, so a sweep replaying the same
+    trace under many policies computes them once and shares them through
+    a cache slot on the phase itself; every array is read-only.  The
+    per-chunk facts the eligibility masks need are built on first use by
+    a policy that needs them, then shared like the rest.
+    """
+
+    def __init__(
+        self, phase: "PhaseTrace", first_page: int, n_gpus: int, ppg: int
+    ) -> None:
+        self.gpu = phase.gpu.astype(np.int64)
+        self.idx = phase.page - first_page
+        self.is_w = phase.write != 0
+        self.bit = np.left_shift(np.int64(1), self.gpu)
+        # Built for counting and non-counting policies alike, so both
+        # share one cache entry.
+        self.key = (phase.page // ppg) * n_gpus + self.gpu
+        self._key_facts: tuple | None = None
+        self._page_facts: tuple | None = None
+
+    def key_facts(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Each chunk's counter keys, factorized.
+
+        Returns ``(key_id, chunk_keys)``: per record, the chunk-relative
+        id of its ``(gpu, group)`` counter key, and per chunk, the sorted
+        distinct keys those ids index.
+        """
+        if self._key_facts is None:
+            key_id = np.empty(len(self.key), dtype=_POS)
+            chunk_keys = []
+            for c0 in range(0, len(self.key), CHUNK):
+                keys, inverse = np.unique(
+                    self.key[c0:c0 + CHUNK], return_inverse=True
+                )
+                key_id[c0:c0 + CHUNK] = inverse
+                chunk_keys.append(keys)
+            self._key_facts = (key_id, chunk_keys)
+        return self._key_facts
+
+    def page_facts(self) -> tuple[np.ndarray, ...]:
+        """Per-record facts about each page's occurrences in its chunk.
+
+        Returns ``(mixed_until, prev, last_write, page_id)``, all
+        chunk-relative: the last position of the record's page whose GPU
+        differs from the page's last occurrence (-1 if none), the
+        previous occurrence of the page (-1 if none), the page's last
+        write (-1 if none), and an id per distinct page.  A window that
+        is a suffix ``[s, chunk end)`` holds a page's occurrences from
+        ``s`` on, so "one GPU only" is ``mixed_until < s``, "first in
+        the window" is ``prev < s`` and "a write in the window" is
+        ``last_write >= s``.
+        """
+        if self._page_facts is None:
+            n = len(self.idx)
+            facts = tuple(np.empty(n, dtype=_POS) for _ in range(4))
+            for c0 in range(0, n, CHUNK):
+                chunk = slice(c0, c0 + CHUNK)
+                _chunk_page_facts(
+                    self.idx[chunk], self.gpu[chunk], self.is_w[chunk],
+                    [f[chunk] for f in facts],
+                )
+            self._page_facts = facts
+        return self._page_facts
+
+
+def _chunk_page_facts(
+    page: np.ndarray, gpu: np.ndarray, is_w: np.ndarray,
+    out: list[np.ndarray],
+) -> None:
+    """Write :meth:`PhaseArrays.page_facts` of one chunk into ``out``."""
+    n = len(page)
+    pos = np.argsort(page, kind="stable")  # positions, grouped by page
+    head = np.ones(n, dtype=bool)  # first occurrence of its page
+    head[1:] = page[pos[1:]] != page[pos[:-1]]
+    starts = np.flatnonzero(head)
+    group = np.cumsum(head) - 1
+    prev = np.empty(n, dtype=np.int64)
+    prev[0] = -1
+    prev[1:] = pos[:-1]
+    prev[head] = -1
+    last = pos[np.append(starts[1:], n) - 1]
+    differs = gpu[pos] != gpu[last][group]
+    mixed_until = np.maximum.reduceat(np.where(differs, pos, -1), starts)
+    last_write = np.maximum.reduceat(np.where(is_w[pos], pos, -1), starts)
+    for dst, src in zip(
+        out, (mixed_until[group], prev, last_write[group], group)
+    ):
+        dst[pos] = src
 
 
 class FastReplay:
@@ -182,6 +286,9 @@ class FastReplay:
         self._weight: np.ndarray | None = None
         self._bit: np.ndarray | None = None
         self._key: np.ndarray | None = None
+        self._key_id: np.ndarray | None = None
+        self._chunk_keys: list[np.ndarray] | None = None
+        self._page_facts: tuple[np.ndarray, ...] | None = None
         # Current eligibility window (set by _rebuild).
         self._mask_base = 0
         self._mask_version = -1
@@ -219,28 +326,22 @@ class FastReplay:
         n = len(phase.gpu)
         if n == 0:
             return
-        # Derived SoA arrays are pure functions of the phase records and
-        # the (first_page, n_gpus, pages_per_group) geometry, so a sweep
-        # replaying the same trace under many policies computes them once
-        # and shares them via a cache slot on the phase itself.  All
-        # arrays are read-only below (slicing/indexing only), so sharing
-        # is safe; the counter key is always built so counting and
-        # non-counting policies share one entry.
         soa_key = (self._first_page, self._n_gpus, self._ppg)
         cached = getattr(phase, "_soa", None)
         if cached is not None and cached[0] == soa_key:
-            (_, self._gpu, self._idx, self._is_w,
-             self._bit, self._key) = cached
+            arrays = cached[1]
         else:
-            self._gpu = phase.gpu.astype(np.int64)
-            self._idx = phase.page - self._first_page
-            self._is_w = phase.write != 0
-            self._bit = np.left_shift(np.int64(1), self._gpu)
-            self._key = (
-                phase.page // self._ppg
-            ) * self._n_gpus + self._gpu
-            phase._soa = (soa_key, self._gpu, self._idx, self._is_w,
-                          self._bit, self._key)
+            arrays = PhaseArrays(phase, *soa_key)
+            phase._soa = (soa_key, arrays)
+        self._gpu = arrays.gpu
+        self._idx = arrays.idx
+        self._is_w = arrays.is_w
+        self._bit = arrays.bit
+        self._key = arrays.key
+        if self._counting:
+            self._key_id, self._chunk_keys = arrays.key_facts()
+        if self._ft_mode not in (None, "plain"):
+            self._page_facts = arrays.page_facts()
         self._page = phase.page
         self._weight = phase.weight
         start = 0
@@ -326,26 +427,34 @@ class FastReplay:
         writable = (writable_raw & bit_w) != 0
         local = mapped & has_copy
         eligible = local & (~self._is_w[window] | writable)
+        # Chunks start at multiples of CHUNK, so the window is the suffix
+        # of its chunk from chunk-relative position s.
+        s = i % CHUNK
         if self._counting:
             remote = mapped & ~has_copy
             if remote.any():
-                keys_w = self._key[window]
-                unique_keys, inverse = np.unique(keys_w, return_inverse=True)
-                totals = np.bincount(inverse, weights=self._weight[window])
-                counters = machine.access_counters
-                threshold = counters.threshold
-                safe = np.fromiter(
-                    (
-                        counters.count_by_key(int(key)) + int(total)
-                        < threshold
-                        for key, total in zip(
-                            unique_keys.tolist(), totals.tolist()
-                        )
-                    ),
-                    dtype=bool,
-                    count=len(unique_keys),
+                # Sum every window record's weight per counter key, but
+                # test only the keys remote records use.
+                key_id = self._key_id[window]
+                chunk_keys = self._chunk_keys[i // CHUNK]
+                n_keys = len(chunk_keys)
+                totals = np.bincount(
+                    key_id, weights=self._weight[window], minlength=n_keys
                 )
-                eligible |= remote & safe[inverse]
+                used = np.flatnonzero(
+                    np.bincount(key_id[remote], minlength=n_keys)
+                )
+                counters = machine.access_counters
+                count_by_key = counters.count_by_key
+                threshold = counters.threshold
+                safe = np.zeros(n_keys, dtype=bool)
+                safe[used] = [
+                    count_by_key(key) + int(total) < threshold
+                    for key, total in zip(
+                        chunk_keys[used].tolist(), totals[used].tolist()
+                    )
+                ]
+                eligible |= remote & safe[key_id]
         if self._ft_mode == "plain":
             # Plain on-touch resolves *every* fault with a migration, so
             # any page in a "simple exclusive" state is predictable:
@@ -380,32 +489,24 @@ class FastReplay:
             )
             if self._ft_mode in ("oasis", "grit"):
                 virgin &= views["policy"][idx_w] == POLICY_ON_TOUCH
-            gpu_w = self._gpu[window]
-            _, first_idx, inverse = np.unique(
-                self._page[window],
-                return_index=True,
-                return_inverse=True,
-            )
-            mixed = np.bincount(
-                inverse,
-                weights=(gpu_w != gpu_w[first_idx][inverse]),
-                minlength=len(first_idx),
-            )
-            virgin &= mixed[inverse] == 0
+            mixed_until, prev, last_write, page_id = self._page_facts
+            virgin &= mixed_until[window] < s
             if self._ft_mode == "dup":
                 # A write repeat after a read first touch would hit the
                 # read-only duplicate (protection fault); only pages
                 # whose first touch is a write — collapse installs a
                 # writable mapping — or that see no writes at all are
-                # predictable.
-                is_w_w = self._is_w[window]
-                n_writes = np.bincount(
-                    inverse,
-                    weights=is_w_w,
-                    minlength=len(first_idx),
+                # predictable.  A page is bad when its first record in
+                # the window is a read and a write follows.
+                page_w = page_id[window]
+                bad = (
+                    (prev[window] < s)
+                    & ~self._is_w[window]
+                    & (last_write[window] >= s)
                 )
-                first_write = is_w_w[first_idx]
-                virgin &= (first_write | (n_writes == 0))[inverse]
+                bad_page = np.zeros(CHUNK, dtype=bool)
+                bad_page[page_w[bad]] = True
+                virgin &= ~bad_page[page_w]
             self._fmask = virgin
             self._f_false_pos = np.flatnonzero(~virgin)
         else:
@@ -414,7 +515,7 @@ class FastReplay:
         self._mask = eligible
         self._false_pos = np.flatnonzero(~eligible)
         self._loc = local
-        self._owner_sel = views["owner"][idx_w]
+        self._owner_sel = owner_w
         self._mask_version = pt.version
 
     # -- bulk replay -------------------------------------------------------

@@ -234,9 +234,11 @@ def capture(machine: "Machine", index: int, now: float, phases: list,
     — which is exactly the state the next iteration starts from.
     """
     pt = machine.page_tables
-    # The numpy mirrors are derived state rebuilt on demand; dropping
-    # them halves the snapshot and the restored tables re-mirror lazily.
+    # The numpy mirrors (and their pending flush marks) are derived state
+    # rebuilt on demand; dropping them halves the snapshot and the
+    # restored tables re-mirror lazily.
     views, pt._views = pt._views, None
+    dirty, pt._dirty = pt._dirty, None
     try:
         payload = {
             "version": SNAPSHOT_VERSION,
@@ -261,6 +263,7 @@ def capture(machine: "Machine", index: int, now: float, phases: list,
         return buf.getvalue()
     finally:
         pt._views = views
+        pt._dirty = dirty
 
 
 def restore(machine: "Machine", blob: bytes,

@@ -7,6 +7,13 @@ the shared :class:`~repro.engine.StatCounters`, and returns the latency the
 faulting GPU pays (beyond the fixed fault-service cost, which the machine
 charges through the driver's serial queue).
 
+Migrate, collapse, duplicate and evict each make one whole-page
+page-table transition (:meth:`PageTables.install_exclusive`,
+:meth:`~PageTables.install_duplicate`,
+:meth:`~PageTables.release_to_host`).  The transition returns the page's
+prior columns, and the copy source, shootdown victims and released
+holders are bit operations on those masks.
+
 Primitives:
 
 * :meth:`UVMDriver.migrate` — move the page's single authoritative copy to
@@ -32,6 +39,13 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tlb import TLBHierarchy
+
+
+def _source(owner: int, others: int) -> int:
+    """Copy source: the lowest GPU in the ``others`` bitmask, else ``owner``."""
+    if others:
+        return (others & -others).bit_length() - 1
+    return owner
 
 
 class UVMDriver:
@@ -134,14 +148,33 @@ class UVMDriver:
 
     # -- helpers -----------------------------------------------------------
 
-    def _shootdown(self, page: int, victims: list[int]) -> float:
-        """Invalidate TLB entries on ``victims``; returns the latency."""
+    def _shootdown(self, page: int, victims: int) -> float:
+        """Invalidate TLB entries on the GPUs in the ``victims`` bitmask.
+
+        Returns the latency: one PTE invalidation per victim, summed in
+        ascending GPU order.
+        """
         cost = 0.0
-        for gpu in victims:
-            self.tlbs[gpu].shootdown(page)
-            cost += self.config.latency.pte_invalidate_ns
-            self.stats.add("shootdown.count")
+        if victims:
+            tlbs = self.tlbs
+            invalidate_ns = self.config.latency.pte_invalidate_ns
+            n_victims = 0
+            while victims:
+                low = victims & -victims
+                tlbs[low.bit_length() - 1].shootdown(page)
+                cost += invalidate_ns
+                n_victims += 1
+                victims ^= low
+            self.stats.add("shootdown.count", n_victims)
         return cost
+
+    def _release(self, page: int, holders: int) -> None:
+        """Free ``page``'s frame on every GPU in the ``holders`` bitmask."""
+        capacity = self.capacity
+        while holders:
+            low = holders & -holders
+            capacity.note_released(low.bit_length() - 1, page)
+            holders ^= low
 
     def _nearest_source(self, page: int, dst: int) -> int:
         """Pick the device to copy ``page``'s data from.
@@ -149,11 +182,9 @@ class UVMDriver:
         Prefers a GPU copy (NVLink is far faster than PCIe) and falls back
         to the owner (possibly the host).
         """
-        owner = self.page_tables.location(page)
-        for gpu in self.page_tables.copy_holders(page):
-            if gpu != dst:
-                return gpu
-        return owner
+        pt = self.page_tables
+        copies = sum(1 << g for g in pt.copy_holders(page))
+        return _source(pt.location(page), copies & ~(1 << dst))
 
     def _transfer(self, src: int, dst: int) -> float:
         """Move one page of data between devices; returns the latency."""
@@ -240,17 +271,15 @@ class UVMDriver:
             if not proceed:
                 return extra + self._degrade_to_remote(gpu, page, reason)
             self.injector.clear_degraded(gpu, page)
-        src = self._nearest_source(page, gpu)
-        victims = pt.unmap_all_except(page, keep=None)
-        cost = self._shootdown(page, victims)
-        for holder in pt.copy_holders(page):
-            if holder != gpu:
-                self.capacity.note_released(holder, page)
-        already_local = pt.has_copy(gpu, page)
+        owner, copies, mapped, _writable = pt.install_exclusive(page, gpu)
+        bit = 1 << gpu
+        others = copies & ~bit
+        src = _source(owner, others)
+        cost = self._shootdown(page, mapped)
+        self._release(page, others)
+        already_local = bool(copies & bit)
         if not already_local:
             cost += self._transfer(src, gpu)
-        pt.set_exclusive(page, gpu)
-        pt.map_local(gpu, page, writable=True)
         self.capacity.note_resident(gpu, page)
         self.counters.reset_group(page)
         self.stats.add("migration.count")
@@ -282,38 +311,29 @@ class UVMDriver:
             )
             if not proceed:
                 return self._degrade_to_remote(gpu, page, reason)
-        if pt.has_copy(gpu, page):
+        owner, copies, mapped, writable = pt.install_duplicate(page, gpu)
+        bit = 1 << gpu
+        if copies & bit:
             # Already a holder (e.g. owner re-mapping after invalidation):
             # just (re)install a read-only PTE.
-            pt.add_copy(gpu, page)
-            pt.map_local(gpu, page, writable=False)
             self.stats.add("duplication.remap")
             return self.config.latency.pte_update_ns
-        src = self._nearest_source(page, gpu)
+        src = _source(owner, copies)
         cost = self._transfer(src, gpu)
         # Any current writer must be demoted to read-only before copies
         # exist; that writer's stale TLB entry is shot down.
-        writer = next(
-            (
-                g
-                for g in pt.mapped_gpus(page)
-                if pt.is_writable(g, page)
-            ),
-            None,
-        )
-        pt.add_copy(gpu, page)
-        if writer is not None:
+        writers = mapped & writable
+        if writers:
             # Demote the old writer to read-only.  The PTE downgrade and
             # its shootdown piggyback on this fault's resolution (the
             # driver is already updating translations for the page), so
             # only the cheap overlapped update cost is charged
             # (Section V-E).
+            writer = (writers & -writers).bit_length() - 1
             self.tlbs[writer].shootdown(page)
             self.stats.add("shootdown.count")
             cost += self.config.latency.pte_update_ns
-            pt.map_local(writer, page, writable=False)
             self.stats.add("duplication.demotions")
-        pt.map_local(gpu, page, writable=False)
         self.capacity.note_resident(gpu, page)
         self.stats.add("duplication.count")
         self.stats.add("duplication.bytes", self.config.page_size)
@@ -339,12 +359,13 @@ class UVMDriver:
             )
             if not proceed:
                 return self._degrade_to_remote(gpu, page, reason)
-        had_copy = pt.has_copy(gpu, page)
-        dropped_copies = sum(
-            1 for holder in pt.copy_holders(page) if holder != gpu
-        )
-        src = self._nearest_source(page, gpu)
-        victims = pt.unmap_all_except(page, keep=gpu)
+        owner, copies, mapped, _writable = pt.install_exclusive(page, gpu)
+        bit = 1 << gpu
+        had_copy = bool(copies & bit)
+        others = copies & ~bit
+        src = _source(owner, others)
+        victims = mapped & ~bit
+        n_victims = victims.bit_count()
         cost = self._shootdown(page, victims)
         # Revoking live read duplicates takes the heavyweight
         # protection-fault path (Section II-B3's write-collapse cost).
@@ -353,22 +374,18 @@ class UVMDriver:
         # *additional* broadcast copy pays the extra revocation work, so
         # widely-read pages collapse far more expensively.
         cost += self.config.latency.collapse_overhead_ns * max(
-            0, dropped_copies - 1
+            0, others.bit_count() - 1
         )
-        for holder in pt.copy_holders(page):
-            if holder != gpu:
-                self.capacity.note_released(holder, page)
+        self._release(page, others)
         if not had_copy:
             cost += self._transfer(src, gpu)
-        pt.set_exclusive(page, gpu)
-        pt.map_local(gpu, page, writable=True)
         self.capacity.note_resident(gpu, page)
         self.stats.add("collapse.count")
-        self.stats.add("collapse.invalidated_copies", len(victims))
+        self.stats.add("collapse.invalidated_copies", n_victims)
         if self._obs:
             if self._collapse_rows is not None:
                 self._collapse_rows.append(
-                    (self.queue.free_at, gpu, page, len(victims),
+                    (self.queue.free_at, gpu, page, n_victims,
                      not had_copy)
                 )
             elif self._transfer_bytes is not None:
@@ -449,7 +466,7 @@ class UVMDriver:
             pt.drop_copy(gpu, page)
         cost = 0.0
         if was_mapped:
-            cost += self._shootdown(page, [gpu])
+            cost += self._shootdown(page, 1 << gpu)
         self.capacity.note_released(gpu, page)
         self.stats.add("eviction.copy_dropped")
         if self._obs:
@@ -462,16 +479,13 @@ class UVMDriver:
         The PTE policy bits survive eviction — OASIS uses them to keep
         treating a re-referenced evicted page as shared (Section VI-D).
         """
-        pt = self.page_tables
-        victims = pt.unmap_all_except(page, keep=None)
-        cost = self._shootdown(page, victims)
-        holders = pt.copy_holders(page)
-        owner = pt.location(page)
-        for holder in holders:
-            self.capacity.note_released(holder, page)
+        owner, copies, mapped, _writable = (
+            self.page_tables.release_to_host(page)
+        )
+        cost = self._shootdown(page, mapped)
+        self._release(page, copies)
         if owner != HOST:
             cost += self._transfer(owner, HOST)
-        pt.set_exclusive(page, HOST)
         self.stats.add("eviction.count")
         if self.tenancy is not None:
             self.tenancy.note_eviction(self.stats, page)

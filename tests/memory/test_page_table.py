@@ -1,11 +1,18 @@
 """PageTables state-machine tests."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import HOST
-from repro.memory import PageTables, POLICY_COUNTER, POLICY_ON_TOUCH
+from repro.memory import (
+    POLICY_COUNTER,
+    POLICY_DUPLICATION,
+    POLICY_ON_TOUCH,
+    PageTables,
+)
 
 
 @pytest.fixture
@@ -193,3 +200,177 @@ class TestInvariantsUnderRandomOps:
                 if not pt.has_copy(gpu, page):
                     pt.map_remote(gpu, page)
             pt.check_invariants()
+
+
+# -- whole-page transitions vs the fine-grained sequences -----------------
+
+N_GPUS = 4
+N_PAGES = 3
+
+
+def gpus_of(mask: int) -> list[int]:
+    return [g for g in range(N_GPUS) if mask >> g & 1]
+
+
+def columns(pt: PageTables, page: int) -> tuple:
+    """The page's five columns, read through the per-page API."""
+    def mask(test):
+        return sum(1 << g for g in range(N_GPUS) if test(g, page))
+
+    return (
+        pt.location(page),
+        mask(pt.has_copy),
+        mask(pt.is_mapped),
+        mask(pt.is_writable),
+        pt.policy(page),
+    )
+
+
+def source_of(owner: int, copies: int, gpu: int) -> int:
+    """Copy source implied by prior masks: lowest other GPU, else owner."""
+    others = gpus_of(copies & ~(1 << gpu))
+    return others[0] if others else owner
+
+
+@st.composite
+def page_states(draw):
+    """A table driven into a random reachable state: pages host-owned,
+    GPU-owned, duplicated, remote-mapped and writable, under coherent
+    and incoherent tables alike."""
+    coherent = draw(st.booleans())
+    pt = PageTables(n_pages=N_PAGES, n_gpus=N_GPUS, coherent=coherent)
+    kinds = ["migrate", "duplicate", "collapse", "unmap", "remote",
+             "evict", "policy"]
+    if not coherent:
+        kinds.append("ideal")
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        kind = draw(st.sampled_from(kinds))
+        gpu = draw(st.integers(0, N_GPUS - 1))
+        page = draw(st.integers(0, N_PAGES - 1))
+        if kind == "migrate":
+            pt.unmap_all_except(page, keep=None)
+            pt.set_exclusive(page, gpu)
+            pt.map_local(gpu, page, writable=True)
+        elif kind == "duplicate":
+            pt.add_copy(gpu, page)
+            pt.map_local(gpu, page, writable=False)
+        elif kind == "collapse":
+            pt.unmap_all_except(page, keep=gpu)
+            pt.set_exclusive(page, gpu)
+            pt.map_local(gpu, page, writable=True)
+        elif kind == "unmap":
+            pt.unmap(gpu, page)
+        elif kind == "remote":
+            if not pt.has_copy(gpu, page):
+                pt.map_remote(gpu, page)
+        elif kind == "evict":
+            pt.unmap_all_except(page, keep=None)
+            pt.set_exclusive(page, HOST)
+        elif kind == "policy":
+            pt.set_policy(page, draw(st.sampled_from(
+                [POLICY_ON_TOUCH, POLICY_COUNTER, POLICY_DUPLICATION]
+            )))
+        else:  # ideal: incoherent writable copy
+            pt.add_copy(gpu, page)
+            pt.map_local(gpu, page, writable=True)
+    return pt
+
+
+def reference_exclusive(pt: PageTables, page: int, gpu: int, keep):
+    """The driver's old migrate (keep=None) / collapse (keep=gpu) steps."""
+    src = source_of(pt.location(page), columns(pt, page)[1], gpu)
+    victims = pt.unmap_all_except(page, keep=keep)
+    released = [h for h in pt.copy_holders(page) if h != gpu]
+    pt.set_exclusive(page, gpu)
+    pt.map_local(gpu, page, writable=True)
+    return src, sorted(victims), released
+
+
+def reference_duplicate(pt: PageTables, page: int, gpu: int):
+    """The driver's old duplicate steps; returns (src, demoted writer)."""
+    if pt.has_copy(gpu, page):
+        pt.add_copy(gpu, page)
+        pt.map_local(gpu, page, writable=False)
+        return None, None
+    src = source_of(pt.location(page), columns(pt, page)[1], gpu)
+    writer = next(
+        (g for g in pt.mapped_gpus(page) if pt.is_writable(g, page)), None
+    )
+    pt.add_copy(gpu, page)
+    if writer is not None:
+        pt.map_local(writer, page, writable=False)
+    pt.map_local(gpu, page, writable=False)
+    return src, writer
+
+
+class TestWholePageTransitions:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pt=page_states(),
+        gpu=st.integers(0, N_GPUS - 1),
+        page=st.integers(0, N_PAGES - 1),
+        keep_self=st.booleans(),
+    )
+    def test_install_exclusive_matches_sequence(self, pt, gpu, page,
+                                                keep_self):
+        ref = copy.deepcopy(pt)
+        src, victims, released = reference_exclusive(
+            ref, page, gpu, keep=gpu if keep_self else None
+        )
+        version = pt.version
+        owner, copies, mapped, _writable = pt.install_exclusive(page, gpu)
+        assert pt.version == version + 1
+        assert columns(pt, page) == columns(ref, page)
+        bit = 1 << gpu
+        assert source_of(owner, copies, gpu) == src
+        # Migration shoots down every mapping; collapse keeps its own.
+        assert gpus_of(mapped & ~bit if keep_self else mapped) == victims
+        assert gpus_of(copies & ~bit) == released
+        pt.check_invariants()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pt=page_states(),
+        gpu=st.integers(0, N_GPUS - 1),
+        page=st.integers(0, N_PAGES - 1),
+    )
+    def test_install_duplicate_matches_sequence(self, pt, gpu, page):
+        ref = copy.deepcopy(pt)
+        src, writer = reference_duplicate(ref, page, gpu)
+        version = pt.version
+        owner, copies, mapped, writable = pt.install_duplicate(page, gpu)
+        assert pt.version == version + 1
+        assert columns(pt, page) == columns(ref, page)
+        if copies >> gpu & 1:
+            assert (src, writer) == (None, None)
+        else:
+            assert source_of(owner, copies, gpu) == src
+            writers = gpus_of(mapped & writable)
+            assert (writers[0] if writers else None) == writer
+        pt.check_invariants()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pt=page_states(), page=st.integers(0, N_PAGES - 1))
+    def test_release_to_host_matches_sequence(self, pt, page):
+        ref = copy.deepcopy(pt)
+        victims = ref.unmap_all_except(page, keep=None)
+        holders = ref.copy_holders(page)
+        ref_owner = ref.location(page)
+        ref.set_exclusive(page, HOST)
+        version = pt.version
+        owner, copies, mapped, _writable = pt.release_to_host(page)
+        assert pt.version == version + 1
+        assert columns(pt, page) == columns(ref, page)
+        assert (owner, gpus_of(copies), gpus_of(mapped)) == (
+            ref_owner, holders, sorted(victims)
+        )
+        pt.check_invariants()
+
+    def test_transitions_reject_untracked_pages(self, pt):
+        for transition in (
+            lambda: pt.install_exclusive(8, 0),
+            lambda: pt.install_duplicate(-1, 0),
+            lambda: pt.release_to_host(8),
+        ):
+            with pytest.raises(IndexError):
+                transition()

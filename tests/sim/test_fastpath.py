@@ -5,21 +5,26 @@ observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
 tests hold it to that across every application and the policies with
 bulk fault lanes, plus the supporting bulk primitives (``translate_run``,
-the page-table numpy mirrors, the lexsort interleaver).
+the page-table numpy mirrors, the per-chunk mask facts cached with the
+phase, the lexsort interleaver).
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 import pytest
 
 from repro import baseline_config, get_workload, make_policy, simulate
-from repro.config import SystemConfig
-from repro.sim.fastpath import force_slow_path
+from repro.config import HOST, SystemConfig
+from repro.memory import POLICY_COUNTER, POLICY_DUPLICATION, PageTables
+from repro.sim.fastpath import CHUNK, PhaseArrays, force_slow_path
 from repro.sim.machine import Machine
+from repro.sim.snapshot import capture, decision_digest, restore
 from repro.tlb import TLBHierarchy
 from repro.workloads import APPLICATION_ORDER
-from repro.workloads.base import TraceBuilder
+from repro.workloads.base import PhaseTrace, TraceBuilder
 
 ALL_APPS = list(APPLICATION_ORDER)
 POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit"]
@@ -102,26 +107,152 @@ class TestTranslateRun:
             assert lvl_a._sets == lvl_b._sets
 
 
+MIRRORS = ("owner", "copies", "mapped", "writable", "policy")
+
+
+def assert_mirrors_current(pt) -> None:
+    """All five numpy mirrors equal the list columns, page for page."""
+    views = pt.bulk_views()
+    n_gpus = pt.n_gpus
+    base = pt._first_page
+    for idx in range(pt.n_pages):
+        page = base + idx
+
+        def mask(test):
+            return sum(1 << g for g in range(n_gpus) if test(g, page))
+
+        expect = (
+            pt.location(page), mask(pt.has_copy), mask(pt.is_mapped),
+            mask(pt.is_writable), pt.policy(page),
+        )
+        assert tuple(int(views[name][idx]) for name in MIRRORS) == expect, (
+            f"page {page}"
+        )
+
+
 class TestPageTableMirrors:
+    def test_bulk_views_track_every_mutator(self):
+        pt = PageTables(n_pages=12, n_gpus=4, first_page=100)
+        pt.bulk_views()  # mirrors exist before any mutation
+        steps = [
+            lambda: pt.install_exclusive(100, 1),
+            lambda: pt.map_remote(2, 100),
+            lambda: pt.install_duplicate(100, 3),
+            lambda: pt.install_duplicate(100, 1),  # already a holder
+            lambda: pt.unmap(3, 100),
+            lambda: pt.set_exclusive(101, 2),
+            lambda: pt.map_local(2, 101, writable=True),
+            lambda: pt.add_copy(0, 101),
+            lambda: pt.map_local(0, 101, writable=False),
+            lambda: pt.drop_copy(0, 101),
+            lambda: pt.unmap_all_except(101, keep=2),
+            lambda: pt.set_policy(102, POLICY_COUNTER),
+            lambda: pt.set_policy_range(104, 4, POLICY_DUPLICATION),
+            lambda: pt.bulk_install_exclusive(
+                np.array([5, 6]), np.array([0, 3])
+            ),
+            lambda: pt.bulk_install_duplicate(
+                np.array([8, 9]), np.array([1, 2])
+            ),
+            lambda: pt.install_exclusive(105, 2),  # bounce from GPU 0
+            lambda: pt.release_to_host(100),
+            lambda: pt.set_exclusive(106, HOST),
+        ]
+        for step in steps:
+            version = pt.version
+            step()
+            assert pt.version == version + 1
+            assert_mirrors_current(pt)
+        # Marks pile up between reads and one flush settles them; past
+        # one mark per page the mirrors are dropped and rebuilt instead.
+        rng = np.random.default_rng(5)
+        for n_steps, flushed in ((10, True), (200, False)):
+            for _ in range(n_steps):
+                page = 100 + int(rng.integers(12))
+                gpu = int(rng.integers(4))
+                if rng.random() < 0.5:
+                    pt.install_exclusive(page, gpu)
+                else:
+                    pt.install_duplicate(page, gpu)
+            assert (pt._views is not None) == flushed
+            assert_mirrors_current(pt)
+        pt.check_invariants()
+
     def test_bulk_views_track_mutations(self, config):
+        trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
+        machine = Machine(config, trace, make_policy("oasis"))
+        machine.run()
+        assert_mirrors_current(machine.page_tables)
+
+    def test_snapshot_with_pending_marks(self, config):
         trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
         machine = Machine(config, trace, make_policy("on_touch"))
         machine.run()
         pt = machine.page_tables
-        views = pt.bulk_views()
-        base = trace.first_page
-        rng = np.random.default_rng(5)
-        for page in rng.integers(base, base + trace.n_pages, size=200).tolist():
-            idx = page - base
-            owner = pt.location(page)
-            assert views["owner"][idx] == owner
-            for gpu in range(config.n_gpus):
-                bit = 1 << gpu
-                assert bool(views["copies"][idx] & bit) == pt.has_copy(gpu, page)
-                assert bool(views["mapped"][idx] & bit) == pt.is_mapped(gpu, page)
-                assert bool(views["writable"][idx] & bit) == pt.is_writable(
-                    gpu, page
-                )
+        pt.bulk_views()
+        for page in range(trace.first_page, trace.first_page + 8):
+            pt.install_exclusive(page, 3)
+        pending = list(pt._dirty)
+        assert pending
+        # Digest of a copy, so the original keeps its marks pending.
+        expected = decision_digest(copy.deepcopy(pt))
+        blob = capture(machine, 0, 0.0, [], [expected])
+        assert pt._dirty == pending  # capture puts the marks back
+        fresh = Machine(config, trace, make_policy("on_touch"))
+        restore(fresh, blob, expect_index=0)  # validates the digest
+        assert decision_digest(fresh.page_tables) == expected
+        assert decision_digest(pt) == expected
+        assert_mirrors_current(fresh.page_tables)
+
+
+class TestPhaseArrays:
+    """The cached per-chunk facts answer the window scans they replace."""
+
+    def _phase(self, n, n_pages, seed):
+        rng = np.random.default_rng(seed)
+        return PhaseTrace(
+            name="p", explicit=True,
+            gpu=rng.integers(0, 4, n).astype(np.uint8),
+            page=1000 + rng.integers(0, n_pages, n),
+            write=(rng.random(n) < 0.3).astype(np.uint8),
+            weight=rng.integers(1, 5, n),
+        )
+
+    def test_page_facts_match_window_scans(self):
+        n = CHUNK + 300
+        phase = self._phase(n, n_pages=60, seed=3)
+        mixed_until, prev, last_write, _ = PhaseArrays(
+            phase, 1000, 4, 16
+        ).page_facts()
+        page = phase.page.tolist()
+        gpu = phase.gpu.tolist()
+        write = phase.write.tolist()
+        starts = list(range(CHUNK, n)) + [0, 1, 17, CHUNK - 5]
+        for s in starts:
+            c1 = min((s // CHUNK + 1) * CHUNK, n)
+            s_rel = s % CHUNK
+            gpus: dict[int, set] = {}
+            writes: dict[int, bool] = {}
+            first: dict[int, int] = {}
+            for r in range(s, c1):
+                gpus.setdefault(page[r], set()).add(gpu[r])
+                writes[page[r]] = writes.get(page[r], False) or bool(write[r])
+                first.setdefault(page[r], r)
+            for r in range(s, c1):
+                p = page[r]
+                assert (mixed_until[r] < s_rel) == (len(gpus[p]) == 1)
+                assert (prev[r] < s_rel) == (first[p] == r)
+                assert (last_write[r] >= s_rel) == writes[p]
+
+    def test_key_facts_factorize_each_chunk(self):
+        n = 2 * CHUNK + 100
+        arrays = PhaseArrays(self._phase(n, n_pages=5000, seed=4), 1000, 4, 16)
+        key_id, chunk_keys = arrays.key_facts()
+        assert len(chunk_keys) == 3
+        for c, keys in enumerate(chunk_keys):
+            chunk = slice(c * CHUNK, (c + 1) * CHUNK)
+            assert keys.tolist() == np.unique(arrays.key[chunk]).tolist()
+            assert np.array_equal(keys[key_id[chunk]], arrays.key[chunk])
 
 
 class TestInterleaver:
