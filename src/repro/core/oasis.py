@@ -25,6 +25,7 @@ from repro.core.controller import ObjectPolicyController
 from repro.core.otable import OTable
 from repro.core.tracker import ObjectTracker
 from repro.memory import POLICY_COUNTER, POLICY_DUPLICATION, POLICY_ON_TOUCH
+from repro.memory.page_table import duplicated
 from repro.policies.base import CounterMigrationMixin, PolicyEngine
 
 
@@ -105,32 +106,40 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
 
     def on_fault(self, gpu: int, page: int, is_write: bool) -> float:
         pt = self.page_tables
-        if pt.has_copy(gpu, page):
+        owner, copies, _mapped, _writable, bits = pt.entry(page)
+        if copies >> gpu & 1:
             # Our mapping was invalidated (e.g. a counter migration of a
             # neighbouring group page) but the data is already local.
-            pt.map_local(gpu, page, writable=not pt.is_duplicated(page))
+            pt.map_local(gpu, page, writable=not duplicated(owner, copies))
             return self.config.latency.pte_update_ns
-        location = pt.location(page)
         if (
             self.private_filter
-            and location == HOST
-            and pt.policy(page) == POLICY_ON_TOUCH
+            and owner == HOST
+            and bits == POLICY_ON_TOUCH
         ):
             # Host page table filter: data on the CPU means no other GPU
             # touched it — private; resolve with default on-touch and skip
             # the O-Table entirely.
             self.stats.add("oasis.private_fault")
             return self.driver.migrate(gpu, page)
-        return self._shared_fault(gpu, page, is_write)
+        return self._shared_fault(gpu, page, is_write, owner, copies)
 
     def on_protection_fault(self, gpu: int, page: int) -> float:
         # A write to a duplicated page: by definition shared, and the W
         # bit is set.
-        return self._shared_fault(gpu, page, is_write=True)
+        pt = self.page_tables
+        owner, copies, _mapped, _writable, _bits = pt.entry(page)
+        return self._shared_fault(gpu, page, True, owner, copies)
 
     # -- internals ----------------------------------------------------------------
 
-    def _shared_fault(self, gpu: int, page: int, is_write: bool) -> float:
+    def _shared_fault(self, gpu: int, page: int, is_write: bool,
+                      owner: int, copies: int) -> float:
+        """Resolve a shared fault under the object's policy.
+
+        ``owner`` and ``copies`` are the page's columns as the fault
+        found them; rewriting the policy bits leaves them current.
+        """
         self.stats.add("oasis.shared_fault")
         cost = self._metadata_lookup_cost(page)
         obj_id = self.machine.object_id_of(page)
@@ -138,7 +147,7 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
         self.page_tables.set_policy(page, bits)
         cost += self.config.latency.pte_update_ns
         if bits == POLICY_COUNTER:
-            cost += self._resolve_counter(gpu, page)
+            cost += self._resolve_counter(gpu, page, owner, copies)
         elif bits == POLICY_DUPLICATION:
             if is_write:
                 # Write while the object is (still) in duplication mode:
@@ -148,7 +157,7 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
             elif (
                 self.capacity_guard
                 and self.machine.capacity.at_capacity(gpu)
-                and not self.page_tables.has_copy(gpu, page)
+                and not copies >> gpu & 1
             ):
                 # Capacity guard (oversubscription): installing another
                 # duplicate would evict a live page; serve the reads
@@ -162,13 +171,13 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
             raise RuntimeError(f"controller returned unexpected bits {bits}")
         return cost
 
-    def _resolve_counter(self, gpu: int, page: int) -> float:
-        pt = self.page_tables
-        if pt.is_duplicated(page):
+    def _resolve_counter(self, gpu: int, page: int, owner: int,
+                         copies: int) -> float:
+        if duplicated(owner, copies):
             # The page still has duplicates from an earlier duplication
             # phase; a write under counter mode must first collapse them.
             return self.driver.collapse(gpu, page)
-        if pt.has_copy(gpu, page):
-            pt.map_local(gpu, page, writable=True)
+        if copies >> gpu & 1:
+            self.page_tables.map_local(gpu, page, writable=True)
             return self.config.latency.pte_update_ns
         return self.driver.map_remote(gpu, page)

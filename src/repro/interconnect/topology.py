@@ -55,6 +55,11 @@ class Topology:
                     latency.nvlink_bw_bytes_per_ns,
                     NVLINK_HOP_NS,
                 )
+        #: Every link under both orders of its endpoints, so a transfer
+        #: finds its link with one dict probe.
+        self._pairs: dict[tuple[int, int], Link] = {}
+        for (a, b), link in self._links.items():
+            self._pairs[a, b] = self._pairs[b, a] = link
 
     @property
     def n_gpus(self) -> int:
@@ -77,9 +82,8 @@ class Topology:
         """The link joining ``src`` and ``dst`` (order-insensitive)."""
         if src == dst:
             raise ValueError(f"no link from device {src} to itself")
-        key = (min(src, dst), max(src, dst))
         try:
-            return self._links[key]
+            return self._pairs[src, dst]
         except KeyError:
             raise ValueError(f"no link between devices {src} and {dst}") from None
 
@@ -123,8 +127,11 @@ class Topology:
         :class:`UnreachableDeviceError` — callers that can degrade to
         zero-copy should check :meth:`reachable` before moving data.
         """
+        link = self._pairs.get((src, dst))
+        if link is None:
+            link = self.link(src, dst)  # raises the ValueError for the pair
         try:
-            return self.link(src, dst).record(n_bytes)
+            return link.record(n_bytes)
         except LinkSeveredError:
             via = self._route_via(src, dst)
             if via is None:

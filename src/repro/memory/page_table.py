@@ -16,17 +16,24 @@ page index) because the simulator touches single pages on its hot path;
 bulk views for analysis are exposed via :meth:`policy_histogram` and
 friends.
 
+Reads come the same two ways.  :meth:`entry` returns a page's five
+columns after one bounds check; the machine's per-record path and the
+policies' fault handlers read one entry per probe (and read again after
+anything that may have mutated the page).  The single-aspect probes
+(``is_mapped``, ``has_copy``, ``location``, ...) remain for everything
+else.
+
 Two kinds of mutator change the columns.  The *whole-page transitions*
 (:meth:`install_exclusive`, :meth:`install_duplicate`,
-:meth:`release_to_host`) are what the UVM driver's migrate, collapse,
-duplicate and evict primitives call: each moves one page to its final
-state with one bounds check, one ``version`` bump and one mirror mark,
-and returns the page's prior columns so the caller derives copy source,
-shootdown victims and released holders with bit operations.  The
-*fine-grained* mutators (``map_local``, ``unmap_all_except``,
-``set_exclusive``, ``add_copy``, ...) change one aspect at a time; the
-policies, eviction and fault injection use them, and every transition
-equals a fixed sequence of them.
+:meth:`release_to_host`, :meth:`release_copy`) are what the UVM
+driver's migrate, collapse, duplicate, evict and ``evict_from``
+primitives call: each moves one page to its final state with one bounds
+check, one ``version`` bump and one mirror mark, and returns the page's
+prior columns so the caller derives copy source, shootdown victims and
+released holders with bit operations.  The *fine-grained* mutators
+(``map_local``, ``unmap_all_except``, ``set_exclusive``, ``add_copy``,
+...) change one aspect at a time; the policies and fault injection use
+them, and every transition equals a fixed sequence of them.
 
 For the vectorized steady-state replay path the same columns are also
 available as numpy arrays (:meth:`bulk_views`).  The arrays are built
@@ -56,6 +63,12 @@ import numpy as np
 
 from repro.config import HOST
 from repro.memory.page import POLICY_ON_TOUCH
+
+
+def duplicated(owner: int, copies: int) -> bool:
+    """True if the ``owner`` / ``copies`` columns put the page's data on
+    more than one device (a host owner counts as one)."""
+    return copies.bit_count() + (owner == HOST) > 1
 
 
 class PageTables:
@@ -233,6 +246,23 @@ class PageTables:
             views["copies"][idxs] = bits
             views["mapped"][idxs] = bits
 
+    # -- whole-entry probe ---------------------------------------------------
+
+    def entry(self, page: int) -> tuple[int, int, int, int, int]:
+        """The page's ``(owner, copies, mapped, writable, policy)`` columns.
+
+        One bounds check for what :meth:`location`, :meth:`has_copy`,
+        :meth:`is_mapped`, :meth:`is_writable` and :meth:`policy` each
+        answer for one aspect; ``copies``, ``mapped`` and ``writable`` are
+        per-GPU bitmasks.  The tuple is a copy: re-read after a mutation.
+        """
+        idx = page - self._first_page
+        if not 0 <= idx < self._n_pages:
+            raise IndexError(f"page {page} outside tracked range")
+        return (self._owner[idx], self._copy_mask[idx],
+                self._mapped_mask[idx], self._writable_mask[idx],
+                self._policy[idx])
+
     # -- host page table (centralized) -------------------------------------
 
     def location(self, page: int) -> int:
@@ -255,11 +285,7 @@ class PageTables:
     def is_duplicated(self, page: int) -> bool:
         """True if more than one device holds the page's data."""
         idx = self._idx(page)
-        mask = self._copy_mask[idx]
-        n_copies = mask.bit_count()
-        if self._owner[idx] == HOST:
-            n_copies += 1
-        return n_copies > 1
+        return duplicated(self._owner[idx], self._copy_mask[idx])
 
     # -- per-GPU local page tables -----------------------------------------
 
@@ -426,6 +452,44 @@ class PageTables:
                 writers = mapped & writable
                 demoted |= writers & -writers
             self._writable_mask[idx] = writable & ~demoted
+        self._touch(idx)
+        return prior
+
+    def release_copy(
+        self, page: int, gpu: int
+    ) -> tuple[int, int, int, int] | None:
+        """Drop ``gpu``'s copy and mapping while another GPU keeps one.
+
+        The page-table side of evicting a copy that is not the page's
+        last GPU copy: equal to ``unmap(gpu)`` → ``drop_copy(gpu)``, or,
+        when ``gpu`` owns the page, ``unmap(gpu)`` →
+        ``set_exclusive(new_owner)`` → ``add_copy`` for every further
+        holder, where the new owner is the lowest other holder.  Those
+        ``add_copy`` calls strip no write permission: a coherent table
+        has no writer on a page with several copies.  Returns the prior
+        ``(owner, copies, mapped, writable)`` columns.  For a sole GPU
+        holder the table is left alone and ``None`` returned: the caller
+        evicts the whole page instead (:meth:`release_to_host`).
+
+        Raises:
+            ValueError: if ``gpu`` holds no copy of the page.
+        """
+        idx = self._idx(page)
+        owner, copies, mapped, writable = prior = (
+            self._owner[idx], self._copy_mask[idx],
+            self._mapped_mask[idx], self._writable_mask[idx],
+        )
+        bit = 1 << gpu
+        if not copies & bit:
+            raise ValueError(f"GPU {gpu} holds no copy of page {page}")
+        others = copies & ~bit
+        if not others:
+            return None
+        self._copy_mask[idx] = others
+        self._mapped_mask[idx] = mapped & ~bit
+        self._writable_mask[idx] = writable & ~bit
+        if owner == gpu:
+            self._owner[idx] = (others & -others).bit_length() - 1
         self._touch(idx)
         return prior
 

@@ -138,15 +138,18 @@ class CounterMigrationMixin:
         # State is read per candidate, after the previous migration: under
         # capacity pressure a migration may evict a later candidate.
         tracks_page = machine.tracks_page
-        has_copy = pt.has_copy
-        location = pt.location
+        entry = pt.entry
         migrate = machine.driver.migrate
+        bit = 1 << gpu
         cost = 0.0
         n_migrated = 0
         for candidate in range(first, first + counters.pages_per_group):
-            if not tracks_page(candidate) or has_copy(gpu, candidate):
+            if not tracks_page(candidate):
                 continue
-            if candidate == page or location(candidate) == origin:
+            owner, copies, _mapped, _writable, _bits = entry(candidate)
+            if copies & bit:
+                continue
+            if candidate == page or owner == origin:
                 cost += migrate(gpu, candidate)
                 n_migrated += 1
         counters.reset_group(page)

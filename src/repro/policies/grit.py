@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.config import HOST
 from repro.memory import POLICY_COUNTER, POLICY_DUPLICATION, POLICY_ON_TOUCH
+from repro.memory.page_table import duplicated
 from repro.policies.base import CounterMigrationMixin, PolicyEngine
 
 #: Faults on one page before its policy is re-decided (Section VI-C).
@@ -147,17 +148,18 @@ class GritPolicy(CounterMigrationMixin, PolicyEngine):
     def on_fault(self, gpu: int, page: int, is_write: bool) -> float:
         pt = self.page_tables
         cost = self._metadata_access_cost(page)
-        if pt.has_copy(gpu, page):
-            pt.map_local(gpu, page, writable=not pt.is_duplicated(page))
+        owner, copies, _mapped, _writable, bits = pt.entry(page)
+        if copies >> gpu & 1:
+            pt.map_local(gpu, page, writable=not duplicated(owner, copies))
             return cost + self.config.latency.pte_update_ns
-        location = pt.location(page)
-        if location == HOST and pt.policy(page) == POLICY_ON_TOUCH:
+        if owner == HOST and bits == POLICY_ON_TOUCH:
             # First touch: default on-touch, no learning needed.
             return cost + self.driver.migrate(gpu, page)
         meta = self.meta_for(page)
         meta.observe(gpu, is_write)
         self._maybe_decide(page, meta)
-        return cost + self._resolve(gpu, page, is_write)
+        # A decision rewrites only policy bits: owner and copies stand.
+        return cost + self._resolve(gpu, page, is_write, owner, copies)
 
     def on_protection_fault(self, gpu: int, page: int) -> float:
         cost = self._metadata_access_cost(page)
@@ -203,11 +205,11 @@ class GritPolicy(CounterMigrationMixin, PolicyEngine):
 
     # -- resolution -------------------------------------------------------------------
 
-    def _resolve(self, gpu: int, page: int, is_write: bool) -> float:
-        pt = self.page_tables
-        bits = pt.policy(page)
+    def _resolve(self, gpu: int, page: int, is_write: bool, owner: int,
+                 copies: int) -> float:
+        bits = self.page_tables.policy(page)
         if bits == POLICY_COUNTER:
-            if pt.is_duplicated(page):
+            if duplicated(owner, copies):
                 return self.driver.collapse(gpu, page)
             return self.driver.map_remote(gpu, page)
         if bits == POLICY_DUPLICATION:

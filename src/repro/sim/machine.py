@@ -11,6 +11,12 @@ parallelism factor while fault stalls are divided by the (much smaller)
 fault-parallelism factor and serialize through the driver's FIFO queue.  A
 phase ends when the slowest GPU, the driver, and the busiest link have all
 drained; clocks re-synchronize at phase boundaries (kernels are barriers).
+
+:meth:`Machine.access` is the per-record path (the vectorized fast path
+in :mod:`repro.sim.fastpath` replays whatever it can prove equivalent).
+It reads the page's whole page-table entry once per record, and again
+after a page fault, whose resolution may rewrite any column; its latency
+terms and the traced page range are bound once per machine.
 """
 
 from __future__ import annotations
@@ -69,6 +75,19 @@ class Machine:
         self.trace = trace
         self.policy = policy
         self.stats = StatCounters()
+        # The per-record path's constants, bound once per machine instead
+        # of read through config.latency on every record.
+        lat = config.latency
+        self._compute_ns = lat.compute_ns_per_access
+        self._local_ns = lat.local_access_ns
+        self._host_ns = lat.host_access_ns
+        self._remote_ns = lat.remote_access_ns
+        self._mem_parallelism = lat.mem_parallelism
+        self._remote_parallelism = lat.remote_parallelism
+        self._fault_parallelism = lat.fault_parallelism
+        self._fault_occupancy_ns = lat.fault_driver_occupancy_ns
+        self._fault_service_ns = lat.fault_service_ns
+        self._first_page = trace.first_page
         # Observability: the null tracer keeps every hook a single
         # attribute test, so an unobserved run is bit-identical (and
         # fast-path eligible) exactly as before this subsystem existed.
@@ -234,11 +253,14 @@ class Machine:
 
     def object_id_of(self, page: int) -> int:
         """Obj_ID of the object covering ``page`` (-1 if none)."""
-        return self._obj_of_page[page - self.trace.first_page]
+        offset = page - self._first_page
+        if 0 <= offset < self.trace.n_pages:
+            return self._obj_of_page[offset]
+        return -1
 
     def tracks_page(self, page: int) -> bool:
         """True if the page belongs to the traced address range."""
-        offset = page - self.trace.first_page
+        offset = page - self._first_page
         return 0 <= offset < self.trace.n_pages and self._obj_of_page[offset] >= 0
 
     def set_all_policy_bits(self, bits: int) -> None:
@@ -252,20 +274,25 @@ class Machine:
         The operation queues behind other driver work; the GPU observes a
         partially-overlapped stall.
         """
-        lat = self.config.latency
         done = self.driver.queue.submit(
-            self.clocks[gpu], lat.fault_driver_occupancy_ns + service_ns
+            self.clocks[gpu], self._fault_occupancy_ns + service_ns
         )
         stall = done - self.clocks[gpu]
-        self.clocks[gpu] += stall / lat.fault_parallelism
+        self.clocks[gpu] += stall / self._fault_parallelism
 
     # -- the access path -------------------------------------------------------
 
     def access(self, gpu: int, page: int, is_write: bool, weight: int) -> None:
-        """Replay one trace record: ``weight`` accesses by ``gpu`` to ``page``."""
-        lat = self.config.latency
+        """Replay one trace record: ``weight`` accesses by ``gpu`` to ``page``.
+
+        The page's page-table entry is read once up front and once more
+        after a page fault (the policy may have rewritten any column,
+        its policy bits included).  Every other probe on this path comes
+        before the next mutation of the page, so it reads those values.
+        """
         pt = self.page_tables
         clocks = self.clocks
+        stats = self.stats
         ten = self._tenancy
         if ten is None:
             ti = -1
@@ -277,62 +304,62 @@ class Machine:
             # them.  Adds no floating-point work on the solo path.
             ti = ten.index_of(page)
             t_start = clocks[gpu]
-        clocks[gpu] += weight * lat.compute_ns_per_access
+        clocks[gpu] += weight * self._compute_ns
         if self.capacity.enabled:
             self.capacity.note_access(gpu, page)
         tlb = self.tlbs[gpu]
-        if not pt.is_mapped(gpu, page):
+        bit = 1 << gpu
+        owner, copies, mapped, writable, bits = pt.entry(page)
+        if not mapped & bit:
             # Translation fails after a full TLB + walk attempt: page fault.
             cost_ns, l2_miss = tlb.translate_fast(page)
             if l2_miss:
-                self._note_l2_miss(page)
+                self._note_l2_miss(bits)
             if ti >= 0:
-                self.stats.add(ten.lookup_keys[ti])
+                stats.add(ten.lookup_keys[ti])
                 if l2_miss:
-                    self.stats.add(ten.walk_keys[ti])
-            clocks[gpu] += cost_ns / lat.mem_parallelism
+                    stats.add(ten.walk_keys[ti])
+            clocks[gpu] += cost_ns / self._mem_parallelism
             self._fault(gpu, page, is_write, protection=False)
             weight -= 1
             if weight <= 0:
                 if ti >= 0:
-                    self.stats.add(
-                        ten.busy_keys[ti][gpu], clocks[gpu] - t_start
-                    )
+                    stats.add(ten.busy_keys[ti][gpu], clocks[gpu] - t_start)
                 return
             # Remaining accesses in the record proceed with the new mapping.
+            owner, copies, mapped, writable, bits = pt.entry(page)
         cost, l2_miss = tlb.translate_fast(page)
         if l2_miss:
-            self._note_l2_miss(page)
+            self._note_l2_miss(bits)
         if ti >= 0:
-            self.stats.add(ten.lookup_keys[ti])
+            stats.add(ten.lookup_keys[ti])
             if l2_miss:
-                self.stats.add(ten.walk_keys[ti])
-        if pt.has_copy(gpu, page):
-            if is_write and not pt.is_writable(gpu, page):
+                stats.add(ten.walk_keys[ti])
+        if copies & bit:
+            if is_write and not writable & bit:
                 # Write to a read-only duplicate: page-protection fault,
                 # then the remaining accesses are local writes.
-                clocks[gpu] += cost / lat.mem_parallelism
+                clocks[gpu] += cost / self._mem_parallelism
                 self._fault(gpu, page, is_write=True, protection=True)
                 cost = 0.0
-            cost += lat.local_access_ns * weight
-            clocks[gpu] += cost / lat.mem_parallelism
-            self.stats.add("access.local", weight)
+            cost += self._local_ns * weight
+            clocks[gpu] += cost / self._mem_parallelism
+            stats.add("access.local", weight)
             if ti >= 0:
-                self.stats.add(ten.local_keys[ti], weight)
+                stats.add(ten.local_keys[ti], weight)
         else:
-            owner = pt.location(page)
             if owner == HOST:
-                per_access = lat.host_access_ns
-                self.stats.add("access.host", weight)
+                per_access = self._host_ns
+                stats.add("access.host", weight)
                 if ti >= 0:
-                    self.stats.add(ten.host_keys[ti], weight)
+                    stats.add(ten.host_keys[ti], weight)
             else:
-                per_access = lat.remote_access_ns
-                self.stats.add("access.remote", weight)
+                per_access = self._remote_ns
+                stats.add("access.remote", weight)
                 if ti >= 0:
-                    self.stats.add(ten.remote_keys[ti], weight)
-            clocks[gpu] += cost / lat.mem_parallelism
-            clocks[gpu] += per_access * weight / lat.remote_parallelism
+                    stats.add(ten.remote_keys[ti], weight)
+            clocks[gpu] += cost / self._mem_parallelism
+            clocks[gpu] += per_access * weight / self._remote_parallelism
             if owner != gpu:
                 self.topology.record_transfer(
                     gpu, owner, REMOTE_ACCESS_BYTES * weight
@@ -341,57 +368,59 @@ class Machine:
                 # Zero-copy fallback after a blocked install: the page is
                 # pinned remote by the fault, so the policy (which may not
                 # even implement remote-access handling) is not consulted.
-                self.stats.add("access.degraded", weight)
+                stats.add("access.degraded", weight)
             else:
                 self.policy.on_remote_access(gpu, page, is_write, weight)
         if ti >= 0:
-            self.stats.add(ten.busy_keys[ti][gpu], clocks[gpu] - t_start)
+            stats.add(ten.busy_keys[ti][gpu], clocks[gpu] - t_start)
 
-    def _note_l2_miss(self, page: int) -> None:
-        name = policy_name(self.page_tables.policy(page))
+    def _note_l2_miss(self, bits: int) -> None:
+        """Count one L2 TLB miss against the page's policy ``bits``."""
+        name = policy_name(bits)
         counts = self.l2_miss_policy_counts
         counts[name] = counts.get(name, 0) + 1
 
     def _fault(self, gpu: int, page: int, is_write: bool, protection: bool) -> None:
-        lat = self.config.latency
-        self.stats.add(self._fault_keys[gpu])
-        obj_id = self._obj_of_page[page - self.trace.first_page]
+        stats = self.stats
+        stats.add(self._fault_keys[gpu])
+        obj_id = self._obj_of_page[page - self._first_page]
         if obj_id >= 0:
-            self.stats.add(self._object_fault_keys[obj_id])
+            stats.add(self._object_fault_keys[obj_id])
         if protection:
-            self.stats.add("fault.protection")
+            stats.add("fault.protection")
             resolution = self.policy.on_protection_fault(gpu, page)
         else:
-            self.stats.add("fault.page")
+            stats.add("fault.page")
             resolution = self.policy.on_fault(gpu, page, is_write)
         # The driver CPU is occupied for its (batched) per-fault share plus
         # the resolution work; the GPU additionally pays the fault round
         # trip, partially overlapped with other wavefronts.
-        service = lat.fault_driver_occupancy_ns + resolution
+        service = self._fault_occupancy_ns + resolution
         ten = self._tenancy
         if ten is not None:
             ti = ten.index_of(page)
             if ti >= 0:
-                self.stats.add(
+                stats.add(
                     ten.fault_prot_keys[ti] if protection
                     else ten.fault_page_keys[ti]
                 )
-                self.stats.add(ten.occupancy_keys[ti], service)
-        done = self.driver.queue.submit(self.clocks[gpu], service)
-        stall = (done - self.clocks[gpu]) + lat.fault_service_ns
-        charged = stall / lat.fault_parallelism
+                stats.add(ten.occupancy_keys[ti], service)
+        clocks = self.clocks
+        done = self.driver.queue.submit(clocks[gpu], service)
+        stall = (done - clocks[gpu]) + self._fault_service_ns
+        charged = stall / self._fault_parallelism
         if self._obs_on:
             # The sink row carries the stall, so the latency histogram is
             # derived from it at end of run (_flush_observations); only a
             # registry without a tracer observes live.
             if self._fault_rows is not None:
                 self._fault_rows[gpu].append(
-                    (self.clocks[gpu], page, protection, is_write, obj_id,
+                    (clocks[gpu], page, protection, is_write, obj_id,
                      charged)
                 )
             elif self._fault_latencies is not None:
                 self._fault_latencies.append(charged)
-        self.clocks[gpu] += charged
+        clocks[gpu] += charged
 
     # -- run loop -------------------------------------------------------------
 

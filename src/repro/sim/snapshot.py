@@ -51,7 +51,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Bump whenever the snapshot payload layout or any captured component's
 #: state shape changes; old snapshots become unreachable (and harmless).
 #: v2: TLBs carry a ``lookups`` counter, the driver a ``tenancy`` ref.
-SNAPSHOT_VERSION = 2
+#: v3: the driver binds its page size and PTE latencies; the topology
+#: carries an ordered-pair link table.
+SNAPSHOT_VERSION = 3
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes

@@ -60,15 +60,40 @@ class TLBHierarchy:
         return TranslationResult("walk", self._walk_cost)
 
     def translate_fast(self, page: int) -> tuple[float, bool]:
-        """Hot-path translation: ``(cost_ns, l2_missed)`` without the
-        result-object allocation."""
-        if self.l1.lookup(page):
+        """Hot-path translation: ``(cost_ns, l2_missed)``.
+
+        State-identical to :meth:`translate`, which stays the reference
+        — same LRU order in both levels, same hit/miss/lookup counts —
+        but with the lookups and fills inlined, as :meth:`translate_run`
+        does for a run of pages, and without the result object.
+        """
+        l1 = self.l1
+        e1 = l1._sets[page % l1._n_sets]
+        l1.lookups += 1
+        if page in e1:
+            del e1[page]
+            e1[page] = None
+            l1.hits += 1
             return self._l1_cost, False
-        if self.l2.lookup(page):
-            self.l1.fill(page)
+        l1.misses += 1
+        l2 = self.l2
+        e2 = l2._sets[page % l2._n_sets]
+        l2.lookups += 1
+        if page in e2:
+            del e2[page]
+            e2[page] = None
+            l2.hits += 1
+            if len(e1) >= l1._ways:
+                del e1[next(iter(e1))]
+            e1[page] = None
             return self._l2_cost, False
-        self.l2.fill(page)
-        self.l1.fill(page)
+        l2.misses += 1
+        if len(e2) >= l2._ways:
+            del e2[next(iter(e2))]
+        e2[page] = None
+        if len(e1) >= l1._ways:
+            del e1[next(iter(e1))]
+        e1[page] = None
         return self._walk_cost, True
 
     def translate_run(self, pages) -> tuple[list[float], list[int]]:

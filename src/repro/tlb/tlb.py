@@ -62,7 +62,7 @@ class SetAssociativeTLB:
 
     def invalidate(self, page: int) -> bool:
         """Shoot down one translation; returns True if it was present."""
-        entries = self._set_of(page)
+        entries = self._sets[page % self._n_sets]
         if page in entries:
             del entries[page]
             self.invalidations += 1

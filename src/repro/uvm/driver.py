@@ -7,12 +7,14 @@ the shared :class:`~repro.engine.StatCounters`, and returns the latency the
 faulting GPU pays (beyond the fixed fault-service cost, which the machine
 charges through the driver's serial queue).
 
-Migrate, collapse, duplicate and evict each make one whole-page
-page-table transition (:meth:`PageTables.install_exclusive`,
+Migrate, collapse, duplicate, evict and ``evict_from`` each make one
+whole-page page-table transition (:meth:`PageTables.install_exclusive`,
 :meth:`~PageTables.install_duplicate`,
-:meth:`~PageTables.release_to_host`).  The transition returns the page's
-prior columns, and the copy source, shootdown victims and released
-holders are bit operations on those masks.
+:meth:`~PageTables.release_to_host`, :meth:`~PageTables.release_copy`).
+The transition returns the page's prior columns, and the copy source,
+shootdown victims and released holders are bit operations on those
+masks.  The page size and the PTE update and invalidation latencies are
+bound once per driver.
 
 Primitives:
 
@@ -94,7 +96,10 @@ class UVMDriver:
             if metrics is not None
             else None
         )
+        self._page_size = config.page_size
         self._page_bytes = float(config.page_size)
+        self._pte_update_ns = config.latency.pte_update_ns
+        self._pte_invalidate_ns = config.latency.pte_invalidate_ns
         # Hot primitives (one event per serviced fault) emit through
         # columnar sinks; cold events (evict, retry) use _note below.
         if tracer.enabled:
@@ -157,7 +162,7 @@ class UVMDriver:
         cost = 0.0
         if victims:
             tlbs = self.tlbs
-            invalidate_ns = self.config.latency.pte_invalidate_ns
+            invalidate_ns = self._pte_invalidate_ns
             n_victims = 0
             while victims:
                 low = victims & -victims
@@ -182,13 +187,12 @@ class UVMDriver:
         Prefers a GPU copy (NVLink is far faster than PCIe) and falls back
         to the owner (possibly the host).
         """
-        pt = self.page_tables
-        copies = sum(1 << g for g in pt.copy_holders(page))
-        return _source(pt.location(page), copies & ~(1 << dst))
+        owner, copies, _mapped, _writable, _bits = self.page_tables.entry(page)
+        return _source(owner, copies & ~(1 << dst))
 
     def _transfer(self, src: int, dst: int) -> float:
         """Move one page of data between devices; returns the latency."""
-        n_bytes = self.config.page_size
+        n_bytes = self._page_size
         time = self.topology.record_transfer(src, dst, n_bytes)
         if src == HOST or dst == HOST:
             self.stats.add("traffic.pcie_bytes", n_bytes)
@@ -245,11 +249,10 @@ class UVMDriver:
 
     def _maybe_evict(self, gpu: int, protect: int) -> float:
         """Evict LRU pages from ``gpu`` until it fits; returns the latency."""
-        if not self.capacity.enabled:
-            return 0.0
+        capacity = self.capacity
         cost = 0.0
-        while self.capacity.needs_eviction(gpu):
-            victim = self.capacity.pick_victim(gpu, protect=protect)
+        while capacity.needs_eviction(gpu):
+            victim = capacity.pick_victim(gpu, protect=protect)
             cost += self.evict_from(gpu, victim)
         return cost
 
@@ -283,7 +286,7 @@ class UVMDriver:
         self.capacity.note_resident(gpu, page)
         self.counters.reset_group(page)
         self.stats.add("migration.count")
-        self.stats.add("migration.bytes", self.config.page_size)
+        self.stats.add("migration.bytes", self._page_size)
         if self.tenancy is not None:
             self.tenancy.note_migration(self.stats, page)
         if self._obs:
@@ -298,7 +301,7 @@ class UVMDriver:
                 self._transfer_bytes.append(
                     0.0 if already_local else self._page_bytes
                 )
-        cost += self.config.latency.pte_update_ns
+        cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost + extra
 
@@ -317,7 +320,7 @@ class UVMDriver:
             # Already a holder (e.g. owner re-mapping after invalidation):
             # just (re)install a read-only PTE.
             self.stats.add("duplication.remap")
-            return self.config.latency.pte_update_ns
+            return self._pte_update_ns
         src = _source(owner, copies)
         cost = self._transfer(src, gpu)
         # Any current writer must be demoted to read-only before copies
@@ -332,11 +335,11 @@ class UVMDriver:
             writer = (writers & -writers).bit_length() - 1
             self.tlbs[writer].shootdown(page)
             self.stats.add("shootdown.count")
-            cost += self.config.latency.pte_update_ns
+            cost += self._pte_update_ns
             self.stats.add("duplication.demotions")
         self.capacity.note_resident(gpu, page)
         self.stats.add("duplication.count")
-        self.stats.add("duplication.bytes", self.config.page_size)
+        self.stats.add("duplication.bytes", self._page_size)
         if self.tenancy is not None:
             self.tenancy.note_duplication(self.stats, page)
         if self._obs:
@@ -346,7 +349,7 @@ class UVMDriver:
                 )
             elif self._transfer_bytes is not None:
                 self._transfer_bytes.append(self._page_bytes)
-        cost += self.config.latency.pte_update_ns
+        cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
 
@@ -392,7 +395,7 @@ class UVMDriver:
                 self._transfer_bytes.append(
                     0.0 if had_copy else self._page_bytes
                 )
-        cost += self.config.latency.pte_update_ns
+        cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
 
@@ -402,7 +405,7 @@ class UVMDriver:
         self.stats.add("remote_map.count")
         if self._remote_map_rows is not None:
             self._remote_map_rows.append((self.queue.free_at, gpu, page))
-        return self.config.latency.pte_update_ns
+        return self._pte_update_ns
 
     def ideal_copy(self, gpu: int, page: int) -> float:
         """Ideal-policy resolution: local copy, writable, no coherence.
@@ -430,48 +433,31 @@ class UVMDriver:
                 elif self._transfer_bytes is not None:
                     self._transfer_bytes.append(self._page_bytes)
         pt.map_local(gpu, page, writable=True)
-        cost += self.config.latency.pte_update_ns
+        cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
 
     def evict_from(self, gpu: int, page: int) -> float:
         """Free ``page``'s frame on ``gpu`` under capacity pressure.
 
-        If the data also lives elsewhere (a read duplicate, or the owner
-        role can pass to another copy holder), only this GPU's copy is
-        dropped — no data movement.  Only a sole holder pays the full
-        writeback to host memory.
+        If the data also lives on another GPU (a read duplicate, or the
+        owner role can pass to another copy holder), only this GPU's copy
+        is dropped — no data movement
+        (:meth:`~PageTables.release_copy`).  Only a sole GPU holder pays
+        the full writeback to host memory.
         """
-        pt = self.page_tables
-        holders = pt.copy_holders(page)
-        if not pt.has_copy(gpu, page):
-            raise ValueError(f"GPU {gpu} holds no frame for page {page}")
-        others = [h for h in holders if h != gpu]
-        if not others:
+        prior = self.page_tables.release_copy(page, gpu)
+        if prior is None:
             return self.evict(page)
-        if pt.location(page) == gpu:
-            # Pass ownership to another holder; its copy is already the
-            # data, so no transfer is needed.
-            new_owner = others[0]
-            was_mapped = pt.is_mapped(gpu, page)
-            pt.unmap(gpu, page)
-            remaining = pt.copy_holders(page)
-            pt.set_exclusive(page, new_owner)
-            for holder in remaining:
-                if holder not in (gpu, new_owner):
-                    pt.add_copy(holder, page)
-        else:
-            was_mapped = pt.is_mapped(gpu, page)
-            pt.unmap(gpu, page)
-            pt.drop_copy(gpu, page)
+        bit = 1 << gpu
         cost = 0.0
-        if was_mapped:
-            cost += self._shootdown(page, 1 << gpu)
+        if prior[2] & bit:
+            cost += self._shootdown(page, bit)
         self.capacity.note_released(gpu, page)
         self.stats.add("eviction.copy_dropped")
         if self._obs:
             self._note("evict", gpu=gpu, page=page, copy_dropped=True)
-        return cost + self.config.latency.pte_update_ns
+        return cost + self._pte_update_ns
 
     def evict(self, page: int) -> float:
         """Evict the page to host memory (oversubscription pressure).
@@ -492,7 +478,7 @@ class UVMDriver:
         if self._obs:
             self._note(
                 "evict",
-                n_bytes=self.config.page_size if owner != HOST else 0.0,
+                n_bytes=self._page_size if owner != HOST else 0.0,
                 page=page,
                 owner=owner,
                 copy_dropped=False,

@@ -70,3 +70,26 @@ class TestTopology:
         topo = Topology(1, LatencyModel())
         assert len(topo.links()) == 1
         assert topo.link(HOST, 0) is not None
+
+    def test_record_transfer_rejects_unknown_pairs(self, topo):
+        for src, dst in ((1, 1), (0, 9), (HOST, HOST)):
+            with pytest.raises(ValueError):
+                topo.record_transfer(src, dst, 100)
+        assert sum(link.message_count for link in topo.links()) == 0
+
+    def test_record_transfer_is_order_insensitive(self, topo):
+        assert topo.record_transfer(2, 0, 100) == topo.record_transfer(
+            0, 2, 100
+        )
+        assert topo.link(0, 2).message_count == 2
+
+    def test_severed_link_reroutes_record_transfer(self, topo):
+        topo.apply_link_fault(0, 1, 0.0)
+        time = topo.record_transfer(1, 0, 100)
+        # Host first: both PCIe hops are charged, store-and-forward.
+        assert time == pytest.approx(
+            2 * topo.link(HOST, 0).transfer_time_ns(100)
+        )
+        assert topo.link(HOST, 0).bytes_transferred == 100
+        assert topo.link(HOST, 1).bytes_transferred == 100
+        assert topo.link(0, 1).bytes_transferred == 0

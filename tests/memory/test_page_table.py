@@ -303,6 +303,52 @@ def reference_duplicate(pt: PageTables, page: int, gpu: int):
     return src, writer
 
 
+def reference_release_copy(pt: PageTables, page: int, gpu: int) -> bool:
+    """The driver's old ``evict_from`` steps for one of several holders;
+    returns whether ``gpu`` was mapped."""
+    holders = pt.copy_holders(page)
+    others = [h for h in holders if h != gpu]
+    was_mapped = pt.is_mapped(gpu, page)
+    if pt.location(page) == gpu:
+        new_owner = others[0]
+        pt.unmap(gpu, page)
+        remaining = pt.copy_holders(page)
+        pt.set_exclusive(page, new_owner)
+        for holder in remaining:
+            if holder not in (gpu, new_owner):
+                pt.add_copy(holder, page)
+    else:
+        pt.unmap(gpu, page)
+        pt.drop_copy(gpu, page)
+    return was_mapped
+
+
+def check_release_copy(pt: PageTables, page: int, gpu: int) -> str:
+    """Hold ``release_copy`` to the old chain; returns the case taken."""
+    before = columns(pt, page)
+    version = pt.version
+    holders = pt.copy_holders(page)
+    if gpu not in holders:
+        with pytest.raises(ValueError):
+            pt.release_copy(page, gpu)
+        assert (columns(pt, page), pt.version) == (before, version)
+        return "non-holder"
+    if holders == [gpu]:
+        # The sole GPU copy is the data: the caller must write it back.
+        assert pt.release_copy(page, gpu) is None
+        assert (columns(pt, page), pt.version) == (before, version)
+        return "sole holder"
+    ref = copy.deepcopy(pt)
+    was_mapped = reference_release_copy(ref, page, gpu)
+    prior = pt.release_copy(page, gpu)
+    assert pt.version == version + 1
+    assert columns(pt, page) == columns(ref, page)
+    assert prior == before[:4]
+    assert bool(prior[2] >> gpu & 1) == was_mapped
+    pt.check_invariants()
+    return "owner" if before[0] == gpu else "copy"
+
+
 class TestWholePageTransitions:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -374,3 +420,59 @@ class TestWholePageTransitions:
         ):
             with pytest.raises(IndexError):
                 transition()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pt=page_states(),
+        page=st.integers(0, N_PAGES - 1),
+        extra=st.lists(st.integers(0, N_GPUS - 1), max_size=3),
+        data=st.data(),
+    )
+    def test_release_copy_matches_sequence(self, pt, page, extra, data):
+        # Extra duplicates make several-holder pages common; the GPU is
+        # then drawn from the holders whenever there are any.
+        for gpu in extra:
+            pt.install_duplicate(page, gpu)
+        holders = pt.copy_holders(page)
+        gpu = data.draw(
+            st.sampled_from(holders) if holders
+            else st.integers(0, N_GPUS - 1)
+        )
+        check_release_copy(pt, page, gpu)
+
+    @pytest.mark.parametrize("coherent", [True, False])
+    def test_release_copy_owner_handoff(self, coherent):
+        # GPU 1 owns a page duplicated on GPUs 2 and 3: ownership passes
+        # to GPU 2, and (incoherent) GPU 3 keeps its write permission.
+        pt = PageTables(n_pages=N_PAGES, n_gpus=N_GPUS, coherent=coherent)
+        pt.install_exclusive(0, 1)
+        pt.install_duplicate(0, 3)
+        pt.install_duplicate(0, 2)
+        if not coherent:
+            pt.map_local(3, 0, writable=True)
+        assert check_release_copy(pt, 0, 1) == "owner"
+        assert pt.location(0) == 2
+        assert pt.is_writable(3, 0) is not coherent
+        assert check_release_copy(pt, 0, 3) == "copy"
+        assert check_release_copy(pt, 0, 2) == "sole holder"
+        assert check_release_copy(pt, 0, 1) == "non-holder"
+
+    def test_release_copy_rejects_untracked_pages(self, pt):
+        with pytest.raises(IndexError):
+            pt.release_copy(8, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pt=page_states(), page=st.integers(0, N_PAGES - 1))
+    def test_entry_matches_single_aspect_probes(self, pt, page):
+        assert pt.entry(page) == columns(pt, page)
+
+    def test_entry_bounds(self):
+        pt = PageTables(n_pages=4, n_gpus=N_GPUS, first_page=10)
+        pt.install_exclusive(13, 2)
+        assert pt.entry(10) == columns(pt, 10) == (HOST, 0, 0, 0,
+                                                    POLICY_ON_TOUCH)
+        assert pt.entry(13) == columns(pt, 13) == (2, 4, 4, 4,
+                                                    POLICY_ON_TOUCH)
+        for page in (9, 14):
+            with pytest.raises(IndexError):
+                pt.entry(page)

@@ -29,6 +29,10 @@ class TestConstruction:
         assert machine.tracks_page(first + 4)
         assert not machine.tracks_page(first + 5)
         assert not machine.tracks_page(first - 1)
+        # Outside the traced range there is no object; the lookup must
+        # not wrap to the other end of the range.
+        assert machine.object_id_of(first - 1) == -1
+        assert machine.object_id_of(first + trace.n_pages) == -1
 
     def test_incoherent_tables_for_ideal(self, config):
         trace = make_trace({"obj": 1}, [[(0, "obj", 0, False)]])

@@ -196,3 +196,29 @@ def test_lane_fork_accounting(config):
         if label != "oasis":
             assert run["forked"]
             assert run["shared_prefix"] < len(trace.phases)
+
+
+def test_previous_snapshot_version_is_unreachable(config, monkeypatch):
+    """A snapshot written under the previous ``SNAPSHOT_VERSION`` is
+    neither found (its key differs) nor restored (its payload is
+    rejected), so no component resumes without the state it now has."""
+    from repro.sim import snapshot
+    from repro.sim.machine import Machine
+
+    trace = get_workload("c2d", config, seed=0)
+    machine = Machine(config, trace, make_policy("oasis"))
+    chain = [snapshot.decision_digest(machine.page_tables)]
+    current_key = snapshot.phase_key("base", 1, chain[0])
+    current = snapshot.capture(machine, 0, 0.0, [], chain)
+    monkeypatch.setattr(
+        snapshot, "SNAPSHOT_VERSION", snapshot.SNAPSHOT_VERSION - 1
+    )
+    previous_key = snapshot.phase_key("base", 1, chain[0])
+    previous = snapshot.capture(machine, 0, 0.0, [], chain)
+    monkeypatch.undo()
+
+    assert previous_key != current_key
+    fresh = Machine(config, trace, make_policy("oasis"))
+    with pytest.raises(snapshot.SnapshotError, match="version"):
+        snapshot.restore(fresh, previous, expect_index=0)
+    assert snapshot.restore(fresh, current, expect_index=0)["index"] == 0

@@ -1,6 +1,8 @@
 """TLB hierarchy tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import LatencyModel, TLBConfig
 from repro.tlb import TLBHierarchy
@@ -67,3 +69,65 @@ class TestHierarchy:
         tlb.translate(1)
         tlb.translate(2)
         assert tlb.l2_misses == 2
+
+
+def _state(tlb: TLBHierarchy):
+    """Every observable of both levels: per-set contents in LRU order
+    (first key is the next victim) and the four counters."""
+    return [
+        (
+            [list(entries) for entries in level._sets],
+            level.hits, level.misses, level.lookups, level.invalidations,
+        )
+        for level in (tlb.l1, tlb.l2)
+    ]
+
+
+#: A stream step: ``(shoot down?, page)``.
+_steps = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 23)), min_size=1, max_size=120
+)
+
+
+class TestFastPathsMatchTranslate:
+    """``translate()`` is the reference; both fast paths must agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps)
+    def test_translate_fast_matches_translate(self, steps):
+        ref = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
+        fast = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
+        for is_shootdown, page in steps:
+            if is_shootdown:
+                assert fast.shootdown(page) == ref.shootdown(page)
+            else:
+                result = ref.translate(page)
+                assert fast.translate_fast(page) == (
+                    result.cost_ns, result.l2_miss
+                )
+            assert _state(fast) == _state(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps)
+    def test_translate_run_matches_translate(self, steps):
+        ref = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
+        run = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
+        # Runs of translations between shootdowns, as the fast path
+        # replays the records between two page-table mutations.
+        pending: list[int] = []
+
+        def flush():
+            results = [ref.translate(page) for page in pending]
+            costs, walks = run.translate_run(pending)
+            assert costs == [r.cost_ns for r in results]
+            assert walks == [i for i, r in enumerate(results) if r.l2_miss]
+            pending.clear()
+
+        for is_shootdown, page in steps:
+            if is_shootdown:
+                flush()
+                assert run.shootdown(page) == ref.shootdown(page)
+            else:
+                pending.append(page)
+        flush()
+        assert _state(run) == _state(ref)
