@@ -110,8 +110,9 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
         if copies >> gpu & 1:
             # Our mapping was invalidated (e.g. a counter migration of a
             # neighbouring group page) but the data is already local.
-            pt.map_local(gpu, page, writable=not duplicated(owner, copies))
-            return self.config.latency.pte_update_ns
+            return self.driver.map_local(
+                gpu, page, writable=not duplicated(owner, copies)
+            )
         if (
             self.private_filter
             and owner == HOST
@@ -178,6 +179,5 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
             # phase; a write under counter mode must first collapse them.
             return self.driver.collapse(gpu, page)
         if copies >> gpu & 1:
-            self.page_tables.map_local(gpu, page, writable=True)
-            return self.config.latency.pte_update_ns
+            return self.driver.map_local(gpu, page, writable=True)
         return self.driver.map_remote(gpu, page)

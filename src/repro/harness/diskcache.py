@@ -52,7 +52,7 @@ from repro.sim.results import SimulationResult
 #: every previously cached entry becomes unreachable (stale files are
 #: inert JSON and can be deleted with ``repro-oasis``'s cache pruning or
 #: a plain ``rm -r``).
-SIMULATOR_VERSION = 1
+SIMULATOR_VERSION = 2
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = "results/cache"

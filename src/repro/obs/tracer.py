@@ -63,6 +63,7 @@ EVENT_KINDS = frozenset(
         "collapse",  # driver write-collapsed duplicates
         "evict",  # driver pushed a page to host / dropped a copy
         "remote_map",  # driver installed a zero-copy remote PTE
+        "local_map",  # driver re-mapped a GPU's resident copy
         "fault_inject",  # scheduled hardware fault fired (faults track)
         "retry",  # transient migration failure retried/degraded
         "reroute",  # transfer rerouted around a severed link

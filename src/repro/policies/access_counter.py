@@ -34,6 +34,5 @@ class AccessCounterPolicy(CounterMigrationMixin, PolicyEngine):
         if pt.has_copy(gpu, page):
             # Our mapping was invalidated (e.g. by a counter migration
             # elsewhere in the group) but the data is already local.
-            pt.map_local(gpu, page, writable=True)
-            return self.config.latency.pte_update_ns
+            return self.driver.map_local(gpu, page, writable=True)
         return self.driver.map_remote(gpu, page)

@@ -150,8 +150,9 @@ class GritPolicy(CounterMigrationMixin, PolicyEngine):
         cost = self._metadata_access_cost(page)
         owner, copies, _mapped, _writable, bits = pt.entry(page)
         if copies >> gpu & 1:
-            pt.map_local(gpu, page, writable=not duplicated(owner, copies))
-            return cost + self.config.latency.pte_update_ns
+            return cost + self.driver.map_local(
+                gpu, page, writable=not duplicated(owner, copies)
+            )
         if owner == HOST and bits == POLICY_ON_TOUCH:
             # First touch: default on-touch, no learning needed.
             return cost + self.driver.migrate(gpu, page)

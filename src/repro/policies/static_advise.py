@@ -73,10 +73,11 @@ class StaticAdvisePolicy(PolicyEngine):
                 self.stats.add("advise.read_mostly_objects")
 
     def on_fault(self, gpu: int, page: int, is_write: bool) -> float:
-        if self.page_tables.has_copy(gpu, page):
-            pt = self.page_tables
-            pt.map_local(gpu, page, writable=not pt.is_duplicated(page))
-            return self.config.latency.pte_update_ns
+        pt = self.page_tables
+        if pt.has_copy(gpu, page):
+            return self.driver.map_local(
+                gpu, page, writable=not pt.is_duplicated(page)
+            )
         if self.page_tables.policy(page) == POLICY_DUPLICATION:
             if is_write:
                 # Writing read-mostly-advised data: collapse, as the real

@@ -53,7 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v2: TLBs carry a ``lookups`` counter, the driver a ``tenancy`` ref.
 #: v3: the driver binds its page size and PTE latencies; the topology
 #: carries an ordered-pair link table.
-SNAPSHOT_VERSION = 3
+#: v4: the driver carries a ``local_map`` trace sink.
+SNAPSHOT_VERSION = 4
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes

@@ -1,6 +1,6 @@
 """UVM driver primitives.
 
-Every page-management policy in this repo resolves faults through the five
+Every page-management policy in this repo resolves faults through the
 primitives below.  Each primitive mutates the page tables, shoots down stale
 TLB entries, records link traffic, keeps the capacity manager honest, bumps
 the shared :class:`~repro.engine.StatCounters`, and returns the latency the
@@ -26,6 +26,8 @@ Primitives:
   invalidating every duplicate (*page write-collapse*).
 * :meth:`UVMDriver.map_remote` — install a PTE pointing at the remote copy
   (counter-based policy's zero-copy resolution).
+* :meth:`UVMDriver.map_local` — re-map a GPU's still-resident copy after
+  its PTE was invalidated (no data moves).
 * :meth:`UVMDriver.evict` — push a page back to host memory (capacity).
 """
 
@@ -115,11 +117,15 @@ class UVMDriver:
             self._remote_map_rows = tracer.sink(
                 "driver", "remote_map", ("gpu", "page")
             )
+            self._local_map_rows = tracer.sink(
+                "driver", "local_map", ("gpu", "page")
+            )
         else:
             self._migrate_rows = None
             self._duplicate_rows = None
             self._collapse_rows = None
             self._remote_map_rows = None
+            self._local_map_rows = None
         #: FIFO model of the driver CPU servicing faults one at a time.
         self.queue = SerialServer()
         #: :class:`repro.faults.FaultInjector` when a fault plan is active
@@ -405,6 +411,19 @@ class UVMDriver:
         self.stats.add("remote_map.count")
         if self._remote_map_rows is not None:
             self._remote_map_rows.append((self.queue.free_at, gpu, page))
+        return self._pte_update_ns
+
+    def map_local(self, gpu: int, page: int, writable: bool) -> float:
+        """Re-map ``gpu``'s resident copy of the page; no data moves.
+
+        The resolution of a fault on a page whose copy survived the loss
+        of its PTE (a counter migration elsewhere in the group, or an
+        ``evict_from`` that handed ownership to this holder).
+        """
+        self.page_tables.map_local(gpu, page, writable)
+        self.stats.add("local_map.count")
+        if self._local_map_rows is not None:
+            self._local_map_rows.append((self.queue.free_at, gpu, page))
         return self._pte_update_ns
 
     def ideal_copy(self, gpu: int, page: int) -> float:

@@ -30,9 +30,10 @@ counts obey exact conservation laws derived from the access path:
 * **resolution accounting**: every fault installs a translation through
   exactly one driver primitive, so
   ``migration.count + duplication.count + duplication.remap +
-  collapse.count + remote_map.count >= total faults`` (counter-threshold
-  migrations add installs without faults; the hypothetical ideal policy
-  is exempt — it can re-map a still-resident copy without any counter);
+  collapse.count + remote_map.count + local_map.count >= total faults``
+  (counter-threshold migrations add installs without faults; the
+  hypothetical ideal policy is exempt — it can re-map a still-resident
+  copy without any counter);
 * **per-policy laws** where the resolution path is fixed: plain on-touch
   resolves every page fault with exactly one migration (or one injected
   fallback), and never sees a protection fault.
@@ -232,6 +233,7 @@ _INSTALL_COUNTERS = (
     "duplication.remap",
     "collapse.count",
     "remote_map.count",
+    "local_map.count",
 )
 
 

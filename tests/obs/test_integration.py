@@ -78,6 +78,7 @@ class TestStatAgreement:
         "duplicate": ("duplication.count",),
         "collapse": ("collapse.count",),
         "remote_map": ("remote_map.count",),
+        "local_map": ("local_map.count",),
         "evict": ("eviction.count", "eviction.copy_dropped"),
     }
 

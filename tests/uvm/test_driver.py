@@ -158,6 +158,32 @@ class TestMapRemote:
         assert not d.page_tables.has_copy(1, 0)
 
 
+class TestMapLocal:
+    def test_map_local_remaps_resident_copy_and_counts(self):
+        d = make_driver(placement="distributed")
+        # Distributed placement leaves GPU 0 a copy of page 0, unmapped.
+        assert d.page_tables.has_copy(0, 0)
+        assert not d.page_tables.is_mapped(0, 0)
+        cost = d.map_local(0, 0, writable=True)
+        assert cost == d.config.latency.pte_update_ns
+        assert d.page_tables.is_writable(0, 0)
+        assert d.stats["local_map.count"] == 1
+        assert d.stats["traffic.pcie_bytes"] == 0
+
+    def test_map_local_after_evict_from_hands_over_ownership(self):
+        d = make_driver()
+        d.migrate(0, 0)
+        d.duplicate(1, 0)
+        d.page_tables.unmap(1, 0)
+        d.evict_from(0, 0)
+        # GPU 1 now owns the page's only copy but holds no PTE for it.
+        assert d.page_tables.location(0) == 1
+        assert not d.page_tables.is_mapped(1, 0)
+        d.map_local(1, 0, writable=True)
+        assert d.page_tables.is_mapped(1, 0)
+        assert d.stats["local_map.count"] == 1
+
+
 class TestEvict:
     def test_evict_returns_page_to_host(self):
         d = make_driver()

@@ -123,6 +123,33 @@ def test_fault_plan_cases_replay_clean():
     assert seen == 3
 
 
+#: The shrunk seed-190 finding: under capacity pressure ``evict_from``
+#: hands a read duplicate's ownership to its last GPU holder, whose
+#: unmapped copy OASIS then re-maps.  That re-map must count as an
+#: install, or resolution accounting sees more faults than installs.
+SEED_190_RECORDS = tuple(
+    (phase, gpu, 0, offset, write, 1)
+    for phase, gpu, offset, write in (
+        (0, 0, 12, False), (0, 1, 18, False), (0, 1, 24, True),
+        (0, 0, 8, True), (0, 1, 3, True), (0, 1, 8, False),
+        (0, 1, 22, True), (0, 1, 20, True), (0, 1, 12, False),
+        (0, 0, 1, False), (0, 1, 9, True), (0, 1, 1, False),
+        (0, 0, 18, False), (0, 1, 23, True), (0, 0, 24, False),
+        (1, 0, 23, False), (1, 0, 20, False), (1, 0, 9, False),
+        (1, 0, 24, True),
+    )
+)
+
+
+def test_local_remap_after_evict_from_is_an_install():
+    case = FuzzCase(
+        seed=190, n_gpus=2, objects=(("o0", 28),), n_phases=2,
+        records=SEED_190_RECORDS, oversubscription=1.9,
+        policies=("oasis",),
+    )
+    assert run_case(case) is None
+
+
 def test_case_config_round_trip():
     case = generate_case(11)
     config = case_config(case)
