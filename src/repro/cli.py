@@ -506,8 +506,12 @@ def cmd_verify(args) -> int:
 
         tenancy = getattr(args, "tenancy", False)
         runner = fuzz.run_tenancy_fuzz if tenancy else fuzz.run_fuzz
+        kwargs = {}
+        if policies is not None:
+            kwargs["policies"] = policies
         report = runner(
             seed=args.seed, cases=args.cases, budget_s=args.budget,
+            **kwargs,
         )
         label = "tenancy fuzz" if tenancy else "fuzz"
         print(f"{label}: {report['cases']} cases in "
@@ -901,7 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "parallel, memo, tenancy; default: all)")
     ver.add_argument("--policy", action="append",
                      choices=sorted(POLICY_FACTORIES),
-                     help="repeatable policy subset (default: all)")
+                     help="repeatable policy subset (default: all; the "
+                          "fuzzers default to their own sets)")
     ver.add_argument("--jobs", type=int, default=None,
                      help="worker processes for golden/differential runs")
     ver.set_defaults(func=cmd_verify)

@@ -83,9 +83,9 @@ class AccessCounterFile:
         """Current count for a raw ``group * n_gpus + gpu`` key.
 
         The vectorized replay path computes keys in bulk with numpy using
-        the same formula as :meth:`_key`; this reader and
-        :meth:`add_bulk_below_threshold` let it prove and apply
-        trip-free batches without re-deriving (gpu, page) pairs.
+        the same formula as :meth:`_key`; this reader,
+        :meth:`add_bulk_below_threshold` and :meth:`store_counts` let it
+        read and apply counts without re-deriving (gpu, page) pairs.
         """
         return self._counts.get(key, 0)
 
@@ -103,6 +103,20 @@ class AccessCounterFile:
                 f"bulk counter add crossed the threshold (key={key})"
             )
         self._counts[key] = value
+
+    def store_counts(self, counts: dict[int, int]) -> None:
+        """Write back counts a fused replay loop kept locally.
+
+        ``counts`` maps raw keys (see :meth:`count_by_key`) to their
+        final values; a 0 stands for a counter that tripped or was reset,
+        which the file does not keep, so its key is dropped.
+        """
+        live = self._counts
+        for key, value in counts.items():
+            if value:
+                live[key] = value
+            else:
+                live.pop(key, None)
 
     def reset_group(self, page: int) -> None:
         """Clear every GPU's counter for ``page``'s group (after migration)."""

@@ -32,8 +32,12 @@ check, one ``version`` bump and one mirror mark, and returns the page's
 prior columns so the caller derives copy source, shootdown victims and
 released holders with bit operations.  The *fine-grained* mutators
 (``map_local``, ``unmap_all_except``, ``set_exclusive``, ``add_copy``,
-...) change one aspect at a time; the policies and fault injection use
-them, and every transition equals a fixed sequence of them.
+...) change one aspect at a time; the driver's ``map_remote`` and
+``map_local``, the ideal policy and fault injection use them, and every
+transition equals a fixed sequence of them.  The fast path's fault
+lanes write through two batch transitions: :meth:`bulk_install_exclusive`
+for on-touch style installs, and :meth:`store_entries`, the uniform
+lane's write-back of the entries its loop changed.
 
 For the vectorized steady-state replay path the same columns are also
 available as numpy arrays (:meth:`bulk_views`).  The arrays are built
@@ -223,28 +227,36 @@ class PageTables:
             views["mapped"][idxs] = bits
             views["writable"][idxs] = bits
 
-    def bulk_install_duplicate(
-        self, idxs: np.ndarray, gpus: np.ndarray
-    ) -> None:
-        """Batch of :meth:`install_duplicate` for distinct virgin pages.
+    def store_entries(self, entries: dict[int, list[int]]) -> None:
+        """Write back the entries a fused replay loop kept locally.
 
-        Only valid for virgin pages (host owner, no copies, no mappings);
-        the host keeps the authoritative copy and the requester gets a
-        read-only duplicate, exactly as ``UVMDriver.duplicate`` leaves a
-        first-touch page.
+        ``entries`` maps a page to its final ``[owner, copies, mapped,
+        writable, ...]`` (later items are ignored), each a state the
+        driver primitives reach.  The batch is one transition: a single
+        ``version`` bump, and one mirror mark per page for
+        :meth:`bulk_views` to flush.
         """
+        if not entries:
+            return
+        owner = self._owner
         copies = self._copy_mask
         mapped = self._mapped_mask
-        for idx, gpu in zip(idxs.tolist(), gpus.tolist()):
-            bit = 1 << gpu
-            copies[idx] = bit
-            mapped[idx] = bit
+        writable = self._writable_mask
+        first = self._first_page
+        idxs = []
+        for page, state in entries.items():
+            idx = page - first
+            owner[idx] = state[0]
+            copies[idx] = state[1]
+            mapped[idx] = state[2]
+            writable[idx] = state[3]
+            idxs.append(idx)
         self.version += 1
-        views = self._views
-        if views is not None and len(idxs):
-            bits = np.left_shift(np.int64(1), gpus)
-            views["copies"][idxs] = bits
-            views["mapped"][idxs] = bits
+        dirty = self._dirty
+        if dirty is not None:
+            dirty.extend(idxs)
+            if len(dirty) > self._n_pages:
+                self._views = self._dirty = None
 
     # -- whole-entry probe ---------------------------------------------------
 

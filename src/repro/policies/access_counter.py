@@ -22,7 +22,13 @@ from repro.policies.base import CounterMigrationMixin, PolicyEngine
 
 
 class AccessCounterPolicy(CounterMigrationMixin, PolicyEngine):
-    """Uniform access-counter-based migration."""
+    """Uniform access-counter-based migration.
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's resolutions inline,
+    so a change here must be mirrored there; ``tests/sim/test_fastpath.py``
+    compares both paths.
+    """
 
     name = "access_counter"
 

@@ -15,7 +15,13 @@ from repro.policies.base import PolicyEngine
 
 
 class DuplicationPolicy(PolicyEngine):
-    """Uniform read-duplication / write-collapse."""
+    """Uniform read-duplication / write-collapse.
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's resolutions inline,
+    so a change here must be mirrored there; ``tests/sim/test_fastpath.py``
+    compares both paths.
+    """
 
     name = "duplication"
 

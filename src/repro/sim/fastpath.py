@@ -5,7 +5,8 @@ maximal runs of records that provably cannot fault or change page-table
 state, and charging their compute/access latency, TLB traffic, stats and
 link bytes in bulk instead of one :meth:`Machine.access` call per record.
 The moment state *can* change, it falls back to the exact per-record
-path, so every observable — clocks, stats, TLB hit/miss counts, traffic,
+path (or, for the uniform policies below, replays the change in a fused
+loop), so every observable — clocks, stats, TLB hit/miss counts, traffic,
 counter state — stays **bit-identical** to a pure per-record replay
 (``REPRO_FORCE_SLOW_PATH=1`` disables the fast path for A/B checks).
 
@@ -50,19 +51,27 @@ Why the bulk math is exact and not merely close:
   :meth:`TLBHierarchy.translate_run` — the same lookup/fill/evict logic
   in one tight loop — rather than a numpy approximation.
 
-Besides the steady-state lane, a second *first-touch fault lane* bulk-
-replays runs of records that provably WILL fault but whose resolution is
-fully predictable: a virgin page (host owner, no copies, no mappings
-anywhere, each page appearing once in the window) under a policy whose
-first-touch handling is a fixed-cost host→GPU resolution — on-touch
-migration (plain on-touch, OASIS' private filter, GRIT's on-touch
-default) or duplication's read-duplicate/write-collapse.  The FIFO
-queue, per-GPU clock and TLB recurrences are inherently sequential, so
-the lane runs them in one fused scalar loop (no per-record method
-dispatch, stat updates or page-table probes) and then applies the page-
-table installs, stats, counters and link traffic in bulk.  Fault-
-dominated phases (first kernels touching every page) are where replay
-time actually goes, so this lane is what buys the headline speedup.
+Besides the steady-state lane, a *fault lane* bulk-replays runs of
+records that provably WILL fault but whose resolution is fully
+predictable: under plain on-touch, any page in a simple exclusive state;
+under OASIS' private filter and GRIT's on-touch default, a virgin page
+(host owner, no copies, no mappings anywhere, touched by one GPU in the
+window).  The FIFO queue, per-GPU clock and TLB recurrences are
+inherently sequential, so the lane runs them in one fused scalar loop
+(no per-record method dispatch, stat updates or page-table probes) and
+then applies the page-table installs, stats, counters and link traffic
+in bulk.  Fault-dominated phases (first kernels touching every page) are
+where replay time actually goes.
+
+The two *uniform* policies, access-counter and duplication (matched by
+exact type), need no eligibility mask at all: every record they replay
+— local or remote access, page fault, protection fault, counter trip
+and the group migration it triggers — resolves as a fixed function of
+the page's entry, the requester's counter and the TLBs.  So each of
+their chunks is one fault-lane run: a fused loop that keeps the touched
+entries and counters in local dicts, seeded from the live tables and
+written back once at the end, and never falls back to the per-record
+path.
 
 The fast path is disabled outright when the capacity manager is active
 (oversubscription runs touch eviction state on every access) or when
@@ -79,6 +88,7 @@ import numpy as np
 from repro.config import HOST
 from repro.core.oasis import OasisPolicy
 from repro.memory.page import POLICY_ON_TOUCH, policy_name
+from repro.policies.access_counter import AccessCounterPolicy
 from repro.policies.base import CounterMigrationMixin
 from repro.policies.duplication import DuplicationPolicy
 from repro.policies.grit import GritPolicy
@@ -133,7 +143,7 @@ class PhaseArrays:
         # share one cache entry.
         self.key = (phase.page // ppg) * n_gpus + self.gpu
         self._key_facts: tuple | None = None
-        self._page_facts: tuple | None = None
+        self._page_facts: np.ndarray | None = None
 
     def key_facts(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Each chunk's counter keys, factorized.
@@ -154,55 +164,42 @@ class PhaseArrays:
             self._key_facts = (key_id, chunk_keys)
         return self._key_facts
 
-    def page_facts(self) -> tuple[np.ndarray, ...]:
-        """Per-record facts about each page's occurrences in its chunk.
+    def page_facts(self) -> np.ndarray:
+        """Per record, the chunk-relative ``mixed_until`` of its page.
 
-        Returns ``(mixed_until, prev, last_write, page_id)``, all
-        chunk-relative: the last position of the record's page whose GPU
-        differs from the page's last occurrence (-1 if none), the
-        previous occurrence of the page (-1 if none), the page's last
-        write (-1 if none), and an id per distinct page.  A window that
-        is a suffix ``[s, chunk end)`` holds a page's occurrences from
-        ``s`` on, so "one GPU only" is ``mixed_until < s``, "first in
-        the window" is ``prev < s`` and "a write in the window" is
-        ``last_write >= s``.
+        That is the last position in the chunk of the record's page
+        whose GPU differs from the page's last occurrence (-1 if none).
+        A window that is a suffix ``[s, chunk end)`` holds a page's
+        occurrences from ``s`` on, so "one GPU only" is
+        ``mixed_until < s`` — the repeat test of the OASIS and GRIT
+        virgin lanes.
         """
         if self._page_facts is None:
             n = len(self.idx)
-            facts = tuple(np.empty(n, dtype=_POS) for _ in range(4))
+            mixed_until = np.empty(n, dtype=_POS)
             for c0 in range(0, n, CHUNK):
                 chunk = slice(c0, c0 + CHUNK)
-                _chunk_page_facts(
-                    self.idx[chunk], self.gpu[chunk], self.is_w[chunk],
-                    [f[chunk] for f in facts],
+                mixed_until[chunk] = _chunk_mixed_until(
+                    self.idx[chunk], self.gpu[chunk]
                 )
-            self._page_facts = facts
+            self._page_facts = mixed_until
         return self._page_facts
 
 
-def _chunk_page_facts(
-    page: np.ndarray, gpu: np.ndarray, is_w: np.ndarray,
-    out: list[np.ndarray],
-) -> None:
-    """Write :meth:`PhaseArrays.page_facts` of one chunk into ``out``."""
+def _chunk_mixed_until(page: np.ndarray, gpu: np.ndarray) -> np.ndarray:
+    """:meth:`PhaseArrays.page_facts` of one chunk."""
     n = len(page)
     pos = np.argsort(page, kind="stable")  # positions, grouped by page
     head = np.ones(n, dtype=bool)  # first occurrence of its page
     head[1:] = page[pos[1:]] != page[pos[:-1]]
     starts = np.flatnonzero(head)
     group = np.cumsum(head) - 1
-    prev = np.empty(n, dtype=np.int64)
-    prev[0] = -1
-    prev[1:] = pos[:-1]
-    prev[head] = -1
     last = pos[np.append(starts[1:], n) - 1]
     differs = gpu[pos] != gpu[last][group]
     mixed_until = np.maximum.reduceat(np.where(differs, pos, -1), starts)
-    last_write = np.maximum.reduceat(np.where(is_w[pos], pos, -1), starts)
-    for dst, src in zip(
-        out, (mixed_until[group], prev, last_write[group], group)
-    ):
-        dst[pos] = src
+    out = np.empty(n, dtype=np.int64)
+    out[pos] = mixed_until[group]
+    return out
 
 
 class FastReplay:
@@ -225,11 +222,18 @@ class FastReplay:
             type(machine.policy).on_remote_access
             is CounterMigrationMixin.on_remote_access
         )
-        # First-touch fault lane: which (if any) predictable-resolution
-        # mode the attached policy's virgin-page faults follow.
+        # The uniform policies resolve every record from page-table,
+        # counter and TLB state alone, so whole chunks take the uniform
+        # lane; the others get a first-touch fault lane mode (if any).
         policy = machine.policy
-        if type(policy) is OnTouchPolicy:
-            self._ft_mode: str | None = "plain"
+        self._uniform: str | None = None
+        self._ft_mode: str | None = None
+        if type(policy) is AccessCounterPolicy:
+            self._uniform = "counter"
+        elif type(policy) is DuplicationPolicy:
+            self._uniform = "dup"
+        elif type(policy) is OnTouchPolicy:
+            self._ft_mode = "plain"
         elif (
             isinstance(policy, OasisPolicy)
             and type(policy).on_fault is OasisPolicy.on_fault
@@ -238,10 +242,6 @@ class FastReplay:
             self._ft_mode = "oasis"
         elif type(policy) is GritPolicy:
             self._ft_mode = "grit"
-        elif type(policy) is DuplicationPolicy:
-            self._ft_mode = "dup"
-        else:
-            self._ft_mode = None
         self._page_size = config.page_size
         self._obj_arr = np.array(machine._obj_of_page, dtype=np.int64)
         # A virgin first touch always moves one page host->GPU over PCIe
@@ -251,6 +251,10 @@ class FastReplay:
         transfer_ns = machine.topology.link(HOST, 0).transfer_time_ns(
             config.page_size
         )
+        self._pcie_ns = transfer_ns
+        self._pte_update_ns = lat.pte_update_ns
+        self._pte_invalidate_ns = lat.pte_invalidate_ns
+        self._collapse_overhead_ns = lat.collapse_overhead_ns
         self._virgin_resolution = transfer_ns + lat.pte_update_ns
         self._occ_ns = lat.fault_driver_occupancy_ns
         self._fault_service_ns = lat.fault_service_ns
@@ -271,6 +275,7 @@ class FastReplay:
             )
         else:
             nvlink_ns = 0.0  # unreachable: no second GPU to bounce from
+        self._nvlink_ns = nvlink_ns
         self._service_bounce = self._occ_ns + (
             (lat.pte_invalidate_ns + nvlink_ns) + lat.pte_update_ns
         )
@@ -288,7 +293,7 @@ class FastReplay:
         self._key: np.ndarray | None = None
         self._key_id: np.ndarray | None = None
         self._chunk_keys: list[np.ndarray] | None = None
-        self._page_facts: tuple[np.ndarray, ...] | None = None
+        self._mixed_until: np.ndarray | None = None
         # Current eligibility window (set by _rebuild).
         self._mask_base = 0
         self._mask_version = -1
@@ -338,10 +343,10 @@ class FastReplay:
         self._is_w = arrays.is_w
         self._bit = arrays.bit
         self._key = arrays.key
-        if self._counting:
+        if self._counting and self._uniform is None:
             self._key_id, self._chunk_keys = arrays.key_facts()
-        if self._ft_mode not in (None, "plain"):
-            self._page_facts = arrays.page_facts()
+        if self._ft_mode in ("oasis", "grit"):
+            self._mixed_until = arrays.page_facts()
         self._page = phase.page
         self._weight = phase.weight
         start = 0
@@ -351,6 +356,9 @@ class FastReplay:
             start = stop
 
     def _run_chunk(self, c0: int, c1: int) -> None:
+        if self._uniform is not None:
+            self._run_bulk_fault(c0, c1, 0)
+            return
         machine = self.machine
         pt = machine.page_tables
         access = machine.access
@@ -476,37 +484,19 @@ class FastReplay:
             self._f_owner = owner_w
             self._f_map0 = mapped_raw != 0
         elif self._ft_mode is not None:
-            # Other predictable policies only cover virgin pages (host
-            # owner, zero copy/mapping masks — no shootdown victims, no
-            # demotable writer).  Window repeats are allowed as long as
-            # every occurrence comes from the same GPU: the first touch
+            # OASIS' private filter and GRIT only cover virgin on-touch
+            # pages (host owner, zero copy/mapping masks — no shootdown
+            # victims).  Window repeats are allowed as long as every
+            # occurrence comes from the same GPU: the first touch
             # installs a local mapping for that GPU, making the repeats
             # plain local accesses the fused loop replays in place.
             virgin = (
                 (mapped_raw == 0)
                 & (copies_raw == 0)
                 & (owner_w == HOST)
+                & (views["policy"][idx_w] == POLICY_ON_TOUCH)
+                & (self._mixed_until[window] < s)
             )
-            if self._ft_mode in ("oasis", "grit"):
-                virgin &= views["policy"][idx_w] == POLICY_ON_TOUCH
-            mixed_until, prev, last_write, page_id = self._page_facts
-            virgin &= mixed_until[window] < s
-            if self._ft_mode == "dup":
-                # A write repeat after a read first touch would hit the
-                # read-only duplicate (protection fault); only pages
-                # whose first touch is a write — collapse installs a
-                # writable mapping — or that see no writes at all are
-                # predictable.  A page is bad when its first record in
-                # the window is a read and a write follows.
-                page_w = page_id[window]
-                bad = (
-                    (prev[window] < s)
-                    & ~self._is_w[window]
-                    & (last_write[window] >= s)
-                )
-                bad_page = np.zeros(CHUNK, dtype=bool)
-                bad_page[page_w[bad]] = True
-                virgin &= ~bad_page[page_w]
             self._fmask = virgin
             self._f_false_pos = np.flatnonzero(~virgin)
         else:
@@ -644,22 +634,27 @@ class FastReplay:
     def _run_bulk_fault(self, i: int, j: int, rel: int) -> None:
         """Replay a run of predictable page faults in one fused loop.
 
-        In plain on-touch mode every record touches a page in a simple
-        exclusive state, so each access is one of: a local access by the
-        current holder, a virgin first touch (host->GPU pull over PCIe),
-        a cross-GPU bounce (holder PTE shootdown + NVLink pull), an
-        NVLink pull from an unmapped owner, or a local remap — each with
-        a fixed driver service time.  The other modes only admit virgin
-        first touches (plus same-GPU repeats, replayed as local
-        accesses).  The sequential state — TLB LRU dicts, the driver
-        FIFO, per-GPU clocks, GRIT's PA-Cache, residency LRU lists and
-        each page's current holder — is advanced in one fused scalar
-        loop; everything order-insensitive (stats, page-table installs,
-        counters, link bytes) is applied in bulk afterwards.  The
-        arithmetic mirrors ``Machine.access`` + ``Machine._fault`` + the
-        driver primitives operation for operation, so the results are
-        bit-identical to per-record replay.
+        Under the uniform policies the run is a whole chunk, replayed by
+        :meth:`_run_uniform`.  In plain on-touch mode every record
+        touches a page in a simple exclusive state, so each access is
+        one of: a local access by the current holder, a virgin first
+        touch (host->GPU pull over PCIe), a cross-GPU bounce (holder PTE
+        shootdown + NVLink pull), an NVLink pull from an unmapped owner,
+        or a local remap — each with a fixed driver service time.  The
+        OASIS and GRIT modes only admit virgin first touches (plus
+        same-GPU repeats, replayed as local accesses).  The sequential
+        state — TLB LRU dicts, the driver FIFO, per-GPU clocks, GRIT's
+        PA-Cache, residency LRU lists and each page's current holder —
+        is advanced in one fused scalar loop; everything
+        order-insensitive (stats, page-table installs, counters, link
+        bytes) is applied in bulk afterwards.  The arithmetic mirrors
+        ``Machine.access`` + ``Machine._fault`` + the driver primitives
+        operation for operation, so the results are bit-identical to
+        per-record replay.
         """
+        if self._uniform is not None:
+            self._run_uniform(i, j)
+            return
         machine = self.machine
         n = j - i
         mode = self._ft_mode
@@ -847,83 +842,37 @@ class FastReplay:
 
         n_faults = len(inst_ks)
         queue.advance_to(free_at, busy, n_faults)
-        for g in range(n_gpus):
-            if l1_hits[g] or l1_misses[g] or inval_l1[g] or inval_l2[g]:
-                tlb = machine.tlbs[g]
-                tlb.l1.hits += l1_hits[g]
-                tlb.l1.misses += l1_misses[g]
-                tlb.l1.lookups += l1_hits[g] + l1_misses[g]
-                tlb.l2.hits += l2_hits[g]
-                tlb.l2.misses += l2_misses[g]
-                tlb.l2.lookups += l2_hits[g] + l2_misses[g]
-                tlb.l1.invalidations += inval_l1[g]
-                tlb.l2.invalidations += inval_l2[g]
-        miss_counts = machine.l2_miss_policy_counts
-        for bits, count in walk_hist.items():
-            name = policy_name(bits)
-            miss_counts[name] = miss_counts.get(name, 0) + count
-
+        self._apply_tlb_counts(
+            l1_hits, l1_misses, l2_hits, l2_misses, inval_l1, inval_l2,
+            walk_hist,
+        )
         stats = machine.stats
-        fault_keys = machine._fault_keys
-        for g, count in enumerate(fault_counts):
-            if count:
-                stats.add(fault_keys[g], count)
         page_size = self._page_size
         pt = machine.page_tables
         topology = machine.topology
         if n_faults:
-            inst = np.array(inst_ks, dtype=np.int64)
-            inst_idx = idx_run[inst]
-            unique_objs, obj_counts = np.unique(
-                self._obj_arr[inst_idx], return_counts=True
+            self._count_faults(
+                fault_counts,
+                idx_run[np.array(inst_ks, dtype=np.int64)],
             )
-            object_keys = machine._object_fault_keys
-            for oid, count in zip(
-                unique_objs.tolist(), obj_counts.tolist()
-            ):
-                if oid >= 0:
-                    stats.add(object_keys[oid], count)
             stats.add("fault.page", n_faults)
-            if mode == "dup":
-                write_inst = self._is_w[i:j][inst]
-                n_write = int(np.count_nonzero(write_inst))
-                n_read = n_faults - n_write
-                if n_read:
-                    stats.add("duplication.count", n_read)
-                    stats.add("duplication.bytes", n_read * page_size)
-                    read_sel = ~write_inst
-                    pt.bulk_install_duplicate(
-                        inst_idx[read_sel], gpu_run[inst][read_sel]
-                    )
-                if n_write:
-                    stats.add("collapse.count", n_write)
-                    # The per-record path adds len(victims) == 0 per
-                    # collapse; replicate the zero-valued key it
-                    # creates.
-                    stats.add("collapse.invalidated_copies", 0)
-                    pt.bulk_install_exclusive(
-                        inst_idx[write_inst], gpu_run[inst][write_inst]
-                    )
-            else:
-                if mode == "oasis":
-                    stats.add("oasis.private_fault", n_faults)
-                stats.add("migration.count", n_faults)
-                stats.add("migration.bytes", n_faults * page_size)
-                pages_arr = np.fromiter(
-                    install.keys(), dtype=np.int64, count=len(install)
-                )
-                gpus_arr = np.fromiter(
-                    install.values(), dtype=np.int64, count=len(install)
-                )
-                pt.bulk_install_exclusive(
-                    pages_arr - self._first_page, gpus_arr
-                )
-                # Migration resets the whole 64 KB counter group, which
-                # can clear neighbouring pages' counts — replay exactly.
-                counters = machine.access_counters
-                if counters.active_counters:
-                    for k in inst_ks:
-                        counters.reset_group(page_l[k])
+            if mode == "oasis":
+                stats.add("oasis.private_fault", n_faults)
+            stats.add("migration.count", n_faults)
+            stats.add("migration.bytes", n_faults * page_size)
+            pages_arr = np.fromiter(
+                install.keys(), dtype=np.int64, count=len(install)
+            )
+            gpus_arr = np.fromiter(
+                install.values(), dtype=np.int64, count=len(install)
+            )
+            pt.bulk_install_exclusive(pages_arr - self._first_page, gpus_arr)
+            # Migration resets the whole 64 KB counter group, which can
+            # clear neighbouring pages' counts — replay exactly.
+            counters = machine.access_counters
+            if counters.active_counters:
+                for k in inst_ks:
+                    counters.reset_group(page_l[k])
             if shoot_total:
                 stats.add("shootdown.count", shoot_total)
             n_pcie = sum(pcie_counts)
@@ -948,3 +897,453 @@ class FastReplay:
                 stats.add("grit.pa_cache_miss", pa_misses)
         if local_extra:
             stats.add("access.local", local_extra)
+
+    def _run_uniform(self, i: int, j: int) -> None:
+        """Replay records ``[i, j)`` under access-counter or duplication.
+
+        Both policies resolve every record as a fixed function of the
+        page's entry, the requester's access counter and the TLBs, so
+        one fused loop replays them all: local and remote accesses,
+        page faults, protection faults and counter-triggered group
+        migrations.  Each touched page's ``(owner, copies, mapped,
+        writable)`` and each touched counter live in local dicts, seeded
+        from the tables on first touch and written back once at the end
+        (:meth:`PageTables.store_entries`,
+        :meth:`AccessCounterFile.store_counts`).  Every branch repeats
+        the float operations of ``Machine.access``, ``Machine._fault``,
+        the policy and the driver primitive it stands for, in their
+        order; the TLB, residency-LRU and FIFO recurrences advance in
+        place, and stats and link traffic are summed and applied after
+        the loop, creating exactly the keys the per-record path would.
+        A state neither policy can reach (a protection fault under
+        access-counter, a remote mapping under duplication) is handed to
+        the policy, which raises as it does on the per-record path.
+        """
+        from repro.sim.machine import REMOTE_ACCESS_BYTES
+
+        machine = self.machine
+        policy = machine.policy
+        pt = machine.page_tables
+        entry = pt.entry
+        counting = self._uniform == "counter"
+        gpu_l = self._gpu[i:j].tolist()
+        page_l = self._page[i:j].tolist()
+        write_l = self._is_w[i:j].tolist()
+        weight_l = self._weight[i:j].tolist()
+        key_l = self._key[i:j].tolist()
+        if counting:
+            counters = machine.access_counters
+            count_by_key = counters.count_by_key
+            threshold = counters.threshold
+            ppg = self._ppg
+            obj_of_page = machine._obj_of_page
+            first_page = self._first_page
+            n_pages = pt.n_pages
+
+        compute_ns = self._compute_ns
+        local_ns = self._local_ns
+        host_ns = self._host_ns
+        remote_ns = self._remote_ns
+        mem_par = self._mem_par
+        remote_par = self._remote_par
+        fault_service = self._fault_service_ns
+        fault_par = self._fault_par
+        occ_ns = self._occ_ns
+        pte_ns = self._pte_update_ns
+        inval_ns = self._pte_invalidate_ns
+        overhead_ns = self._collapse_overhead_ns
+        pcie_ns = self._pcie_ns
+        nvlink_ns = self._nvlink_ns
+        service_map = self._service_remap
+        n_gpus = self._n_gpus
+        tlbs = machine.tlbs
+        tlb0 = tlbs[0]
+        l1_cost = tlb0._l1_cost
+        l2_cost = tlb0._l2_cost
+        walk_cost = tlb0._walk_cost
+        l1_n = tlb0.l1._n_sets
+        l1_w = tlb0.l1._ways
+        l2_n = tlb0.l2._n_sets
+        l2_w = tlb0.l2._ways
+        l1s = [t.l1._sets for t in tlbs]
+        l2s = [t.l2._sets for t in tlbs]
+        l1_hits = [0] * n_gpus
+        l1_misses = [0] * n_gpus
+        l2_hits = [0] * n_gpus
+        l2_misses = [0] * n_gpus
+        inval_l1 = [0] * n_gpus
+        inval_l2 = [0] * n_gpus
+        fault_counts = [0] * n_gpus
+        fault_pages: list[int] = []
+        walk_hist: dict[int, int] = {}
+        #: (src, dst) -> pages moved between the two devices.
+        moves: dict[tuple[int, int], int] = {}
+        #: (gpu, owner) -> remote-access weight and record count.
+        flow_w: dict[tuple[int, int], int] = {}
+        flow_n: dict[tuple[int, int], int] = {}
+        clocks = machine.clocks
+        queue = machine.driver.queue
+        free_at = queue.free_at
+        busy = queue.busy_time
+        n_requests = 0
+        # Residency lists are maintained even with capacity modelling
+        # disabled (note_resident is unconditional in the driver).
+        lrus = machine.capacity._lru
+        #: page -> [owner, copies, mapped, writable, policy bits].
+        ent: dict[int, list[int]] = {}
+        #: The entries of the pages this run changed.
+        changed: dict[int, list[int]] = {}
+        #: counter key -> count; 0 stands for a popped key.
+        counts: dict[int, int] = {}
+        local_w = host_w = remote_w = 0
+        n_page = n_prot = 0
+        n_local_map = n_remote_map = n_migrate = 0
+        n_dup = n_remap = n_demote = n_collapse = n_victims = n_shot = 0
+
+        def shootdown(page: int, victims: int) -> float:
+            """UVMDriver._shootdown: invalidate, return the PTE cost."""
+            cost = 0.0
+            while victims:
+                low = victims & -victims
+                v = low.bit_length() - 1
+                e = l1s[v][page % l1_n]
+                if page in e:
+                    del e[page]
+                    inval_l1[v] += 1
+                e = l2s[v][page % l2_n]
+                if page in e:
+                    del e[page]
+                    inval_l2[v] += 1
+                cost += inval_ns
+                victims ^= low
+            return cost
+
+        def release(page: int, holders: int) -> None:
+            """UVMDriver._release: free the holders' frames."""
+            while holders:
+                low = holders & -holders
+                lrus[low.bit_length() - 1].pop(page, None)
+                holders ^= low
+
+        def make_resident(gpu: int, page: int) -> None:
+            """CapacityManager.note_resident."""
+            lru = lrus[gpu]
+            lru.pop(page, None)
+            lru[page] = None
+
+        for g, page, is_w, w, key in zip(
+            gpu_l, page_l, write_l, weight_l, key_l
+        ):
+            st = ent.get(page)
+            if st is None:
+                st = ent[page] = list(entry(page))
+            bit = 1 << g
+            c = clocks[g] + w * compute_ns
+            # Translation attempt (TLBHierarchy.translate_fast): a fault
+            # walks before it is detected, so both levels fill either way.
+            e1 = l1s[g][page % l1_n]
+            if page in e1:
+                del e1[page]
+                e1[page] = None
+                l1_hits[g] += 1
+                cost = l1_cost
+            else:
+                l1_misses[g] += 1
+                e2 = l2s[g][page % l2_n]
+                if page in e2:
+                    del e2[page]
+                    e2[page] = None
+                    l2_hits[g] += 1
+                    if len(e1) >= l1_w:
+                        del e1[next(iter(e1))]
+                    e1[page] = None
+                    cost = l2_cost
+                else:
+                    l2_misses[g] += 1
+                    if len(e2) >= l2_w:
+                        del e2[next(iter(e2))]
+                    e2[page] = None
+                    if len(e1) >= l1_w:
+                        del e1[next(iter(e1))]
+                    e1[page] = None
+                    cost = walk_cost
+                    bits = st[4]
+                    walk_hist[bits] = walk_hist.get(bits, 0) + 1
+            owner, copies, mapped, writable, _bits = st
+            if not mapped & bit or (
+                is_w and copies & bit and not writable & bit
+            ):
+                # A page fault, or a write to a read-only duplicate: a
+                # protection fault, which only duplication resolves.
+                protection = mapped & bit
+                c += cost / mem_par
+                fault_counts[g] += 1
+                fault_pages.append(page)
+                if protection:
+                    if counting:
+                        policy.on_protection_fault(g, page)  # raises
+                    n_prot += 1
+                else:
+                    n_page += 1
+                if counting:
+                    # map_local when the copy is resident, else map_remote.
+                    st[2] = mapped | bit
+                    if copies & bit:
+                        st[3] = writable | bit
+                        n_local_map += 1
+                    else:
+                        st[3] = writable & ~bit
+                        n_remote_map += 1
+                    service = service_map
+                elif is_w:
+                    # UVMDriver.collapse.
+                    victims = mapped & ~bit
+                    res = shootdown(page, victims)
+                    n_victims += victims.bit_count()
+                    n_shot += victims.bit_count()
+                    others = copies & ~bit
+                    if others:
+                        src = (others & -others).bit_length() - 1
+                        extra = others.bit_count() - 1
+                        if extra:
+                            res += overhead_ns * extra
+                        release(page, others)
+                    else:
+                        src = owner
+                    if not copies & bit:
+                        res += pcie_ns if src == HOST else nvlink_ns
+                        moves[src, g] = moves.get((src, g), 0) + 1
+                    make_resident(g, page)
+                    n_collapse += 1
+                    res += pte_ns
+                    st[0] = g
+                    st[1] = st[2] = st[3] = bit
+                    service = occ_ns + res
+                else:
+                    # UVMDriver.duplicate (coherent: no writer survives).
+                    st[1] = copies | bit
+                    st[2] = mapped | bit
+                    st[3] = 0
+                    if copies & bit:
+                        n_remap += 1
+                        res = pte_ns
+                    else:
+                        src = (
+                            (copies & -copies).bit_length() - 1
+                            if copies else owner
+                        )
+                        res = pcie_ns if src == HOST else nvlink_ns
+                        moves[src, g] = moves.get((src, g), 0) + 1
+                        writers = mapped & writable
+                        if writers:
+                            shootdown(page, writers & -writers)
+                            n_shot += 1
+                            res += pte_ns
+                            n_demote += 1
+                        make_resident(g, page)
+                        n_dup += 1
+                        res += pte_ns
+                    service = occ_ns + res
+                changed[page] = st
+                start = free_at if free_at > c else c
+                free_at = start + service
+                busy += service
+                n_requests += 1
+                c = c + ((free_at - c) + fault_service) / fault_par
+                if protection:
+                    # Every access of the record then writes locally.
+                    c += local_ns * w / mem_par
+                    local_w += w
+                    clocks[g] = c
+                    continue
+                w -= 1
+                if w <= 0:
+                    clocks[g] = c
+                    continue
+                # The remaining accesses retry the translation — an L1
+                # hit, as no resolution shoots down the requester — and
+                # proceed with the fresh mapping, which grants them.
+                l1_hits[g] += 1
+                cost = l1_cost
+                owner, copies, mapped, writable, _bits = st
+            if copies & bit:
+                c += (cost + local_ns * w) / mem_par
+                local_w += w
+                clocks[g] = c
+                continue
+            # Remote access: counted, and a threshold trip migrates the
+            # group (CounterMigrationMixin._migrate_group).
+            if not counting:
+                policy.on_remote_access(g, page, is_w, w)  # raises
+            c += cost / mem_par
+            if owner == HOST:
+                host_w += w
+                c += host_ns * w / remote_par
+            else:
+                remote_w += w
+                c += remote_ns * w / remote_par
+            pair = (g, owner)
+            flow_w[pair] = flow_w.get(pair, 0) + w
+            flow_n[pair] = flow_n.get(pair, 0) + 1
+            value = counts.get(key)
+            if value is None:
+                value = count_by_key(key)
+            value += w
+            if value < threshold:
+                counts[key] = value
+                clocks[g] = c
+                continue
+            cost = 0.0
+            migrated = 0
+            group_first = page - page % ppg
+            for cand in range(group_first, group_first + ppg):
+                idx = cand - first_page
+                if not (0 <= idx < n_pages and obj_of_page[idx] >= 0):
+                    continue
+                cs = ent.get(cand)
+                if cs is None:
+                    cs = ent[cand] = list(entry(cand))
+                c_owner, c_copies, c_mapped, _w, _b = cs
+                if c_copies & bit or (cand != page and c_owner != owner):
+                    continue
+                # UVMDriver.migrate: the requester holds no copy, so the
+                # data always moves, from the lowest other GPU copy or
+                # else the owner.
+                res = shootdown(cand, c_mapped)
+                n_shot += c_mapped.bit_count()
+                if c_copies:
+                    src = (c_copies & -c_copies).bit_length() - 1
+                    release(cand, c_copies)
+                else:
+                    src = c_owner
+                res += pcie_ns if src == HOST else nvlink_ns
+                moves[src, g] = moves.get((src, g), 0) + 1
+                make_resident(g, cand)
+                res += pte_ns
+                cost += res
+                migrated += 1
+                cs[0] = g
+                cs[1] = cs[2] = cs[3] = bit
+                changed[cand] = cs
+            # The trip and every migration reset the group's counters.
+            base = key - g
+            for gkey in range(base, base + n_gpus):
+                counts[gkey] = 0
+            if migrated:
+                n_migrate += migrated
+                # Machine.charge_driver_op: no fault_service_ns.
+                service = occ_ns + cost
+                start = free_at if free_at > c else c
+                free_at = start + service
+                busy += service
+                n_requests += 1
+                c = c + (free_at - c) / fault_par
+            clocks[g] = c
+
+        # Write back the local state and apply the summed effects.
+        pt.store_entries(changed)
+        if counting:
+            counters.store_counts(counts)
+        queue.advance_to(free_at, busy, n_requests)
+        self._apply_tlb_counts(
+            l1_hits, l1_misses, l2_hits, l2_misses, inval_l1, inval_l2,
+            walk_hist,
+        )
+        if fault_pages:
+            self._count_faults(
+                fault_counts,
+                np.array(fault_pages, dtype=np.int64) - self._first_page,
+            )
+        add = machine.stats.add
+        page_size = self._page_size
+        for name, count in (
+            ("access.local", local_w),
+            ("access.host", host_w),
+            ("access.remote", remote_w),
+            ("fault.page", n_page),
+            ("fault.protection", n_prot),
+            ("collapse.protection_triggered", n_prot),
+            ("local_map.count", n_local_map),
+            ("remote_map.count", n_remote_map),
+            ("migration.count", n_migrate),
+            ("migration.bytes", n_migrate * page_size),
+            ("migration.counter_triggered", n_migrate),
+            ("duplication.count", n_dup),
+            ("duplication.bytes", n_dup * page_size),
+            ("duplication.remap", n_remap),
+            ("duplication.demotions", n_demote),
+            ("collapse.count", n_collapse),
+            ("shootdown.count", n_shot),
+        ):
+            if count:
+                add(name, count)
+        if n_collapse:
+            # Every collapse adds its victim count, zero included.
+            add("collapse.invalidated_copies", n_victims)
+        topology = machine.topology
+        n_pcie = n_nvlink = 0
+        for (src, dst), count in moves.items():
+            topology.record_transfer_bulk(
+                src, dst, count * page_size, count
+            )
+            if src == HOST:
+                n_pcie += count
+            else:
+                n_nvlink += count
+        if n_pcie:
+            add("traffic.pcie_bytes", n_pcie * page_size)
+        if n_nvlink:
+            add("traffic.nvlink_bytes", n_nvlink * page_size)
+        for (src, dst), weight_total in flow_w.items():
+            topology.record_transfer_bulk(
+                src, dst, REMOTE_ACCESS_BYTES * weight_total,
+                flow_n[src, dst],
+            )
+
+    # -- fused-loop epilogue -----------------------------------------------
+
+    def _apply_tlb_counts(
+        self, l1_hits: list[int], l1_misses: list[int], l2_hits: list[int],
+        l2_misses: list[int], inval_l1: list[int], inval_l2: list[int],
+        walk_hist: dict[int, int],
+    ) -> None:
+        """Add a fused loop's per-GPU TLB counts and its page walks.
+
+        The lists are indexed by GPU; ``walk_hist`` counts the walks
+        (L2 misses) per PTE policy-bit value.
+        """
+        for g, tlb in enumerate(self.machine.tlbs):
+            if l1_hits[g] or l1_misses[g] or inval_l1[g] or inval_l2[g]:
+                tlb.l1.hits += l1_hits[g]
+                tlb.l1.misses += l1_misses[g]
+                tlb.l1.lookups += l1_hits[g] + l1_misses[g]
+                tlb.l2.hits += l2_hits[g]
+                tlb.l2.misses += l2_misses[g]
+                tlb.l2.lookups += l2_hits[g] + l2_misses[g]
+                tlb.l1.invalidations += inval_l1[g]
+                tlb.l2.invalidations += inval_l2[g]
+        miss_counts = self.machine.l2_miss_policy_counts
+        for bits, count in walk_hist.items():
+            name = policy_name(bits)
+            miss_counts[name] = miss_counts.get(name, 0) + count
+
+    def _count_faults(
+        self, fault_counts: list[int], fault_idx: np.ndarray
+    ) -> None:
+        """Attribute a fused loop's faults to GPUs and to objects.
+
+        ``fault_counts`` holds the faults per GPU and ``fault_idx`` the
+        page index of every faulting record.
+        """
+        machine = self.machine
+        stats = machine.stats
+        for g, count in enumerate(fault_counts):
+            if count:
+                stats.add(machine._fault_keys[g], count)
+        unique_objs, obj_counts = np.unique(
+            self._obj_arr[fault_idx], return_counts=True
+        )
+        object_keys = machine._object_fault_keys
+        for oid, count in zip(unique_objs.tolist(), obj_counts.tolist()):
+            if oid >= 0:
+                stats.add(object_keys[oid], count)

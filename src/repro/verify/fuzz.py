@@ -347,11 +347,19 @@ def case_program(case: FuzzCase) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _policy_flags(policies, default) -> str:
+    """``--policy`` flags naming ``policies``; none for the default set."""
+    if tuple(policies) == tuple(default):
+        return ""
+    return "".join(f" --policy {policy}" for policy in policies)
+
+
 def repro_command(case: FuzzCase) -> str:
     """The one-liner that regenerates and re-runs exactly this case."""
     return (
         f"PYTHONPATH=src python -m repro.cli verify --fuzz "
         f"--seed {case.seed} --cases 1"
+        + _policy_flags(case.policies, DEFAULT_POLICIES)
     )
 
 
@@ -594,6 +602,7 @@ def tenant_repro_command(case: TenantFuzzCase) -> str:
     return (
         f"PYTHONPATH=src python -m repro.cli verify --fuzz --tenancy "
         f"--seed {case.seed} --cases 1"
+        + _policy_flags(case.policies, TENANCY_POLICIES)
     )
 
 

@@ -66,6 +66,17 @@ class TestAccessCounterFile:
         assert c.record_remote_bulk(0, 0, 1)
         assert c.count(0, 0) == 0
 
+    def test_store_counts_sets_values_and_drops_zeros(self):
+        c = make(threshold=100, group=16, gpus=4)
+        c.record_remote(0, 0)  # key 0
+        c.record_remote(1, 16)  # key 5
+        c.store_counts({0: 0, 5: 7, 9: 3, 13: 0})
+        assert c.count(0, 0) == 0
+        assert c.count(1, 16) == 7
+        assert c.count_by_key(9) == 3
+        # Tripped or reset counters are not kept, not even as zeros.
+        assert c.active_counters == 2
+
     def test_bulk_weight_validation(self):
         with pytest.raises(ValueError):
             make().record_remote_bulk(0, 0, 0)

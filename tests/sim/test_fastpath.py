@@ -18,7 +18,12 @@ import pytest
 
 from repro import baseline_config, get_workload, make_policy, simulate
 from repro.config import HOST, SystemConfig
-from repro.memory import POLICY_COUNTER, POLICY_DUPLICATION, PageTables
+from repro.memory import (
+    POLICY_COUNTER,
+    POLICY_DUPLICATION,
+    POLICY_ON_TOUCH,
+    PageTables,
+)
 from repro.sim.fastpath import CHUNK, PhaseArrays, force_slow_path
 from repro.sim.machine import Machine
 from repro.sim.snapshot import capture, decision_digest, restore
@@ -42,6 +47,48 @@ def run_pair(app: str, policy: str, monkeypatch, config=None):
     monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
     slow = simulate(config, trace, make_policy(policy))
     return fast, slow
+
+
+def run_machine_pair(app: str, policy: str, monkeypatch):
+    """One run on each path; returns the (fast, slow) machines."""
+    config = baseline_config()
+    trace = get_workload(app, config, footprint_mb=FOOTPRINT_MB)
+    machines = []
+    for slow in (False, True):
+        if slow:
+            monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
+        else:
+            monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
+        machine = Machine(config, trace, make_policy(policy))
+        assert (machine._fast is None) == slow
+        machine.run()
+        machines.append(machine)
+    return machines
+
+
+def replay_state(machine) -> dict:
+    """The replay state the fast lanes advance in place or write back."""
+    queue = machine.driver.queue
+    return {
+        "decisions": decision_digest(machine.page_tables),
+        "counters": dict(machine.access_counters._counts),
+        "residency": [list(lru) for lru in machine.capacity._lru],
+        "tlbs": [
+            (
+                [list(entries) for entries in level._sets],
+                level.hits, level.misses, level.lookups,
+                level.invalidations,
+            )
+            for tlb in machine.tlbs
+            for level in (tlb.l1, tlb.l2)
+        ],
+        "queue": (queue.free_at, queue.busy_time, queue.request_count),
+        "clocks": list(machine.clocks),
+        "links": [
+            (link.name, link.bytes_transferred, link.message_count)
+            for link in machine.topology.links()
+        ],
+    }
 
 
 class TestForceSlowPath:
@@ -79,10 +126,29 @@ class TestDeterminism:
         assert fast.l2_miss_policy_counts == slow.l2_miss_policy_counts
         assert fast.to_dict() == slow.to_dict()
 
+    @pytest.mark.parametrize("app", ALL_APPS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_fast_path_leaves_identical_state(self, app, policy, monkeypatch):
+        fast, slow = run_machine_pair(app, policy, monkeypatch)
+        # The counter file never keeps a tripped or reset counter.
+        assert 0 not in fast.access_counters._counts.values()
+        assert replay_state(fast) == replay_state(slow)
+
     def test_distributed_placement_identical(self, monkeypatch):
         config = baseline_config(initial_placement="distributed")
         fast, slow = run_pair("mm", "on_touch", monkeypatch, config=config)
         assert fast.to_dict() == slow.to_dict()
+
+    @pytest.mark.parametrize("policy", ["access_counter", "duplication"])
+    def test_distributed_placement_remaps_identical(self, policy, monkeypatch):
+        # Pages start on a GPU without a mapping, so first touches by the
+        # holder take the uniform lane's local re-map branches.
+        config = baseline_config(initial_placement="distributed")
+        fast, slow = run_pair("st", policy, monkeypatch, config=config)
+        assert fast.to_dict() == slow.to_dict()
+        remaps = {"access_counter": "local_map.count",
+                  "duplication": "duplication.remap"}
+        assert fast.stats[remaps[policy]] > 0
 
 
 class TestTranslateRun:
@@ -151,9 +217,10 @@ class TestPageTableMirrors:
             lambda: pt.bulk_install_exclusive(
                 np.array([5, 6]), np.array([0, 3])
             ),
-            lambda: pt.bulk_install_duplicate(
-                np.array([8, 9]), np.array([1, 2])
-            ),
+            lambda: pt.store_entries({
+                108: [HOST, 0b0110, 0b0110, 0, POLICY_ON_TOUCH],
+                109: [2, 0b0100, 0b0101, 0b0100, POLICY_ON_TOUCH],
+            }),
             lambda: pt.install_exclusive(105, 2),  # bounce from GPU 0
             lambda: pt.release_to_host(100),
             lambda: pt.set_exclusive(106, HOST),
@@ -221,28 +288,18 @@ class TestPhaseArrays:
     def test_page_facts_match_window_scans(self):
         n = CHUNK + 300
         phase = self._phase(n, n_pages=60, seed=3)
-        mixed_until, prev, last_write, _ = PhaseArrays(
-            phase, 1000, 4, 16
-        ).page_facts()
+        mixed_until = PhaseArrays(phase, 1000, 4, 16).page_facts()
         page = phase.page.tolist()
         gpu = phase.gpu.tolist()
-        write = phase.write.tolist()
         starts = list(range(CHUNK, n)) + [0, 1, 17, CHUNK - 5]
         for s in starts:
             c1 = min((s // CHUNK + 1) * CHUNK, n)
             s_rel = s % CHUNK
             gpus: dict[int, set] = {}
-            writes: dict[int, bool] = {}
-            first: dict[int, int] = {}
             for r in range(s, c1):
                 gpus.setdefault(page[r], set()).add(gpu[r])
-                writes[page[r]] = writes.get(page[r], False) or bool(write[r])
-                first.setdefault(page[r], r)
             for r in range(s, c1):
-                p = page[r]
-                assert (mixed_until[r] < s_rel) == (len(gpus[p]) == 1)
-                assert (prev[r] < s_rel) == (first[p] == r)
-                assert (last_write[r] >= s_rel) == writes[p]
+                assert (mixed_until[r] < s_rel) == (len(gpus[page[r]]) == 1)
 
     def test_key_facts_factorize_each_chunk(self):
         n = 2 * CHUNK + 100

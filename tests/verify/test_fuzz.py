@@ -11,10 +11,12 @@ from repro.verify.fuzz import (
     case_config,
     case_program,
     generate_case,
+    generate_tenant_case,
     repro_command,
     run_case,
     run_fuzz,
     shrink_case,
+    tenant_repro_command,
 )
 
 
@@ -107,6 +109,41 @@ def test_repro_command_names_cli_entry():
     assert repro_command(case) == (
         "PYTHONPATH=src python -m repro.cli verify --fuzz --seed 5 --cases 1"
     )
+
+
+def test_repro_command_names_a_policy_subset():
+    case = generate_case(5, policies=("access_counter", "duplication"))
+    assert repro_command(case).endswith(
+        "--seed 5 --cases 1 --policy access_counter --policy duplication"
+    )
+
+
+@pytest.mark.parametrize("tenancy", [False, True])
+def test_cli_fuzz_passes_the_policy_subset(monkeypatch, tenancy):
+    from repro import cli
+    from repro.verify import fuzz
+
+    seen = []
+
+    def fake(**kwargs):
+        seen.append(kwargs)
+        return {"cases": 0, "elapsed_s": 0.0, "failures": []}
+
+    runner = "run_tenancy_fuzz" if tenancy else "run_fuzz"
+    monkeypatch.setattr(fuzz, runner, fake)
+    argv = ["verify", "--fuzz", "--cases", "1"] + ["--tenancy"] * tenancy
+    assert cli.main(argv + ["--policy", "duplication"]) == 0
+    assert cli.main(argv) == 0
+    assert seen[0]["policies"] == ("duplication",)
+    assert "policies" not in seen[1]
+
+
+def test_tenant_repro_command_names_a_policy_subset():
+    case = generate_tenant_case(3, policies=("oasis",))
+    assert tenant_repro_command(case).endswith(
+        "--tenancy --seed 3 --cases 1 --policy oasis"
+    )
+    assert "--policy" not in tenant_repro_command(generate_tenant_case(3))
 
 
 def test_fault_plan_cases_replay_clean():
