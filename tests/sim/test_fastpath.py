@@ -134,6 +134,23 @@ class TestDeterminism:
         assert 0 not in fast.access_counters._counts.values()
         assert replay_state(fast) == replay_state(slow)
 
+    @pytest.mark.parametrize("policy", ["access_counter", "duplication"])
+    def test_uniform_policies_never_fall_back(self, policy, monkeypatch):
+        monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
+        config = baseline_config()
+        trace = get_workload("st", config, footprint_mb=FOOTPRINT_MB)
+        machine = Machine(config, trace, make_policy(policy))
+
+        def refuse(*args):
+            raise AssertionError("left the uniform lane")
+
+        # Every chunk is one fused-loop run: no mask, no steady run and
+        # no per-record replay.
+        monkeypatch.setattr(machine, "access", refuse)
+        monkeypatch.setattr(machine._fast, "_rebuild", refuse)
+        monkeypatch.setattr(machine._fast, "_run_bulk", refuse)
+        assert machine.run().total_faults > 0
+
     def test_distributed_placement_identical(self, monkeypatch):
         config = baseline_config(initial_placement="distributed")
         fast, slow = run_pair("mm", "on_touch", monkeypatch, config=config)
