@@ -2,9 +2,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test bench-smoke bench sweep verify verify-faults verify-obs \
-	verify-serve verify-sim verify-memo verify-chaos verify-cluster \
-	verify-tenancy golden-update golden-update-tenancy \
-	reproduce reproduce-smoke perfbench-smoke
+	verify-sim verify-memo verify-tenancy golden-update \
+	golden-update-tenancy reproduce reproduce-smoke perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -q
@@ -27,14 +26,6 @@ verify-sim:
 	$(PYTHON) -m pytest tests/verify tests/workloads/test_table2_conformance.py -q
 	$(PYTHON) -m repro.cli verify --jobs 4
 
-# Simulation-service verification: the serve suite (single-flight,
-# admission control, lanes/deadlines, HTTP + client) plus the ~30s
-# load-generator smoke, which asserts one simulation per identical
-# burst and bit-identical served results under the invariant verifier.
-verify-serve:
-	$(PYTHON) -m pytest tests/serve -q
-	$(PYTHON) benchmarks/bench_serve.py --smoke --verify
-
 # Sweep-fast-path verification: snapshot round-trip/corruption tests,
 # the memoized-vs-cold differential lane on multi-phase apps, and the
 # ~60s memoized-sweep smoke (speedup > 1.5x, zero golden-digest drift).
@@ -43,26 +34,6 @@ verify-memo:
 	$(PYTHON) -m pytest tests/sim/test_snapshot.py tests/harness/test_memo_runner.py -q
 	$(PYTHON) -m repro.cli verify --differential --lanes memo --apps c2d,st --jobs 4
 	$(PYTHON) benchmarks/bench_memo.py --smoke
-
-# Durability verification: journal/recovery/breaker suites, then the
-# bounded (~2 min) kill-restart-recover soak — 3 seeded chaos cycles
-# asserting no acked job is lost and every served result stays
-# bit-identical to the pinned goldens — plus the crash-recovery bench
-# (zero re-simulation for cache-complete jobs).
-verify-chaos:
-	$(PYTHON) -m pytest tests/chaos tests/serve/test_journal.py tests/serve/test_recovery.py -q
-	REPRO_NO_FSYNC=1 $(PYTHON) -m repro.cli chaos --cycles 3 --seed 0 --apps mm --policies oasis,on_touch
-	REPRO_NO_FSYNC=1 $(PYTHON) benchmarks/bench_recovery.py --smoke
-
-# Cluster verification: the ring/store/router/integration suites, then
-# the cluster bench smoke — 2 real worker subprocesses behind the
-# consistent-hash router, asserting one simulation per identical burst
-# cluster-wide, single-node dedup parity on the Zipf mix, and a
-# SIGKILL-mid-burst journal steal that loses zero acked jobs (served
-# results pinned against the goldens).
-verify-cluster:
-	$(PYTHON) -m pytest tests/cluster -q
-	REPRO_NO_FSYNC=1 $(PYTHON) benchmarks/bench_cluster.py --smoke --chaos
 
 # Multi-tenant verification: the tenancy + TLB suites, the
 # degenerate-tenancy differential lane (single-tenant mix must be
@@ -75,8 +46,7 @@ verify-tenancy:
 	$(PYTHON) -m repro.cli verify --fuzz --tenancy --budget 120 --seed 0
 	$(PYTHON) benchmarks/bench_multitenant.py --smoke
 
-verify: verify-faults verify-obs verify-serve verify-sim verify-memo \
-	verify-chaos verify-cluster verify-tenancy
+verify: verify-faults verify-obs verify-sim verify-memo verify-tenancy
 
 # Re-pin tests/golden/golden.json after an intentional model change;
 # commit the file so the review diff names every counter that moved.

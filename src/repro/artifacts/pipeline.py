@@ -25,12 +25,9 @@ perf artifact plus its own summary into ``results/BENCH_all.json`` (the
 cross-PR perf trajectory), and on full-profile runs regenerates
 ``EXPERIMENTS.md`` from the saved reports — no hand-edited numbers.
 
-Chaos: the pipeline honors the harness chaos hook at experiment
-granularity — an armed :class:`~repro.chaos.inject.ChaosInjector` whose
-plan kills the pipeline's "run" operation aborts the loop exactly as an
-orchestrator death would (completed experiments stay journaled in
-``metrics.jsonl``; ``summary.json`` is never written), which is what the
-kill-mid-run resume tests exercise.
+A run killed mid-loop (SIGKILL, ``KeyboardInterrupt``) leaves its
+completed experiments journaled in ``metrics.jsonl`` and never writes
+``summary.json``; the next invocation resumes from the journal.
 """
 
 from __future__ import annotations
@@ -296,12 +293,6 @@ def run_pipeline(
                                    {"exp": exp_id, "seed": seed})
                     log(f"  {exp_id} seed={seed}: already recorded, skipped")
                     continue
-                chaos = _runner._CHAOS
-                if chaos is not None:
-                    # An armed chaos plan can kill the orchestrator here,
-                    # between experiments — the resume tests' honest
-                    # stand-in for a SIGKILL'd pipeline process.
-                    chaos.run_fault(exp_id, "pipeline")
                 cache_before = cache_stats()
                 memo_before = memo_stats()
                 files_before = _result_file_count()
@@ -430,8 +421,8 @@ def write_bench_all(
     """Consolidate every ``results/BENCH_*.json`` into one trajectory.
 
     The record is self-describing: one ``benches`` entry per perf
-    artifact present (replay smoke, fig15, memo, cluster, recovery,
-    multitenant, ...), plus the pipeline summary that produced it —
+    artifact present (replay smoke, fig15, memo, multitenant,
+    fault path, ...), plus the pipeline summary that produced it —
     future re-anchors read a single file to see speed over time.
     """
     benches = {}

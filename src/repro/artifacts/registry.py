@@ -82,7 +82,7 @@ def discover_experiments(
     """Map experiment id -> benchmark module, in paper order.
 
     Only files whose id exists in :data:`repro.harness.EXPERIMENTS` are
-    returned; auxiliary benchmarks (``bench_memo``, ``bench_cluster``,
+    returned; auxiliary benchmarks (``bench_memo``, ``bench_multitenant``,
     ablations, ...) do not regenerate a paper artifact and are skipped.
     """
     directory = Path(bench_dir) if bench_dir else repo_root() / "benchmarks"

@@ -10,6 +10,9 @@ Subcommands:
   (``manifest.json``, ``metrics.jsonl``, ``summary.json``) plus the
   consolidated ``results/BENCH_all.json``; resumable (``--smoke``,
   ``--only``, ``--seeds``; same as ``scripts/reproduce_all``).
+* ``sweep`` — speedup table of applications x policies against
+  on-touch through the parallel harness (``--apps``, ``--policy``,
+  ``--jobs``; ``--tenants`` adds multi-tenant mixes with fairness).
 * ``list`` — list applications, policies, and experiments.
 * ``characterize APP`` — print the Section IV object characterization.
 * ``faults APP [--plan NAME|JSON|@FILE]`` — compare a healthy run
@@ -22,14 +25,6 @@ Subcommands:
   differential oracles across every execution mode, golden-digest
   regression (``--update-golden`` re-pins), and a seeded trace fuzzer
   with delta-debugging shrinking (``--fuzz``).
-* ``serve`` — run the single-flight simulation service (asyncio job
-  queue with admission control, priority lanes and deduplication) with
-  ``/healthz`` + ``/metrics`` HTTP endpoints.
-* ``cluster --workers N`` — run a consistent-hash router in front of N
-  ``serve`` worker subprocesses sharing one result store (heartbeat,
-  job stealing, lane-aware load shedding).
-* ``submit APP`` — submit one run to a running ``serve`` instance and
-  print the result.
 
 ``simulate`` and ``sweep`` also accept ``--trace`` / ``--metrics-out``
 to export timelines and metric dumps alongside their normal output.
@@ -531,150 +526,6 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    """Run the single-flight simulation service until interrupted."""
-    import asyncio
-
-    from repro.harness import configure
-    from repro.serve import SimulationService
-    from repro.serve.http import run_server
-
-    configure(
-        jobs=args.jobs or 1,
-        disk_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-    )
-    service = SimulationService(
-        jobs=args.jobs or 1,
-        max_pending=args.max_pending,
-        batch_max=args.batch_max,
-        run_timeout_s=args.run_timeout_s,
-        journal_dir=args.journal_dir,
-        name=args.worker_name,
-    )
-    try:
-        asyncio.run(run_server(
-            service, args.host, args.port,
-            drain_timeout_s=args.drain_timeout_s,
-            ready_file=args.ready_file,
-            register_url=args.register,
-            worker_name=args.worker_name,
-        ))
-    except KeyboardInterrupt:
-        print("\nrepro-oasis serve: shut down")
-    return 0
-
-
-def cmd_cluster(args) -> int:
-    """Run a router plus N serve worker subprocesses until interrupted."""
-    import os
-
-    from repro.cluster import LocalCluster, run_cluster_forever
-
-    if args.no_fsync:
-        os.environ["REPRO_NO_FSYNC"] = "1"
-    cluster = LocalCluster(
-        workers=args.workers,
-        state_dir=args.state_dir,
-        host=args.host,
-        router_port=args.port,
-        jobs=args.jobs or 1,
-        max_pending=args.max_pending,
-        max_inflight=args.max_inflight,
-    )
-    return run_cluster_forever(cluster)
-
-
-def cmd_chaos(args) -> int:
-    """Run the kill-restart-recover soak under injected faults."""
-    import json
-    import os
-    import tempfile
-
-    from repro.chaos import run_soak
-    from repro.chaos.soak import DEFAULT_APPS, DEFAULT_POLICIES
-
-    if args.no_fsync:
-        os.environ["REPRO_NO_FSYNC"] = "1"
-    state_dir = Path(args.state_dir or tempfile.mkdtemp(prefix="repro-chaos-"))
-    report = run_soak(
-        state_dir / "journal",
-        state_dir / "cache",
-        cycles=args.cycles,
-        seed=args.seed,
-        apps=args.apps.split(",") if args.apps else DEFAULT_APPS,
-        policies=args.policies.split(",") if args.policies else DEFAULT_POLICIES,
-        jobs=args.jobs or 1,
-        resubmit_limit=args.resubmit_limit,
-    )
-    if args.json_out:
-        Path(args.json_out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"chaos: report written to {args.json_out}")
-    for cycle in report["per_cycle"]:
-        fired = sum(cycle["chaos"]["events_fired"].values())
-        print(
-            f"cycle {cycle['cycle']}: plan {cycle['plan']} "
-            f"acked={cycle['acked']} pre-crash={cycle['completed_before_crash']} "
-            f"cached={cycle['recovery'].get('recovered_cached', 0)} "
-            f"requeued={cycle['recovery'].get('recovered_requeued', 0)} "
-            f"torn={cycle['recovery'].get('journal_torn', 0)} "
-            f"events_fired={fired} resubmitted={cycle['resubmitted']}"
-        )
-    print(
-        f"chaos: {report['cycles']} cycle(s), {report['acked']} acked, "
-        f"{report['refused']} refused, lost={len(report['lost'])}, "
-        f"mismatched={len(report['mismatched'])}, "
-        f"unrecovered={len(report['unrecovered_failures'])}"
-    )
-    if not report["ok"]:
-        for label in report["lost"]:
-            print(f"  LOST: {label}")
-        for label in report["mismatched"]:
-            print(f"  MISMATCH: {label}")
-        for label in report["unrecovered_failures"]:
-            print(f"  UNRECOVERED: {label}")
-        print("chaos: FAILED")
-        return 1
-    print("chaos: all invariants held (no acked job lost, all results "
-          "bit-identical to golden)")
-    return 0
-
-
-def cmd_submit(args) -> int:
-    """Submit one run to a running service and print the result."""
-    from repro.serve.client import ClientError, ServeClient, ServerBusy
-
-    client = ServeClient(args.host, args.port, timeout_s=args.timeout_s)
-    try:
-        if args.no_wait:
-            job = client.submit_nowait(
-                args.app, args.policy,
-                footprint_mb=args.footprint_mb, seed=args.seed,
-                lane=args.lane, deadline_s=args.deadline_s,
-            )
-            print(f"accepted {job['id']} (lane {job['lane']}, "
-                  f"status {job['status']}); poll with "
-                  f"GET /jobs/{job['id']}")
-            return 0
-        result = client.submit(
-            args.app, args.policy,
-            footprint_mb=args.footprint_mb, seed=args.seed,
-            lane=args.lane, deadline_s=args.deadline_s,
-        )
-    except ServerBusy as busy:
-        print(f"server busy: {busy}; retry after {busy.retry_after_s:g}s")
-        return 2
-    except (ClientError, ConnectionError, OSError) as err:
-        print(f"submit failed: {err}")
-        return 1
-    print(f"{args.app}/{args.policy}: "
-          f"time={result.total_time_ns / 1e6:.2f} ms  "
-          f"faults={int(result.total_faults)}  "
-          f"migrations={int(result.migrations)}  "
-          f"duplications={int(result.duplications)}")
-    return 0
-
-
 def cmd_characterize(args) -> int:
     config = baseline_config()
     trace = get_workload(args.app, config)
@@ -910,126 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--jobs", type=int, default=None,
                      help="worker processes for golden/differential runs")
     ver.set_defaults(func=cmd_verify)
-
-    srv = sub.add_parser(
-        "serve",
-        help="run the single-flight simulation service (HTTP front end)",
-    )
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=8343,
-                     help="TCP port (0 = ephemeral; default 8343)")
-    srv.add_argument("--jobs", type=int, default=None,
-                     help="worker processes per dispatched batch")
-    srv.add_argument("--max-pending", type=int, default=256,
-                     dest="max_pending",
-                     help="admission-control bound on queued jobs")
-    srv.add_argument("--batch-max", type=int, default=16, dest="batch_max",
-                     help="max jobs handed to the pool per dispatch round")
-    srv.add_argument("--run-timeout-s", type=float, default=None,
-                     dest="run_timeout_s",
-                     help="per-run wall-clock cap (needs --jobs >= 2)")
-    srv.add_argument("--no-cache", action="store_true", dest="no_cache",
-                     help="skip the persistent result cache")
-    srv.add_argument("--journal-dir", default=None, dest="journal_dir",
-                     help="write-ahead job journal directory; accepted "
-                          "jobs survive crashes and are recovered on "
-                          "the next start")
-    srv.add_argument("--drain-timeout-s", type=float, default=None,
-                     dest="drain_timeout_s",
-                     help="max seconds a SIGTERM drain waits for queued "
-                          "jobs before stopping (default: no limit)")
-    srv.add_argument("--cache-dir", default=None, dest="cache_dir",
-                     help="result cache directory (cluster workers point "
-                          "this at the shared tier)")
-    srv.add_argument("--ready-file", default=None, dest="ready_file",
-                     help="write {url, pid, name} JSON here once the "
-                          "port is bound (used by the cluster supervisor)")
-    srv.add_argument("--register", default=None,
-                     help="cluster router URL to announce this worker to "
-                          "(POST /register)")
-    srv.add_argument("--worker-name", default=None, dest="worker_name",
-                     help="stable worker identity on the cluster ring")
-    srv.set_defaults(func=cmd_serve)
-
-    clu = sub.add_parser(
-        "cluster",
-        help="run a consistent-hash router plus N serve workers "
-             "(shared result store, heartbeat, job stealing)",
-    )
-    clu.add_argument("--workers", type=int, default=4,
-                     help="serve worker subprocesses (default 4)")
-    clu.add_argument("--host", default="127.0.0.1")
-    clu.add_argument("--port", type=int, default=8400,
-                     help="router TCP port (0 = ephemeral; default 8400)")
-    clu.add_argument("--jobs", type=int, default=None,
-                     help="worker processes per dispatched batch, per "
-                          "serve worker")
-    clu.add_argument("--max-pending", type=int, default=256,
-                     dest="max_pending",
-                     help="per-worker admission bound on queued jobs")
-    clu.add_argument("--max-inflight", type=int, default=128,
-                     dest="max_inflight",
-                     help="router cap on concurrently forwarded requests "
-                          "(lane shedding fractions apply under it)")
-    clu.add_argument("--state-dir", default=None, dest="state_dir",
-                     help="directory for the shared cache, per-worker "
-                          "journals and logs (default: a fresh temp dir)")
-    clu.add_argument("--no-fsync", action="store_true", dest="no_fsync",
-                     help="skip fsync barriers for speed (benchmarks)")
-    clu.set_defaults(func=cmd_cluster)
-
-    chs = sub.add_parser(
-        "chaos",
-        help="soak the durable serve layer with injected infrastructure "
-             "faults (kill-restart-recover cycles)",
-    )
-    chs.add_argument("--cycles", type=int, default=3,
-                     help="kill-restart-recover rounds (default 3)")
-    chs.add_argument("--seed", type=int, default=0,
-                     help="chaos-plan seed (cycle i uses seed+i)")
-    chs.add_argument("--apps", default=None,
-                     help="comma-separated app subset (default st,mm)")
-    chs.add_argument("--policies", default=None,
-                     help="comma-separated policy subset "
-                          "(default oasis,on_touch)")
-    chs.add_argument("--jobs", type=int, default=None,
-                     help="worker processes per dispatched batch")
-    chs.add_argument("--resubmit-limit", type=int, default=3,
-                     dest="resubmit_limit",
-                     help="client retries for jobs served a chaos failure")
-    chs.add_argument("--state-dir", default=None, dest="state_dir",
-                     help="directory holding the shared journal + cache "
-                          "(default: a fresh temp dir)")
-    chs.add_argument("--no-fsync", action="store_true", dest="no_fsync",
-                     help="skip fsync barriers for speed (CI soak)")
-    chs.add_argument("--json", default=None, dest="json_out",
-                     help="write the full soak report to this JSON file")
-    chs.set_defaults(func=cmd_chaos)
-
-    sbm = sub.add_parser(
-        "submit",
-        help="submit one run to a running serve instance",
-    )
-    sbm.add_argument("app", choices=sorted(APPLICATIONS))
-    sbm.add_argument("--policy", default="oasis",
-                     choices=sorted(POLICY_FACTORIES))
-    sbm.add_argument("--host", default="127.0.0.1")
-    sbm.add_argument("--port", type=int, default=8343)
-    sbm.add_argument("--footprint-mb", type=float, default=None,
-                     dest="footprint_mb")
-    sbm.add_argument("--seed", type=int, default=0)
-    sbm.add_argument("--lane", default="batch",
-                     choices=["interactive", "batch", "bulk"])
-    sbm.add_argument("--deadline-s", type=float, default=None,
-                     dest="deadline_s",
-                     help="per-job deadline; expired jobs fail instead "
-                          "of running")
-    sbm.add_argument("--timeout-s", type=float, default=300.0,
-                     dest="timeout_s", help="client HTTP timeout")
-    sbm.add_argument("--no-wait", action="store_true", dest="no_wait",
-                     help="return the job id immediately instead of "
-                          "waiting for the result")
-    sbm.set_defaults(func=cmd_submit)
 
     cha = sub.add_parser("characterize", help="Section IV object analysis")
     cha.add_argument("app", choices=sorted(APPLICATIONS))

@@ -28,7 +28,6 @@ from repro.harness.runner import (
     disk_cache,
     last_sweep_summary,
     memo_stats,
-    publish_memo_metrics,
     run_sim,
     run_sims_parallel,
     speedup_table,
@@ -49,7 +48,6 @@ __all__ = [
     "geomean",
     "last_sweep_summary",
     "memo_stats",
-    "publish_memo_metrics",
     "run_experiment",
     "run_sim",
     "run_sims_parallel",

@@ -21,7 +21,7 @@ that finds a truncated, unparsable, mislabeled or checksum-mismatched
 file treats it as a miss, moves the file into ``<root>/quarantine/`` for
 post-mortem inspection, and counts it in :meth:`DiskCache.stats` — a
 corrupted cache (killed worker mid-write on a non-atomic filesystem,
-bit rot, manual tampering) can never crash a sweep or serve wrong data.
+bit rot, manual tampering) can never crash a sweep or return wrong data.
 
 Besides whole-run results, the store holds a second record kind:
 **phase-boundary snapshot blobs** (see :mod:`repro.sim.snapshot`) under
@@ -40,8 +40,6 @@ import hashlib
 import json
 import os
 import tempfile
-import threading
-from collections import OrderedDict
 from pathlib import Path
 
 from repro.config import SystemConfig
@@ -56,10 +54,6 @@ SIMULATOR_VERSION = 2
 
 #: Default cache directory, relative to the current working directory.
 DEFAULT_CACHE_DIR = "results/cache"
-
-#: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
-_CHAOS = None
-
 
 def fsync_enabled() -> bool:
     """Durability barriers are on unless ``REPRO_NO_FSYNC`` is set."""
@@ -184,23 +178,10 @@ class DiskCache:
             return
         self.quarantined += 1
 
-    def _atomic_write(self, path: Path, payload: dict, category: str) -> Path:
-        """Durably write one JSON entry: tmp + fsync + rename + dir fsync.
-
-        The ``category`` routes the operation through the chaos hook:
-        an injected "oserror" surfaces as a plain :class:`OSError`; an
-        injected torn write leaves a *truncated* payload at the final
-        path while the caller sees success — exactly the failure the
-        checksum/quarantine read side exists to absorb.
-        """
+    def _atomic_write(self, path: Path, payload: dict) -> Path:
+        """Durably write one JSON entry: tmp + fsync + rename + dir fsync."""
         path.parent.mkdir(parents=True, exist_ok=True)
         data = json.dumps(payload)
-        fault = _CHAOS.write_fault(category, path) if _CHAOS is not None else None
-        if fault is not None:
-            if fault.mode == "oserror":
-                raise OSError(f"chaos: injected {category} write error")
-            path.write_text(data[: max(1, int(len(data) * fault.fraction))])
-            return path
         fd, tmp = tempfile.mkstemp(
             dir=path.parent, prefix=".tmp-", suffix=".json"
         )
@@ -218,8 +199,6 @@ class DiskCache:
                 pass
             raise
         fsync_dir(path.parent)
-        if _CHAOS is not None:
-            _CHAOS.post_write(category, path)
         return path
 
     def load(self, key: str) -> SimulationResult | None:
@@ -232,8 +211,6 @@ class DiskCache:
         """
         path = self._path(key)
         try:
-            if _CHAOS is not None:
-                _CHAOS.read_fault("result", path)
             with path.open() as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
@@ -269,11 +246,7 @@ class DiskCache:
             "checksum": _result_checksum(result_dict),
             "result": result_dict,
         }
-        return self._atomic_write(self._path(key), payload, "result")
-
-    def has(self, key: str) -> bool:
-        """Whether an entry file exists for ``key`` (no validation)."""
-        return self._path(key).exists()
+        return self._atomic_write(self._path(key), payload)
 
     # -- snapshot blobs ----------------------------------------------------
 
@@ -292,8 +265,6 @@ class DiskCache:
         """
         path = self._blob_path(key)
         try:
-            if _CHAOS is not None:
-                _CHAOS.read_fault("blob", path)
             with path.open() as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
@@ -327,7 +298,7 @@ class DiskCache:
             "checksum": hashlib.sha256(blob).hexdigest(),
             "blob": base64.b64encode(blob).decode("ascii"),
         }
-        return self._atomic_write(self._blob_path(key), payload, "blob")
+        return self._atomic_write(self._blob_path(key), payload)
 
     def quarantine_blob(self, key: str) -> None:
         """Move a structurally-invalid snapshot aside (checksum passed,
@@ -345,111 +316,3 @@ class DiskCache:
             "snap_misses": self.snap_misses,
         }
 
-
-class SharedResultStore:
-    """Two-tier result store: bounded in-memory LRU over a shared DiskCache.
-
-    The cluster layer points every worker *and* the router at one shared
-    cache directory.  Workers populate it through the normal
-    :func:`repro.harness.runner.run_sim` store path; the router (and any
-    other reader) goes through this class, which keeps the hottest
-    ``capacity`` results in process memory so the steady-state cost of a
-    repeat request is a dict lookup, not a file parse.
-
-    The disk tier keeps all of :class:`DiskCache`'s guarantees — atomic
-    writes, per-entry checksums, quarantine-on-corruption — so a torn or
-    bit-rotted shared entry degrades to a recompute on whichever worker
-    owns the key, never to wrong data.  All methods are thread-safe: the
-    router reads from executor threads while its event loop routes.
-    """
-
-    def __init__(self, root: str | Path | None = None, *,
-                 capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.disk = DiskCache(root)
-        self.capacity = capacity
-        self._lru: "OrderedDict[str, SimulationResult]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.lru_hits = 0
-        self.shared_hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.store_errors = 0
-        self.evictions = 0
-
-    @property
-    def root(self) -> Path:
-        return self.disk.root
-
-    def _remember_locked(self, key: str, result: SimulationResult) -> None:
-        self._lru[key] = result
-        self._lru.move_to_end(key)
-        while len(self._lru) > self.capacity:
-            self._lru.popitem(last=False)
-            self.evictions += 1
-
-    def load(self, key: str) -> SimulationResult | None:
-        """LRU first, then the shared disk tier; None on a full miss."""
-        with self._lock:
-            cached = self._lru.get(key)
-            if cached is not None:
-                self._lru.move_to_end(key)
-                self.lru_hits += 1
-                return cached
-        result = self.disk.load(key)
-        with self._lock:
-            if result is None:
-                self.misses += 1
-                return None
-            self.shared_hits += 1
-            self._remember_locked(key, result)
-        return result
-
-    def store(self, key: str, result: SimulationResult) -> bool:
-        """Write through to the shared tier; False if the disk write failed.
-
-        A failed disk write still populates the LRU — the result is
-        correct, it just is not durable/shared, and the caller's
-        ``store_errors`` counter says so.
-        """
-        ok = True
-        try:
-            self.disk.store(key, result)
-        except OSError:
-            ok = False
-        with self._lock:
-            self._remember_locked(key, result)
-            if ok:
-                self.stores += 1
-            else:
-                self.store_errors += 1
-        return ok
-
-    def remember(self, key: str, result: SimulationResult) -> None:
-        """LRU-only insert — for results some *other* process already
-        persisted to the shared tier (e.g. a worker's own store path),
-        where a second disk write would be pure redundancy."""
-        with self._lock:
-            self._remember_locked(key, result)
-
-    def contains(self, key: str) -> bool:
-        """Whether the key is available in either tier (no promotion)."""
-        with self._lock:
-            if key in self._lru:
-                return True
-        return self.disk.has(key)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "lru_size": len(self._lru),
-                "lru_hits": self.lru_hits,
-                "shared_hits": self.shared_hits,
-                "misses": self.misses,
-                "stores": self.stores,
-                "store_errors": self.store_errors,
-                "evictions": self.evictions,
-                "disk": self.disk.stats(),
-            }

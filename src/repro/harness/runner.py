@@ -66,9 +66,9 @@ _STATS = {
     "evictions": 0,
     "run_retries": 0,
     "pool_failures": 0,
-    # Result-store writes that failed with OSError (disk full, chaos
-    # injection): the result survives in memory and is recomputed by a
-    # later process instead of crashing this one.
+    # Result-store writes that failed with OSError (disk full,
+    # read-only store): the result survives in memory and is recomputed
+    # by a later process instead of crashing this one.
     "store_errors": 0,
     # Phase-memo counters merged back from worker processes; the serial
     # path's counters live on the in-process PhaseMemo itself, so
@@ -86,8 +86,6 @@ _MEMO_DELTA_KEYS = (
     "hits", "misses", "stores", "snapshot_bytes",
     "resumed_phases", "corrupt", "io_errors",
 )
-#: Chaos-injection hook (see :mod:`repro.chaos.inject`); None = inert.
-_CHAOS = None
 _DISK: DiskCache | None = (
     DiskCache() if os.environ.get("REPRO_DISK_CACHE", "").strip() not in ("", "0")
     else None
@@ -283,16 +281,6 @@ def memo_stats() -> dict:
     return totals
 
 
-def publish_memo_metrics(registry) -> None:
-    """Publish memo counters as gauges on an obs registry.
-
-    Serve-mode and CLI sweeps call this after each sweep so dashboards
-    see the same numbers ``last_sweep_summary`` reports.
-    """
-    for name, value in memo_stats().items():
-        registry.set_gauge(f"memo.{name}", float(value))
-
-
 def _remember(key: tuple, result: SimulationResult) -> None:
     _CACHE[key] = result
     _CACHE.move_to_end(key)
@@ -352,8 +340,8 @@ def run_sim(
         try:
             disk.store(digest, result)
         except OSError:
-            # A result that cannot be persisted (disk full, injected
-            # fault) is still a valid result; a later process simply
+            # A result that cannot be persisted (disk full, read-only
+            # store) is still a valid result; a later process simply
             # recomputes it.
             _STATS["store_errors"] += 1
     _remember(key, result)
@@ -422,10 +410,6 @@ def _spec_key(spec: dict) -> tuple:
 
 
 def _run_spec(spec: dict) -> SimulationResult:
-    if _CHAOS is not None:
-        # May raise a retryable ChaosWorkerKill before the run counts a
-        # cache miss, mirroring a worker that dies pre-compute.
-        _CHAOS.run_fault(spec["app"], spec["policy"])
     return run_sim(
         spec["config"],
         spec["app"],
@@ -793,10 +777,6 @@ def run_sims_parallel(
         workers write it, so a crashed sweep keeps its finished runs).
     """
     global _LAST_SWEEP
-    if _CHAOS is not None:
-        delay = _CHAOS.dispatch_delay()
-        if delay:
-            time.sleep(delay)
     sweep_started = time.monotonic()
     stats_before = dict(_STATS)
     memo_before = memo_stats()
@@ -912,8 +892,7 @@ def run_sims_parallel(
             name: _STATS[name] - stats_before[name]
             for name in ("hits", "misses", "run_retries", "pool_failures")
         },
-        # Sweep fast path accounting, as a delta over this sweep only —
-        # served and CLI sweeps read the same numbers from here.
+        # Sweep fast path accounting, as a delta over this sweep only.
         "memo": {
             "enabled": memo_after["enabled"],
             **{

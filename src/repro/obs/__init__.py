@@ -25,7 +25,6 @@ Quickstart::
 from repro.obs.export import (
     chrome_trace,
     jsonl_events,
-    prometheus_multi,
     prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
@@ -66,7 +65,6 @@ __all__ = [
     "Tracer",
     "chrome_trace",
     "jsonl_events",
-    "prometheus_multi",
     "prometheus_text",
     "validate_chrome_trace",
     "write_chrome_trace",

@@ -312,21 +312,6 @@ def prometheus_text(snapshot: MetricsSnapshot,
     return "\n".join(lines) + "\n"
 
 
-def prometheus_multi(snapshots: "dict[str, MetricsSnapshot]") -> str:
-    """One Prometheus text dump covering several prefixed snapshots.
-
-    The simulation service exposes its own queue/latency metrics next to
-    the accumulated simulation counters on one ``/metrics`` endpoint;
-    each ``prefix -> snapshot`` entry renders as an independent
-    :func:`prometheus_text` block, in sorted prefix order so the
-    combined dump stays byte-stable.
-    """
-    return "".join(
-        prometheus_text(snapshots[prefix], prefix=prefix)
-        for prefix in sorted(snapshots)
-    )
-
-
 def write_prometheus(path: str | Path, snapshot: MetricsSnapshot,
                      prefix: str = "repro") -> Path:
     """Write the Prometheus text dump; returns the path."""

@@ -69,30 +69,6 @@ EVENT_KINDS = frozenset(
         "reroute",  # transfer rerouted around a severed link
         "alloc",  # object allocated (driver track)
         "free",  # object freed (driver track)
-        # Simulation-service job lifecycle (serve track; wall-clock ns
-        # relative to service start, not simulated time — see
-        # :mod:`repro.serve`).
-        "serve_submit",  # job admitted into a priority lane
-        "serve_dedup",  # identical request attached to an in-flight job
-        "serve_reject",  # admission control turned a request away
-        "serve_dispatch",  # batch handed to the simulation pool
-        "serve_done",  # job completed with a result
-        "serve_fail",  # job failed (RunFailure, expired deadline, ...)
-        "serve_recover",  # journaled job re-owned after a restart
-        "serve_drain",  # graceful shutdown began refusing new work
-        "serve_breaker",  # worker-pool circuit breaker changed state
-        # Cluster router lifecycle (cluster track; wall-clock ns
-        # relative to router start — see :mod:`repro.cluster`).
-        "cluster_register",  # worker joined (or rejoined) the ring
-        "cluster_forward",  # request routed to its ring owner
-        "cluster_dedup",  # identical request attached to an in-flight forward
-        "cluster_cache_hit",  # served straight from the shared result tier
-        "cluster_shed",  # lane-aware load shedding refused a request
-        "cluster_worker_dead",  # heartbeat/forward declared a worker dead
-        "cluster_steal",  # one live job re-homed from a dead worker
-        "cluster_steal_done",  # a dead worker's journal fully processed
-        "cluster_steal_error",  # journal replay/compaction failed
-        "cluster_swallowed_error",  # shutdown-path error noted, not raised
         # Artifact-pipeline lifecycle (pipeline track; wall-clock ns
         # relative to pipeline start — see :mod:`repro.artifacts`).
         "pipeline_experiment",  # one experiment finished (ok or failed)

@@ -10,8 +10,8 @@ counters, :mod:`repro.tenancy.accounting`); and
 slowdown / weighted-speedup / unfairness reports.
 
 Mixes are addressed by name — ``get_workload("mm+bfs", config)`` — so
-the whole harness (memoized sweeps, serve, cluster) runs them without
-modification: ``repro-oasis sweep --tenants mm+bfs,mm+i2c``.
+the whole harness (memoized sweeps, experiments, reproduce) runs them
+without modification: ``repro-oasis sweep --tenants mm+bfs,mm+i2c``.
 """
 
 from repro.tenancy.accounting import TenancyAccounting

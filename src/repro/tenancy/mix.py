@@ -420,8 +420,8 @@ def get_mix_workload(
     """Build (or fetch from cache) a mix trace from a ``"a+b"`` name.
 
     This is the registry delegation target: ``get_workload("mm+bfs", ...)``
-    routes here, so the harness memo/cache, sweep, serve, and cluster
-    layers all handle mixes with no further changes.
+    routes here, so the harness memo/cache, sweep and reproduce layers
+    all handle mixes with no further changes.
     """
     label = parse_mix(name).label
     mb = float(footprint_mb) if footprint_mb is not None else None

@@ -1,10 +1,9 @@
-"""Reproduce-all pipeline: artifacts, resume, chaos kill, CLI wiring.
+"""Reproduce-all pipeline: artifacts, resume, mid-run kill, CLI wiring.
 
-These are the PR's acceptance tests: a smoke run writes
-manifest/metrics/summary with the pinned schemas, a second invocation
-of the same profile performs zero new simulations, and a run killed
-mid-pipeline (via the chaos injector's worker-kill hook) resumes
-without re-simulating what it already journaled.
+A smoke run writes manifest/metrics/summary with the pinned schemas, a
+second invocation of the same profile performs zero new simulations,
+and a run killed mid-pipeline resumes without re-simulating what it
+already journaled.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.artifacts import SMOKE_APPS, run_pipeline, write_experiments_md
-from repro.chaos import ChaosInjector, ChaosPlan, ChaosWorkerKill, WorkerKill
+from repro.artifacts import pipeline
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -109,13 +108,27 @@ def test_second_invocation_does_zero_new_simulations(dirs):
     assert third["sims_new"] == 0
 
 
-def test_kill_mid_run_resumes_without_resimulating(dirs):
-    # Worker-kill op 1 fires on the pipeline's second experiment: fig2
-    # completes and is journaled, then the orchestrator dies exactly as
-    # a SIGKILL between experiments would.
-    plan = ChaosPlan(worker_kills=(WorkerKill(op=1),))
-    with ChaosInjector(plan):
-        with pytest.raises(ChaosWorkerKill):
+class _Killed(BaseException):
+    """Stands in for the orchestrator process dying (not an Exception,
+    so the pipeline's per-experiment error journaling cannot absorb it)."""
+
+
+def test_kill_mid_run_resumes_without_resimulating(dirs, monkeypatch):
+    # The pipeline dies as it starts its second experiment: fig2
+    # completes and is journaled, then the orchestrator is killed
+    # exactly as a SIGKILL between experiments would.
+    started = []
+    real_run_experiment = pipeline.run_experiment
+
+    def killed_on_second(exp_id, **kwargs):
+        started.append(exp_id)
+        if len(started) == 2:
+            raise _Killed(exp_id)
+        return real_run_experiment(exp_id, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "run_experiment", killed_on_second)
+        with pytest.raises(_Killed):
             _run(dirs, only=["fig2", "fig16"])
 
     art_dirs = list(dirs["artifact_root"].iterdir())

@@ -16,7 +16,6 @@ from repro.harness import (
     configure,
     last_sweep_summary,
     memo_stats,
-    publish_memo_metrics,
     run_sim,
     run_sims_parallel,
 )
@@ -114,18 +113,6 @@ def test_memo_dir_implies_enabled(config, tmp_path):
 def test_cache_stats_has_snap_counters():
     stats = cache_stats()
     assert "snap_hits" in stats and "snap_misses" in stats
-
-
-def test_publish_memo_metrics(config):
-    from repro.obs import MetricsRegistry
-
-    configure(memo=True)
-    run_sims_parallel(_requests(config, ("on_touch",)), jobs=1)
-    registry = MetricsRegistry()
-    publish_memo_metrics(registry)
-    gauges = registry.snapshot().gauges
-    assert gauges["memo.enabled"] == 1.0
-    assert gauges["memo.stores"] > 0
 
 
 def test_memoized_results_identical_to_cold(config):

@@ -25,6 +25,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_docstring_lists_exactly_the_subcommands(self):
+        import argparse
+        import re
+
+        import repro.cli
+
+        [sub] = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        listed = re.findall(r"^\* ``([a-z]+)", repro.cli.__doc__, re.MULTILINE)
+        assert sorted(listed) == sorted(sub.choices)
+
 
 class TestSimulate:
     def test_default_policies(self, capsys):

@@ -68,3 +68,18 @@ class TestExperimentIdsInDocs:
                 number = exp_id[3:]
                 assert (f"fig{number}" in text
                         or f"fig{int(number):02d}" in text), exp_id
+
+
+class TestReadmeArchitecture:
+    def test_tree_names_every_package(self):
+        text = (ROOT / "README.md").read_text()
+        tree = text.split("## Architecture", 1)[1].split("```")[1]
+        packages = sorted(
+            path.parent.name
+            for path in (ROOT / "src" / "repro").glob("*/__init__.py")
+        )
+        missing = [
+            name for name in packages
+            if not re.search(rf"^\s+{name}/", tree, re.MULTILINE)
+        ]
+        assert not missing, f"README Architecture tree omits {missing}"
