@@ -83,26 +83,11 @@ class AccessCounterFile:
         """Current count for a raw ``group * n_gpus + gpu`` key.
 
         The vectorized replay path computes keys in bulk with numpy using
-        the same formula as :meth:`_key`; this reader,
-        :meth:`add_bulk_below_threshold` and :meth:`store_counts` let it
-        read and apply counts without re-deriving (gpu, page) pairs.
+        the same formula as :meth:`_key`; this reader and
+        :meth:`store_counts` let it read and apply counts without
+        re-deriving (gpu, page) pairs.
         """
         return self._counts.get(key, 0)
-
-    def add_bulk_below_threshold(self, key: int, weight: int) -> None:
-        """Add pre-validated accesses that provably cannot trip.
-
-        Equivalent to the same total weight of :meth:`record_remote` calls
-        when the caller has already proven the threshold is unreachable;
-        raises if the proof was wrong rather than silently skipping the
-        migration a per-record replay would have performed.
-        """
-        value = self._counts.get(key, 0) + weight
-        if value >= self._threshold:
-            raise RuntimeError(
-                f"bulk counter add crossed the threshold (key={key})"
-            )
-        self._counts[key] = value
 
     def store_counts(self, counts: dict[int, int]) -> None:
         """Write back counts a fused replay loop kept locally.

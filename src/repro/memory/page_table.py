@@ -36,8 +36,9 @@ released holders with bit operations.  The *fine-grained* mutators
 ``map_local``, the ideal policy and fault injection use them, and every
 transition equals a fixed sequence of them.  The fast path's fault
 lanes write through two batch transitions: :meth:`bulk_install_exclusive`
-for on-touch style installs, and :meth:`store_entries`, the uniform
-lane's write-back of the entries its loop changed.
+for on-touch style installs, and :meth:`store_entries`, the
+whole-chunk lane's write-back of the entries (policy bits included)
+its loop changed.
 
 For the vectorized steady-state replay path the same columns are also
 available as numpy arrays (:meth:`bulk_views`).  The arrays are built
@@ -231,10 +232,10 @@ class PageTables:
         """Write back the entries a fused replay loop kept locally.
 
         ``entries`` maps a page to its final ``[owner, copies, mapped,
-        writable, ...]`` (later items are ignored), each a state the
-        driver primitives reach.  The batch is one transition: a single
-        ``version`` bump, and one mirror mark per page for
-        :meth:`bulk_views` to flush.
+        writable, policy]`` (the :meth:`entry` columns), each a state the
+        driver primitives and policies reach.  The batch is one
+        transition: a single ``version`` bump, and one mirror mark per
+        page for :meth:`bulk_views` to flush.
         """
         if not entries:
             return
@@ -242,6 +243,7 @@ class PageTables:
         copies = self._copy_mask
         mapped = self._mapped_mask
         writable = self._writable_mask
+        policy = self._policy
         first = self._first_page
         idxs = []
         for page, state in entries.items():
@@ -250,6 +252,7 @@ class PageTables:
             copies[idx] = state[1]
             mapped[idx] = state[2]
             writable[idx] = state[3]
+            policy[idx] = state[4]
             idxs.append(idx)
         self.version += 1
         dirty = self._dirty

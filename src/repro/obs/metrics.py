@@ -134,14 +134,6 @@ class Histogram:
             "sum": self._sum,
         }
 
-    @classmethod
-    def from_dict(cls, name: str, payload: dict) -> "Histogram":
-        hist = cls(name, payload["bounds"])
-        hist._counts = list(payload["counts"])
-        hist._total = payload["count"]
-        hist._sum = payload["sum"]
-        return hist
-
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
@@ -188,21 +180,6 @@ class MetricsSnapshot:
             for k, v in self.counters.items()
             if k.startswith(prefix)
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: dict(v) for k, v in self.histograms.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsSnapshot":
-        return cls.from_counters(
-            payload.get("counters", {}),
-            gauges=payload.get("gauges", {}),
-            histograms=payload.get("histograms", {}),
-        )
 
 
 class MetricsRegistry:

@@ -1,29 +1,35 @@
 """Vectorized steady-state replay — the simulator's fast path.
 
-:class:`FastReplay` replays a phase's record arrays by scanning for
-maximal runs of records that provably cannot fault or change page-table
-state, and charging their compute/access latency, TLB traffic, stats and
-link bytes in bulk instead of one :meth:`Machine.access` call per record.
-The moment state *can* change, it falls back to the exact per-record
-path (or, for the uniform policies below, replays the change in a fused
-loop), so every observable — clocks, stats, TLB hit/miss counts, traffic,
-counter state — stays **bit-identical** to a pure per-record replay
-(``REPRO_FORCE_SLOW_PATH=1`` disables the fast path for A/B checks).
+:class:`FastReplay` replays a phase's record arrays chunk by chunk, and
+every observable — clocks, stats, traffic, TLB hit/miss counts, counter
+state, the policy's own decision state — stays **bit-identical** to a
+pure per-record replay (``REPRO_FORCE_SLOW_PATH=1`` disables the fast
+path for A/B checks).  It has two ways to do that.
 
-A record ``(gpu, page, is_write, weight)`` is *eligible* for bulk replay
-when, under the page-table state current at mask-build time:
+Under access-counter, duplication, GRIT and OASIS (OASIS-InMem and the
+OASIS ablation flags included) every chunk is one *whole-chunk lane*
+run, :meth:`FastReplay._run_uniform`: a fused scalar loop that replays
+every record — local and remote accesses, page and protection faults,
+counter trips and the group migrations they trigger — and never falls
+back to the per-record path.  It keeps the touched page-table entries
+(policy bits included) and counters in local dicts, seeded from the
+live tables and written back once at the end.  A fault calls the
+policy's own decision state in record order (GRIT's PA-Cache and
+per-page learning, OASIS' O-Table controller and metadata lookup) and
+applies the resolution with the driver arithmetic inlined.  The
+sequential state — TLB LRU dicts, the driver FIFO, per-GPU clocks,
+residency LRU order — advances in place; stats and link traffic are
+summed and applied after the loop.
 
-* ``gpu`` has a valid PTE for ``page`` (no page fault possible), and
-* if the PTE points at a local copy: the record is a read, or the PTE is
-  writable (no protection fault possible) — replay then only adds local
-  access latency and ``access.local`` counts; or
-* if the PTE points at remote/host memory: the attached policy's remote
-  handling is pure counter accounting
-  (``type(policy).on_remote_access is
-  CounterMigrationMixin.on_remote_access``), and the GPU's access counter
-  for the page's 64 KB group provably cannot reach the migration
-  threshold within the current chunk — proven conservatively by summing
-  *every* record weight the chunk still holds for that (gpu, group) key.
+Every other policy goes through eligibility masks.  A record ``(gpu,
+page, is_write, weight)`` is *eligible* for bulk replay in the *steady
+lane* when, under the page-table state current at mask-build time,
+``gpu`` has a valid PTE for ``page`` pointing at its own copy, and the
+record is a read or the PTE is writable: no fault is possible, and
+replay only adds local access latency and ``access.local`` counts.
+Under plain on-touch a *fault lane* also replays runs of records whose
+page is in a simple exclusive state (virgin, or held by one GPU): each
+resolves as a migration with a fixed driver service time.
 
 Eligibility masks are derived from the page tables' numpy mirrors
 (:meth:`PageTables.bulk_views`, which flushes the pages mutated since
@@ -31,47 +37,22 @@ its last call) and are invalidated by the page-table ``version``
 counter: any fault resolution mutates the page tables, which bumps the
 version, which forces per-record replay until the mask is rebuilt
 (rebuilds are throttled so a fault storm degrades gracefully to the
-slow path instead of thrashing on mask recomputation).  What a mask
-needs from the trace alone — each chunk's counter-key factorization and
-per-page occurrence facts — is computed once per chunk and cached with
-the phase's SoA arrays (:class:`PhaseArrays`); a rebuild only combines
-it with the current page-table state.
+slow path instead of thrashing on mask recomputation).
 
 Why the bulk math is exact and not merely close:
 
 * per-GPU clocks are folded with ``np.cumsum`` over the interleaved
   per-record latency terms, seeded with the GPU's current clock —
   numpy's cumsum is a strict sequential left fold, so the result is the
-  same IEEE-754 value the per-record ``+=`` chain produces (the local
-  records' zero remote term adds ``+0.0``, an identity on the
-  non-negative clocks);
+  same IEEE-754 value the per-record ``+=`` chain produces;
 * stat counters and traffic bytes are integer-valued and far below
   2**53, so bulk integer sums are exact under any grouping;
 * the LRU TLBs are inherently sequential, so bulk runs use
   :meth:`TLBHierarchy.translate_run` — the same lookup/fill/evict logic
-  in one tight loop — rather than a numpy approximation.
-
-Besides the steady-state lane, a *fault lane* bulk-replays runs of
-records that provably WILL fault but whose resolution is fully
-predictable: under plain on-touch, any page in a simple exclusive state;
-under OASIS' private filter and GRIT's on-touch default, a virgin page
-(host owner, no copies, no mappings anywhere, touched by one GPU in the
-window).  The FIFO queue, per-GPU clock and TLB recurrences are
-inherently sequential, so the lane runs them in one fused scalar loop
-(no per-record method dispatch, stat updates or page-table probes) and
-then applies the page-table installs, stats, counters and link traffic
-in bulk.  Fault-dominated phases (first kernels touching every page) are
-where replay time actually goes.
-
-The two *uniform* policies, access-counter and duplication (matched by
-exact type), need no eligibility mask at all: every record they replay
-— local or remote access, page fault, protection fault, counter trip
-and the group migration it triggers — resolves as a fixed function of
-the page's entry, the requester's counter and the TLBs.  So each of
-their chunks is one fault-lane run: a fused loop that keeps the touched
-entries and counters in local dicts, seeded from the live tables and
-written back once at the end, and never falls back to the per-record
-path.
+  in one tight loop — rather than a numpy approximation;
+* the fused loops repeat the float operations of ``Machine.access``,
+  ``Machine._fault``, the policy and the driver primitives in their
+  order.
 
 The fast path is disabled outright when the capacity manager is active
 (oversubscription runs touch eviction state on every access) or when
@@ -81,15 +62,21 @@ The fast path is disabled outright when the capacity manager is active
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.config import HOST
 from repro.core.oasis import OasisPolicy
-from repro.memory.page import POLICY_ON_TOUCH, policy_name
+from repro.memory.page import (
+    POLICY_COUNTER,
+    POLICY_DUPLICATION,
+    POLICY_ON_TOUCH,
+    policy_name,
+)
+from repro.memory.page_table import duplicated
 from repro.policies.access_counter import AccessCounterPolicy
-from repro.policies.base import CounterMigrationMixin
 from repro.policies.duplication import DuplicationPolicy
 from repro.policies.grit import GritPolicy
 from repro.policies.on_touch import OnTouchPolicy
@@ -98,8 +85,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
     from repro.workloads.base import PhaseTrace
 
-#: Records per eligibility window; bounds the conservative counter-safety
-#: sum (a whole-phase window would mark every hot group unsafe).
+#: Records per replay chunk: one whole-chunk lane run (its entries and
+#: counters are written back per chunk), and the longest window an
+#: eligibility mask covers.
 CHUNK = 4096
 
 #: Minimum eligible-run length worth the bulk-call overhead; shorter runs
@@ -110,15 +98,34 @@ MIN_RUN = 16
 #: amortizes the O(window) rebuild cost during fault storms.
 REBUILD_MIN_STEPS = 64
 
-#: Dtype of the chunk-relative positions and ids in :class:`PhaseArrays`
-#: (every chunk-relative value lies in ``[-1, CHUNK)``).
-_POS = np.int16
-assert CHUNK <= np.iinfo(_POS).max
+#: The fault handlers the whole-chunk lane replays for an OASIS policy;
+#: a subclass that overrides any of them keeps the masks.
+_OASIS_HANDLERS = (
+    "on_fault", "on_protection_fault", "_shared_fault", "_resolve_counter",
+    "on_remote_access",
+)
 
 
 def force_slow_path() -> bool:
     """True when ``REPRO_FORCE_SLOW_PATH`` requests per-record replay."""
     return os.environ.get("REPRO_FORCE_SLOW_PATH", "").strip() not in ("", "0")
+
+
+def _lane_of(policy) -> str | None:
+    """The whole-chunk lane mode for ``policy``, or None for the masks."""
+    kind = type(policy)
+    if kind is AccessCounterPolicy:
+        return "counter"
+    if kind is DuplicationPolicy:
+        return "dup"
+    if kind is GritPolicy:
+        return "grit"
+    if isinstance(policy, OasisPolicy) and all(
+        getattr(kind, name) is getattr(OasisPolicy, name)
+        for name in _OASIS_HANDLERS
+    ):
+        return "oasis"
+    return None
 
 
 class PhaseArrays:
@@ -127,9 +134,7 @@ class PhaseArrays:
     They are pure functions of the records and the ``(first_page,
     n_gpus, pages_per_group)`` geometry, so a sweep replaying the same
     trace under many policies computes them once and shares them through
-    a cache slot on the phase itself; every array is read-only.  The
-    per-chunk facts the eligibility masks need are built on first use by
-    a policy that needs them, then shared like the rest.
+    a cache slot on the phase itself; every array is read-only.
     """
 
     def __init__(
@@ -139,71 +144,14 @@ class PhaseArrays:
         self.idx = phase.page - first_page
         self.is_w = phase.write != 0
         self.bit = np.left_shift(np.int64(1), self.gpu)
-        # Built for counting and non-counting policies alike, so both
-        # share one cache entry.
+        # Each record's access-counter key, for the whole-chunk lane;
+        # built for every policy, so all of a sweep's runs share one
+        # cache entry.
         self.key = (phase.page // ppg) * n_gpus + self.gpu
-        self._key_facts: tuple | None = None
-        self._page_facts: np.ndarray | None = None
-
-    def key_facts(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Each chunk's counter keys, factorized.
-
-        Returns ``(key_id, chunk_keys)``: per record, the chunk-relative
-        id of its ``(gpu, group)`` counter key, and per chunk, the sorted
-        distinct keys those ids index.
-        """
-        if self._key_facts is None:
-            key_id = np.empty(len(self.key), dtype=_POS)
-            chunk_keys = []
-            for c0 in range(0, len(self.key), CHUNK):
-                keys, inverse = np.unique(
-                    self.key[c0:c0 + CHUNK], return_inverse=True
-                )
-                key_id[c0:c0 + CHUNK] = inverse
-                chunk_keys.append(keys)
-            self._key_facts = (key_id, chunk_keys)
-        return self._key_facts
-
-    def page_facts(self) -> np.ndarray:
-        """Per record, the chunk-relative ``mixed_until`` of its page.
-
-        That is the last position in the chunk of the record's page
-        whose GPU differs from the page's last occurrence (-1 if none).
-        A window that is a suffix ``[s, chunk end)`` holds a page's
-        occurrences from ``s`` on, so "one GPU only" is
-        ``mixed_until < s`` — the repeat test of the OASIS and GRIT
-        virgin lanes.
-        """
-        if self._page_facts is None:
-            n = len(self.idx)
-            mixed_until = np.empty(n, dtype=_POS)
-            for c0 in range(0, n, CHUNK):
-                chunk = slice(c0, c0 + CHUNK)
-                mixed_until[chunk] = _chunk_mixed_until(
-                    self.idx[chunk], self.gpu[chunk]
-                )
-            self._page_facts = mixed_until
-        return self._page_facts
-
-
-def _chunk_mixed_until(page: np.ndarray, gpu: np.ndarray) -> np.ndarray:
-    """:meth:`PhaseArrays.page_facts` of one chunk."""
-    n = len(page)
-    pos = np.argsort(page, kind="stable")  # positions, grouped by page
-    head = np.ones(n, dtype=bool)  # first occurrence of its page
-    head[1:] = page[pos[1:]] != page[pos[:-1]]
-    starts = np.flatnonzero(head)
-    group = np.cumsum(head) - 1
-    last = pos[np.append(starts[1:], n) - 1]
-    differs = gpu[pos] != gpu[last][group]
-    mixed_until = np.maximum.reduceat(np.where(differs, pos, -1), starts)
-    out = np.empty(n, dtype=np.int64)
-    out[pos] = mixed_until[group]
-    return out
 
 
 class FastReplay:
-    """Chunked, mask-driven bulk replayer bound to one :class:`Machine`."""
+    """Chunked bulk replayer bound to one :class:`Machine`."""
 
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
@@ -218,36 +166,17 @@ class FastReplay:
         self._mem_par = lat.mem_parallelism
         self._remote_par = lat.remote_parallelism
         self._ppg = config.pages_per_counter_group
-        self._counting = (
-            type(machine.policy).on_remote_access
-            is CounterMigrationMixin.on_remote_access
-        )
-        # The uniform policies resolve every record from page-table,
-        # counter and TLB state alone, so whole chunks take the uniform
-        # lane; the others get a first-touch fault lane mode (if any).
-        policy = machine.policy
-        self._uniform: str | None = None
-        self._ft_mode: str | None = None
-        if type(policy) is AccessCounterPolicy:
-            self._uniform = "counter"
-        elif type(policy) is DuplicationPolicy:
-            self._uniform = "dup"
-        elif type(policy) is OnTouchPolicy:
-            self._ft_mode = "plain"
-        elif (
-            isinstance(policy, OasisPolicy)
-            and type(policy).on_fault is OasisPolicy.on_fault
-            and policy.private_filter
-        ):
-            self._ft_mode = "oasis"
-        elif type(policy) is GritPolicy:
-            self._ft_mode = "grit"
+        # The whole-chunk lane's policy mode (None: replay through the
+        # masks, plain on-touch with its exclusive-state fault lane).
+        self._uniform = _lane_of(machine.policy)
+        self._on_touch = type(machine.policy) is OnTouchPolicy
         self._page_size = config.page_size
         self._obj_arr = np.array(machine._obj_of_page, dtype=np.int64)
         # A virgin first touch always moves one page host->GPU over PCIe
         # (all host links are identical) and updates one PTE; the empty
         # shootdown and disabled capacity manager contribute exactly 0.0,
-        # so this single float is the resolution every lane record pays.
+        # so this single float is the resolution of an on-touch lane
+        # first touch.
         transfer_ns = machine.topology.link(HOST, 0).transfer_time_ns(
             config.page_size
         )
@@ -260,11 +189,6 @@ class FastReplay:
         self._fault_service_ns = lat.fault_service_ns
         self._fault_par = lat.fault_parallelism
         self._virgin_service = self._occ_ns + self._virgin_resolution
-        # GRIT charges a metadata memory access on PA-Cache misses before
-        # resolving; parenthesized as the slow path accumulates it.
-        self._virgin_service_meta = self._occ_ns + (
-            lat.metadata_memory_ns + self._virgin_resolution
-        )
         # Plain on-touch migrates on *every* fault, so cross-GPU bounces
         # of exclusively-held pages are predictable too: shoot down the
         # holder's PTE (if mapped), pull the page over NVLink, update the
@@ -291,16 +215,11 @@ class FastReplay:
         self._weight: np.ndarray | None = None
         self._bit: np.ndarray | None = None
         self._key: np.ndarray | None = None
-        self._key_id: np.ndarray | None = None
-        self._chunk_keys: list[np.ndarray] | None = None
-        self._mixed_until: np.ndarray | None = None
         # Current eligibility window (set by _rebuild).
         self._mask_base = 0
         self._mask_version = -1
         self._mask: np.ndarray | None = None
         self._false_pos: np.ndarray | None = None
-        self._loc: np.ndarray | None = None
-        self._owner_sel: np.ndarray | None = None
         self._fmask: np.ndarray | None = None
         self._f_false_pos: np.ndarray | None = None
         self._f_owner: np.ndarray | None = None
@@ -343,10 +262,6 @@ class FastReplay:
         self._is_w = arrays.is_w
         self._bit = arrays.bit
         self._key = arrays.key
-        if self._counting and self._uniform is None:
-            self._key_id, self._chunk_keys = arrays.key_facts()
-        if self._ft_mode in ("oasis", "grit"):
-            self._mixed_until = arrays.page_facts()
         self._page = phase.page
         self._weight = phase.weight
         start = 0
@@ -391,7 +306,7 @@ class FastReplay:
                 )
                 j = self._mask_base + end_rel
                 if j - i >= MIN_RUN:
-                    self._run_bulk(i, j, rel)
+                    self._run_bulk(i, j)
                     i = j
                     continue
             elif self._fmask is not None and self._fmask[rel]:
@@ -419,9 +334,8 @@ class FastReplay:
     # -- eligibility -------------------------------------------------------
 
     def _rebuild(self, i: int, c1: int) -> None:
-        """Recompute the eligibility mask for records ``[i, c1)``."""
-        machine = self.machine
-        pt = machine.page_tables
+        """Recompute the eligibility masks for records ``[i, c1)``."""
+        pt = self.machine.page_tables
         views = pt.bulk_views()
         window = slice(i, c1)
         idx_w = self._idx[window]
@@ -429,47 +343,18 @@ class FastReplay:
         mapped_raw = views["mapped"][idx_w]
         copies_raw = views["copies"][idx_w]
         writable_raw = views["writable"][idx_w]
-        owner_w = views["owner"][idx_w]
-        mapped = (mapped_raw & bit_w) != 0
-        has_copy = (copies_raw & bit_w) != 0
-        writable = (writable_raw & bit_w) != 0
-        local = mapped & has_copy
-        eligible = local & (~self._is_w[window] | writable)
-        # Chunks start at multiples of CHUNK, so the window is the suffix
-        # of its chunk from chunk-relative position s.
-        s = i % CHUNK
-        if self._counting:
-            remote = mapped & ~has_copy
-            if remote.any():
-                # Sum every window record's weight per counter key, but
-                # test only the keys remote records use.
-                key_id = self._key_id[window]
-                chunk_keys = self._chunk_keys[i // CHUNK]
-                n_keys = len(chunk_keys)
-                totals = np.bincount(
-                    key_id, weights=self._weight[window], minlength=n_keys
-                )
-                used = np.flatnonzero(
-                    np.bincount(key_id[remote], minlength=n_keys)
-                )
-                counters = machine.access_counters
-                count_by_key = counters.count_by_key
-                threshold = counters.threshold
-                safe = np.zeros(n_keys, dtype=bool)
-                safe[used] = [
-                    count_by_key(key) + int(total) < threshold
-                    for key, total in zip(
-                        chunk_keys[used].tolist(), totals[used].tolist()
-                    )
-                ]
-                eligible |= remote & safe[key_id]
-        if self._ft_mode == "plain":
+        # Steady: a local mapping with the permission the record needs.
+        eligible = ((mapped_raw & copies_raw & bit_w) != 0) & (
+            ~self._is_w[window] | ((writable_raw & bit_w) != 0)
+        )
+        if self._on_touch:
             # Plain on-touch resolves *every* fault with a migration, so
             # any page in a "simple exclusive" state is predictable:
             # virgin (host owner, nothing anywhere), or exclusively held
             # by one GPU — mapped (bounce: shootdown + NVLink pull) or
             # not (NVLink pull / local remap).  The fused loop tracks
             # each page's holder as the run migrates it around.
+            owner_w = views["owner"][idx_w]
             owner_bit = np.where(
                 owner_w >= 0,
                 np.left_shift(np.int64(1), np.maximum(owner_w, 0)),
@@ -483,45 +368,27 @@ class FastReplay:
             self._f_false_pos = np.flatnonzero(~fmask)
             self._f_owner = owner_w
             self._f_map0 = mapped_raw != 0
-        elif self._ft_mode is not None:
-            # OASIS' private filter and GRIT only cover virgin on-touch
-            # pages (host owner, zero copy/mapping masks — no shootdown
-            # victims).  Window repeats are allowed as long as every
-            # occurrence comes from the same GPU: the first touch
-            # installs a local mapping for that GPU, making the repeats
-            # plain local accesses the fused loop replays in place.
-            virgin = (
-                (mapped_raw == 0)
-                & (copies_raw == 0)
-                & (owner_w == HOST)
-                & (views["policy"][idx_w] == POLICY_ON_TOUCH)
-                & (self._mixed_until[window] < s)
-            )
-            self._fmask = virgin
-            self._f_false_pos = np.flatnonzero(~virgin)
         else:
             self._fmask = None
         self._mask_base = i
         self._mask = eligible
         self._false_pos = np.flatnonzero(~eligible)
-        self._loc = local
-        self._owner_sel = owner_w
         self._mask_version = pt.version
 
     # -- bulk replay -------------------------------------------------------
 
-    def _run_bulk(self, i: int, j: int, rel: int) -> None:
-        """Replay eligible records ``[i, j)`` in bulk (mask is current)."""
-        from repro.sim.machine import REMOTE_ACCESS_BYTES
+    def _run_bulk(self, i: int, j: int) -> None:
+        """Replay eligible records ``[i, j)`` in bulk (mask is current).
 
+        Every record is a local access its PTE permits, so replay adds
+        the compute, TLB and local access latency and ``access.local``.
+        """
         machine = self.machine
         n = j - i
         gpu_run = self._gpu[i:j]
         page_run = self._page[i:j]
         idx_run = self._idx[i:j]
         weight_run = self._weight[i:j]
-        local_run = self._loc[rel:rel + n]
-        owner_run = self._owner_sel[rel:rel + n]
         run_gpus = np.unique(gpu_run)
 
         # TLB lookups: per-GPU state is sequential, so each GPU's pages go
@@ -549,116 +416,45 @@ class FastReplay:
                 name = policy_name(value)
                 miss_counts[name] = miss_counts.get(name, 0) + int(count)
 
-        # Clock terms, decomposed exactly as Machine.access charges them:
-        # t0 compute, t1 (tlb [+ local]) / mem_par, t2 remote / remote_par.
+        # Clock terms, as Machine.access charges a local access: t0
+        # compute, then t1 (tlb + local) / mem_par.
         t0 = weight_run * self._compute_ns
-        t1 = (
-            np.where(
-                local_run, costs + self._local_ns * weight_run, costs
-            )
-            / self._mem_par
-        )
-        per_ns = np.where(owner_run == HOST, self._host_ns, self._remote_ns)
-        t2 = np.where(
-            local_run, 0.0, per_ns * weight_run / self._remote_par
-        )
+        t1 = (costs + self._local_ns * weight_run) / self._mem_par
         clocks = machine.clocks
         for gpu in run_gpus.tolist():
             sel = np.flatnonzero(gpu_run == gpu)
-            terms = np.empty(3 * len(sel) + 1, dtype=np.float64)
+            terms = np.empty(2 * len(sel) + 1, dtype=np.float64)
             terms[0] = clocks[gpu]
-            terms[1::3] = t0[sel]
-            terms[2::3] = t1[sel]
-            terms[3::3] = t2[sel]
+            terms[1::2] = t0[sel]
+            terms[2::2] = t1[sel]
             clocks[gpu] = float(np.cumsum(terms)[-1])
-
-        # Stats: integer-valued float counters, exact under bulk sums.
-        stats = machine.stats
-        local_weights = weight_run[local_run]
-        if local_weights.size:
-            stats.add("access.local", int(local_weights.sum()))
-        remote_sel = ~local_run
-        if remote_sel.any():
-            host_sel = remote_sel & (owner_run == HOST)
-            if host_sel.any():
-                stats.add("access.host", int(weight_run[host_sel].sum()))
-            gpu_owner_sel = remote_sel & (owner_run != HOST)
-            if gpu_owner_sel.any():
-                stats.add(
-                    "access.remote", int(weight_run[gpu_owner_sel].sum())
-                )
-            # Link traffic, batched per (gpu, owner) pair.
-            pair_sel = np.flatnonzero(remote_sel & (owner_run != gpu_run))
-            if pair_sel.size:
-                stride = self._n_gpus + 1
-                pair_ids = (
-                    gpu_run[pair_sel] * stride + owner_run[pair_sel] + 1
-                )
-                unique_pairs, inverse = np.unique(
-                    pair_ids, return_inverse=True
-                )
-                byte_weights = np.bincount(
-                    inverse, weights=weight_run[pair_sel]
-                )
-                message_counts = np.bincount(inverse)
-                topology = machine.topology
-                for pair, weight_total, messages in zip(
-                    unique_pairs.tolist(),
-                    byte_weights.tolist(),
-                    message_counts.tolist(),
-                ):
-                    topology.record_transfer_bulk(
-                        pair // stride,
-                        pair % stride - 1,
-                        REMOTE_ACCESS_BYTES * int(weight_total),
-                        int(messages),
-                    )
-            # Access counters: every key was proven trip-free at mask
-            # build, so bulk addition matches per-record counting.
-            if self._counting:
-                remote_keys = self._key[i:j][remote_sel]
-                unique_keys, inverse = np.unique(
-                    remote_keys, return_inverse=True
-                )
-                key_weights = np.bincount(
-                    inverse, weights=weight_run[remote_sel]
-                )
-                counters = machine.access_counters
-                for key, weight_total in zip(
-                    unique_keys.tolist(), key_weights.tolist()
-                ):
-                    counters.add_bulk_below_threshold(
-                        int(key), int(weight_total)
-                    )
+        # An integer-valued float counter, exact under a bulk sum.
+        machine.stats.add("access.local", int(weight_run.sum()))
 
     def _run_bulk_fault(self, i: int, j: int, rel: int) -> None:
         """Replay a run of predictable page faults in one fused loop.
 
-        Under the uniform policies the run is a whole chunk, replayed by
-        :meth:`_run_uniform`.  In plain on-touch mode every record
-        touches a page in a simple exclusive state, so each access is
-        one of: a local access by the current holder, a virgin first
-        touch (host->GPU pull over PCIe), a cross-GPU bounce (holder PTE
-        shootdown + NVLink pull), an NVLink pull from an unmapped owner,
-        or a local remap — each with a fixed driver service time.  The
-        OASIS and GRIT modes only admit virgin first touches (plus
-        same-GPU repeats, replayed as local accesses).  The sequential
-        state — TLB LRU dicts, the driver FIFO, per-GPU clocks, GRIT's
-        PA-Cache, residency LRU lists and each page's current holder —
-        is advanced in one fused scalar loop; everything
-        order-insensitive (stats, page-table installs, counters, link
-        bytes) is applied in bulk afterwards.  The arithmetic mirrors
-        ``Machine.access`` + ``Machine._fault`` + the driver primitives
-        operation for operation, so the results are bit-identical to
-        per-record replay.
+        Under the whole-chunk lane's policies the run is a whole chunk,
+        replayed by :meth:`_run_uniform`.  Under plain on-touch every
+        record touches a page in a simple exclusive state, so each
+        access is one of: a local access by the current holder, a virgin
+        first touch (host->GPU pull over PCIe), a cross-GPU bounce
+        (holder PTE shootdown + NVLink pull), an NVLink pull from an
+        unmapped owner, or a local remap — each with a fixed driver
+        service time.  The sequential state — TLB LRU dicts, the driver
+        FIFO, per-GPU clocks, residency LRU lists and each page's
+        current holder — is advanced in one fused scalar loop;
+        everything order-insensitive (stats, page-table installs,
+        counters, link bytes) is applied in bulk afterwards.  The
+        arithmetic mirrors ``Machine.access`` + ``Machine._fault`` + the
+        driver primitives operation for operation, so the results are
+        bit-identical to per-record replay.
         """
         if self._uniform is not None:
             self._run_uniform(i, j)
             return
         machine = self.machine
         n = j - i
-        mode = self._ft_mode
-        plain = mode == "plain"
         gpu_run = self._gpu[i:j]
         idx_run = self._idx[i:j]
         gpu_l = gpu_run.tolist()
@@ -667,9 +463,8 @@ class FastReplay:
         pol_l = (
             machine.page_tables.bulk_views()["policy"][idx_run].tolist()
         )
-        if plain:
-            own0_l = self._f_owner[rel:rel + n].tolist()
-            map0_l = self._f_map0[rel:rel + n].tolist()
+        own0_l = self._f_owner[rel:rel + n].tolist()
+        map0_l = self._f_map0[rel:rel + n].tolist()
 
         compute_ns = self._compute_ns
         local_ns = self._local_ns
@@ -709,14 +504,6 @@ class FastReplay:
         walk_hist: dict[int, int] = {}
         local_extra = 0
         shoot_total = 0
-        grit = mode == "grit"
-        if grit:
-            pa = machine.policy.pa_cache
-            pa_lines = pa._lines
-            pa_cap = pa._entries
-            pa_hits = 0
-            pa_misses = 0
-            service_meta = self._virgin_service_meta
         #: page -> current exclusive holder, as the run moves pages.
         holder: dict[int, int] = {}
         #: page -> final holder, for pages this run actually migrated.
@@ -729,12 +516,8 @@ class FastReplay:
             w = weight_l[k]
             h = holder.get(page, -2)
             if h == -2:
-                if plain:
-                    o = own0_l[k]
-                    m0 = map0_l[k]
-                else:
-                    o = HOST  # non-plain lanes only admit virgin pages
-                    m0 = False
+                o = own0_l[k]
+                m0 = map0_l[k]
             else:
                 o = h
                 m0 = True
@@ -783,20 +566,7 @@ class FastReplay:
             # Fault path.
             c = clocks[g] + w * compute_ns + cost / mem_par
             if o == HOST:
-                if grit:
-                    if page in pa_lines:
-                        del pa_lines[page]
-                        pa_lines[page] = None
-                        pa_hits += 1
-                        service = service_virgin
-                    else:
-                        if len(pa_lines) >= pa_cap:
-                            del pa_lines[next(iter(pa_lines))]
-                        pa_lines[page] = None
-                        pa_misses += 1
-                        service = service_meta
-                else:
-                    service = service_virgin
+                service = service_virgin
                 pcie_counts[g] += 1
             elif o == g:
                 # Holder faulting on its own unmapped page: remap only.
@@ -856,8 +626,6 @@ class FastReplay:
                 idx_run[np.array(inst_ks, dtype=np.int64)],
             )
             stats.add("fault.page", n_faults)
-            if mode == "oasis":
-                stats.add("oasis.private_fault", n_faults)
             stats.add("migration.count", n_faults)
             stats.add("migration.bytes", n_faults * page_size)
             pages_arr = np.fromiter(
@@ -890,34 +658,36 @@ class FastReplay:
                     topology.record_transfer_bulk(
                         a, b, count * page_size, count
                     )
-        if grit:
-            pa.hits += pa_hits
-            pa.misses += pa_misses
-            if pa_misses:
-                stats.add("grit.pa_cache_miss", pa_misses)
         if local_extra:
             stats.add("access.local", local_extra)
 
     def _run_uniform(self, i: int, j: int) -> None:
-        """Replay records ``[i, j)`` under access-counter or duplication.
+        """Replay records ``[i, j)`` in the whole-chunk lane.
 
-        Both policies resolve every record as a fixed function of the
-        page's entry, the requester's access counter and the TLBs, so
-        one fused loop replays them all: local and remote accesses,
-        page faults, protection faults and counter-triggered group
-        migrations.  Each touched page's ``(owner, copies, mapped,
-        writable)`` and each touched counter live in local dicts, seeded
-        from the tables on first touch and written back once at the end
-        (:meth:`PageTables.store_entries`,
-        :meth:`AccessCounterFile.store_counts`).  Every branch repeats
-        the float operations of ``Machine.access``, ``Machine._fault``,
-        the policy and the driver primitive it stands for, in their
-        order; the TLB, residency-LRU and FIFO recurrences advance in
-        place, and stats and link traffic are summed and applied after
-        the loop, creating exactly the keys the per-record path would.
-        A state neither policy can reach (a protection fault under
-        access-counter, a remote mapping under duplication) is handed to
-        the policy, which raises as it does on the per-record path.
+        One fused loop replays every record of access-counter,
+        duplication, GRIT and OASIS: local and remote accesses, page and
+        protection faults, counter trips and the group migrations they
+        trigger.  Each touched page's ``[owner, copies, mapped, writable,
+        policy bits]`` and each touched counter live in local dicts,
+        seeded from the tables on first touch and written back once at
+        the end (:meth:`PageTables.store_entries`,
+        :meth:`AccessCounterFile.store_counts`).
+
+        A fault is resolved as the policy's handler does it, in record
+        order: the closures below repeat the handler's branches and the
+        float operations of the driver primitives it calls, and call the
+        policy's own decision state — GRIT's PA-Cache and per-page
+        learning, OASIS' O-Table controller and metadata lookup — where
+        the handler does.  After a page fault the record's remaining
+        accesses re-test the new entry, as ``Machine.access`` does: GRIT
+        and OASIS re-map a duplicated copy read-only, so a write can
+        fault again on protection.  The TLB, residency-LRU and FIFO
+        recurrences advance in place; stats and link traffic are summed
+        and applied after the loop, creating exactly the keys the
+        per-record path would.  A state the policy cannot reach (a
+        protection fault under access-counter, a remote mapping under
+        duplication) is handed to the policy, which raises as it does on
+        the per-record path.
         """
         from repro.sim.machine import REMOTE_ACCESS_BYTES
 
@@ -925,20 +695,21 @@ class FastReplay:
         policy = machine.policy
         pt = machine.page_tables
         entry = pt.entry
-        counting = self._uniform == "counter"
+        mode = self._uniform
+        counting = mode != "dup"
         gpu_l = self._gpu[i:j].tolist()
         page_l = self._page[i:j].tolist()
         write_l = self._is_w[i:j].tolist()
         weight_l = self._weight[i:j].tolist()
         key_l = self._key[i:j].tolist()
-        if counting:
-            counters = machine.access_counters
-            count_by_key = counters.count_by_key
-            threshold = counters.threshold
-            ppg = self._ppg
-            obj_of_page = machine._obj_of_page
-            first_page = self._first_page
-            n_pages = pt.n_pages
+        counters = machine.access_counters
+        count_by_key = counters.count_by_key
+        threshold = counters.threshold
+        ppg = self._ppg
+        obj_of_page = machine._obj_of_page
+        first_page = self._first_page
+        n_pages = pt.n_pages
+        page_size = self._page_size
 
         compute_ns = self._compute_ns
         local_ns = self._local_ns
@@ -954,7 +725,6 @@ class FastReplay:
         overhead_ns = self._collapse_overhead_ns
         pcie_ns = self._pcie_ns
         nvlink_ns = self._nvlink_ns
-        service_map = self._service_remap
         n_gpus = self._n_gpus
         tlbs = machine.tlbs
         tlb0 = tlbs[0]
@@ -981,6 +751,8 @@ class FastReplay:
         #: (gpu, owner) -> remote-access weight and record count.
         flow_w: dict[tuple[int, int], int] = {}
         flow_n: dict[tuple[int, int], int] = {}
+        #: Stat name -> the sum of the driver's and policy's adds to it.
+        tally: defaultdict[str, int] = defaultdict(int)
         clocks = machine.clocks
         queue = machine.driver.queue
         free_at = queue.free_at
@@ -997,12 +769,40 @@ class FastReplay:
         counts: dict[int, int] = {}
         local_w = host_w = remote_w = 0
         n_page = n_prot = 0
-        n_local_map = n_remote_map = n_migrate = 0
-        n_dup = n_remap = n_demote = n_collapse = n_victims = n_shot = 0
+
+        def state(page: int) -> list[int]:
+            """The page's entry in the loop's dict, seeded on first use."""
+            st = ent.get(page)
+            if st is None:
+                st = ent[page] = list(entry(page))
+            return st
+
+        def submit(c: float, service: float) -> float:
+            """SerialServer.submit: queue ``service``, return its end."""
+            nonlocal free_at, busy, n_requests
+            start = free_at if free_at > c else c
+            free_at = start + service
+            busy += service
+            n_requests += 1
+            return free_at
+
+        def fault(g: int, page: int, st: list[int], c: float,
+                  resolution: float) -> float:
+            """Machine._fault once the policy resolved it: attribute the
+            fault, queue its service and return the GPU's new clock."""
+            fault_counts[g] += 1
+            fault_pages.append(page)
+            changed[page] = st
+            done = submit(c, occ_ns + resolution)
+            return c + ((done - c) + fault_service) / fault_par
+
+        # -- UVMDriver primitives on the loop's entries ----------------
 
         def shootdown(page: int, victims: int) -> float:
             """UVMDriver._shootdown: invalidate, return the PTE cost."""
             cost = 0.0
+            if victims:
+                tally["shootdown.count"] += victims.bit_count()
             while victims:
                 low = victims & -victims
                 v = low.bit_length() - 1
@@ -1025,11 +825,230 @@ class FastReplay:
                 lrus[low.bit_length() - 1].pop(page, None)
                 holders ^= low
 
-        def make_resident(gpu: int, page: int) -> None:
+        def transfer(src: int, g: int) -> float:
+            """UVMDriver._transfer of one page to GPU ``g``."""
+            moves[src, g] = moves.get((src, g), 0) + 1
+            return pcie_ns if src == HOST else nvlink_ns
+
+        def make_resident(g: int, page: int) -> None:
             """CapacityManager.note_resident."""
-            lru = lrus[gpu]
+            lru = lrus[g]
             lru.pop(page, None)
             lru[page] = None
+
+        def migrate(g: int, page: int, st: list[int]) -> float:
+            """UVMDriver.migrate, the counter-group reset included."""
+            owner, copies, mapped = st[0], st[1], st[2]
+            bit = 1 << g
+            others = copies & ~bit
+            cost = shootdown(page, mapped)
+            release(page, others)
+            if not copies & bit:
+                src = (
+                    (others & -others).bit_length() - 1 if others else owner
+                )
+                cost += transfer(src, g)
+            make_resident(g, page)
+            base = page // ppg * n_gpus
+            for gkey in range(base, base + n_gpus):
+                counts[gkey] = 0
+            tally["migration.count"] += 1
+            tally["migration.bytes"] += page_size
+            st[0] = g
+            st[1] = st[2] = st[3] = bit
+            return cost + pte_ns
+
+        def collapse(g: int, page: int, st: list[int]) -> float:
+            """UVMDriver.collapse."""
+            owner, copies, mapped = st[0], st[1], st[2]
+            bit = 1 << g
+            others = copies & ~bit
+            victims = mapped & ~bit
+            cost = shootdown(page, victims)
+            if others:
+                extra = others.bit_count() - 1
+                if extra:
+                    cost += overhead_ns * extra
+                release(page, others)
+            if not copies & bit:
+                src = (
+                    (others & -others).bit_length() - 1 if others else owner
+                )
+                cost += transfer(src, g)
+            make_resident(g, page)
+            tally["collapse.count"] += 1
+            tally["collapse.invalidated_copies"] += victims.bit_count()
+            st[0] = g
+            st[1] = st[2] = st[3] = bit
+            return cost + pte_ns
+
+        def duplicate(g: int, page: int, st: list[int]) -> float:
+            """UVMDriver.duplicate on coherent tables (no writer survives)."""
+            owner, copies, mapped, writable = st[0], st[1], st[2], st[3]
+            bit = 1 << g
+            st[1] = copies | bit
+            st[2] = mapped | bit
+            st[3] = 0
+            if copies & bit:
+                tally["duplication.remap"] += 1
+                return pte_ns
+            src = (copies & -copies).bit_length() - 1 if copies else owner
+            cost = transfer(src, g)
+            writers = mapped & writable
+            if writers:
+                # The demotion's shootdown rides on this fault: no
+                # invalidation cost, one PTE update.
+                shootdown(page, writers & -writers)
+                cost += pte_ns
+                tally["duplication.demotions"] += 1
+            make_resident(g, page)
+            tally["duplication.count"] += 1
+            tally["duplication.bytes"] += page_size
+            return cost + pte_ns
+
+        def map_local(g: int, st: list[int], writable: bool) -> float:
+            """UVMDriver.map_local."""
+            bit = 1 << g
+            st[2] |= bit
+            st[3] = st[3] | bit if writable else st[3] & ~bit
+            tally["local_map.count"] += 1
+            return pte_ns
+
+        def map_remote(g: int, st: list[int]) -> float:
+            """UVMDriver.map_remote."""
+            bit = 1 << g
+            st[2] |= bit
+            st[3] &= ~bit
+            tally["remote_map.count"] += 1
+            return pte_ns
+
+        # -- the policy's handlers: (g, page, is_w, st) / (g, page, st) -
+
+        if mode == "counter":
+
+            def on_fault(g, page, is_w, st):
+                """AccessCounterPolicy.on_fault."""
+                if st[1] >> g & 1:
+                    return map_local(g, st, True)
+                return map_remote(g, st)
+
+            def on_protection(g, page, st):
+                return policy.on_protection_fault(g, page)  # raises
+
+        elif mode == "dup":
+
+            def on_fault(g, page, is_w, st):
+                """DuplicationPolicy.on_fault."""
+                if is_w:
+                    return collapse(g, page, st)
+                return duplicate(g, page, st)
+
+            def on_protection(g, page, st):
+                """DuplicationPolicy.on_protection_fault."""
+                tally["collapse.protection_triggered"] += 1
+                return collapse(g, page, st)
+
+        elif mode == "grit":
+            meta_cost = policy._metadata_access_cost
+            meta_for = policy.meta_for
+            decide = policy._decide
+            per_decision = policy.faults_per_decision
+            window = policy.neighbor_window
+
+            def learn(g, page, is_w, st):
+                """GritPolicy: observe, then _maybe_decide."""
+                meta = meta_for(page)
+                meta.observe(g, is_w)
+                if meta.fault_count < per_decision:
+                    return
+                bits = decide(meta)
+                meta.reset_window()
+                if st[4] == bits:
+                    return
+                st[4] = bits
+                tally["grit.policy_changes"] += 1
+                # _predict_neighbors: stamp the next pages' entries.
+                for near in range(page + 1, page + window + 1):
+                    idx = near - first_page
+                    if not (0 <= idx < n_pages and obj_of_page[idx] >= 0):
+                        break
+                    ns = state(near)
+                    if ns[4] != bits:
+                        ns[4] = bits
+                        changed[near] = ns
+                        policy.predictions += 1
+                        tally["grit.neighbor_predictions"] += 1
+
+            def on_fault(g, page, is_w, st):
+                """GritPolicy.on_fault and _resolve."""
+                cost = meta_cost(page)
+                owner, copies = st[0], st[1]
+                if copies >> g & 1:
+                    return cost + map_local(
+                        g, st, not duplicated(owner, copies)
+                    )
+                if owner == HOST and st[4] == POLICY_ON_TOUCH:
+                    return cost + migrate(g, page, st)
+                learn(g, page, is_w, st)
+                bits = st[4]
+                if bits == POLICY_COUNTER:
+                    if duplicated(owner, copies):
+                        return cost + collapse(g, page, st)
+                    return cost + map_remote(g, st)
+                if bits == POLICY_DUPLICATION:
+                    if is_w:
+                        return cost + collapse(g, page, st)
+                    return cost + duplicate(g, page, st)
+                return cost + migrate(g, page, st)
+
+            def on_protection(g, page, st):
+                """GritPolicy.on_protection_fault."""
+                cost = meta_cost(page)
+                learn(g, page, True, st)
+                return cost + collapse(g, page, st)
+
+        else:
+            lookup_cost = policy._metadata_lookup_cost
+            on_shared_fault = policy.controller.on_shared_fault
+            private_filter = policy.private_filter
+
+            def shared(g, page, is_w, st):
+                """OasisPolicy._shared_fault and _resolve_counter."""
+                tally["oasis.shared_fault"] += 1
+                owner, copies = st[0], st[1]
+                cost = lookup_cost(page)
+                bits = st[4] = on_shared_fault(
+                    obj_of_page[page - first_page], is_w
+                )
+                cost += pte_ns
+                if bits == POLICY_COUNTER:
+                    if duplicated(owner, copies):
+                        return cost + collapse(g, page, st)
+                    if copies >> g & 1:
+                        return cost + map_local(g, st, True)
+                    return cost + map_remote(g, st)
+                # Duplication, the controller's only other answer.
+                if is_w:
+                    return cost + collapse(g, page, st)
+                return cost + duplicate(g, page, st)
+
+            def on_fault(g, page, is_w, st):
+                """OasisPolicy.on_fault."""
+                owner, copies = st[0], st[1]
+                if copies >> g & 1:
+                    return map_local(g, st, not duplicated(owner, copies))
+                if (
+                    private_filter
+                    and owner == HOST
+                    and st[4] == POLICY_ON_TOUCH
+                ):
+                    tally["oasis.private_fault"] += 1
+                    return migrate(g, page, st)
+                return shared(g, page, is_w, st)
+
+            def on_protection(g, page, st):
+                """OasisPolicy.on_protection_fault."""
+                return shared(g, page, True, st)
 
         for g, page, is_w, w, key in zip(
             gpu_l, page_l, write_l, weight_l, key_l
@@ -1070,103 +1089,28 @@ class FastReplay:
                     bits = st[4]
                     walk_hist[bits] = walk_hist.get(bits, 0) + 1
             owner, copies, mapped, writable, _bits = st
-            if not mapped & bit or (
-                is_w and copies & bit and not writable & bit
-            ):
-                # A page fault, or a write to a read-only duplicate: a
-                # protection fault, which only duplication resolves.
-                protection = mapped & bit
+            if not mapped & bit:
                 c += cost / mem_par
-                fault_counts[g] += 1
-                fault_pages.append(page)
-                if protection:
-                    if counting:
-                        policy.on_protection_fault(g, page)  # raises
-                    n_prot += 1
-                else:
-                    n_page += 1
-                if counting:
-                    # map_local when the copy is resident, else map_remote.
-                    st[2] = mapped | bit
-                    if copies & bit:
-                        st[3] = writable | bit
-                        n_local_map += 1
-                    else:
-                        st[3] = writable & ~bit
-                        n_remote_map += 1
-                    service = service_map
-                elif is_w:
-                    # UVMDriver.collapse.
-                    victims = mapped & ~bit
-                    res = shootdown(page, victims)
-                    n_victims += victims.bit_count()
-                    n_shot += victims.bit_count()
-                    others = copies & ~bit
-                    if others:
-                        src = (others & -others).bit_length() - 1
-                        extra = others.bit_count() - 1
-                        if extra:
-                            res += overhead_ns * extra
-                        release(page, others)
-                    else:
-                        src = owner
-                    if not copies & bit:
-                        res += pcie_ns if src == HOST else nvlink_ns
-                        moves[src, g] = moves.get((src, g), 0) + 1
-                    make_resident(g, page)
-                    n_collapse += 1
-                    res += pte_ns
-                    st[0] = g
-                    st[1] = st[2] = st[3] = bit
-                    service = occ_ns + res
-                else:
-                    # UVMDriver.duplicate (coherent: no writer survives).
-                    st[1] = copies | bit
-                    st[2] = mapped | bit
-                    st[3] = 0
-                    if copies & bit:
-                        n_remap += 1
-                        res = pte_ns
-                    else:
-                        src = (
-                            (copies & -copies).bit_length() - 1
-                            if copies else owner
-                        )
-                        res = pcie_ns if src == HOST else nvlink_ns
-                        moves[src, g] = moves.get((src, g), 0) + 1
-                        writers = mapped & writable
-                        if writers:
-                            shootdown(page, writers & -writers)
-                            n_shot += 1
-                            res += pte_ns
-                            n_demote += 1
-                        make_resident(g, page)
-                        n_dup += 1
-                        res += pte_ns
-                    service = occ_ns + res
-                changed[page] = st
-                start = free_at if free_at > c else c
-                free_at = start + service
-                busy += service
-                n_requests += 1
-                c = c + ((free_at - c) + fault_service) / fault_par
-                if protection:
-                    # Every access of the record then writes locally.
-                    c += local_ns * w / mem_par
-                    local_w += w
-                    clocks[g] = c
-                    continue
+                n_page += 1
+                c = fault(g, page, st, c, on_fault(g, page, is_w, st))
                 w -= 1
                 if w <= 0:
                     clocks[g] = c
                     continue
                 # The remaining accesses retry the translation — an L1
-                # hit, as no resolution shoots down the requester — and
-                # proceed with the fresh mapping, which grants them.
+                # hit, as no page-fault resolution shoots down the
+                # requester — and proceed under the new entry.
                 l1_hits[g] += 1
                 cost = l1_cost
                 owner, copies, mapped, writable, _bits = st
             if copies & bit:
+                if is_w and not writable & bit:
+                    # A write to a read-only copy: a protection fault,
+                    # then every access of the record writes locally.
+                    c += cost / mem_par
+                    n_prot += 1
+                    c = fault(g, page, st, c, on_protection(g, page, st))
+                    cost = 0.0
                 c += (cost + local_ns * w) / mem_par
                 local_w += w
                 clocks[g] = c
@@ -1200,50 +1144,25 @@ class FastReplay:
                 idx = cand - first_page
                 if not (0 <= idx < n_pages and obj_of_page[idx] >= 0):
                     continue
-                cs = ent.get(cand)
-                if cs is None:
-                    cs = ent[cand] = list(entry(cand))
-                c_owner, c_copies, c_mapped, _w, _b = cs
-                if c_copies & bit or (cand != page and c_owner != owner):
+                cs = state(cand)
+                if cs[1] & bit or (cand != page and cs[0] != owner):
                     continue
-                # UVMDriver.migrate: the requester holds no copy, so the
-                # data always moves, from the lowest other GPU copy or
-                # else the owner.
-                res = shootdown(cand, c_mapped)
-                n_shot += c_mapped.bit_count()
-                if c_copies:
-                    src = (c_copies & -c_copies).bit_length() - 1
-                    release(cand, c_copies)
-                else:
-                    src = c_owner
-                res += pcie_ns if src == HOST else nvlink_ns
-                moves[src, g] = moves.get((src, g), 0) + 1
-                make_resident(g, cand)
-                res += pte_ns
-                cost += res
+                cost += migrate(g, cand, cs)
                 migrated += 1
-                cs[0] = g
-                cs[1] = cs[2] = cs[3] = bit
                 changed[cand] = cs
-            # The trip and every migration reset the group's counters.
+            # The trip resets the group's counters, migration or not.
             base = key - g
             for gkey in range(base, base + n_gpus):
                 counts[gkey] = 0
             if migrated:
-                n_migrate += migrated
+                tally["migration.counter_triggered"] += migrated
                 # Machine.charge_driver_op: no fault_service_ns.
-                service = occ_ns + cost
-                start = free_at if free_at > c else c
-                free_at = start + service
-                busy += service
-                n_requests += 1
-                c = c + (free_at - c) / fault_par
+                c = c + (submit(c, occ_ns + cost) - c) / fault_par
             clocks[g] = c
 
         # Write back the local state and apply the summed effects.
         pt.store_entries(changed)
-        if counting:
-            counters.store_counts(counts)
+        counters.store_counts(counts)
         queue.advance_to(free_at, busy, n_requests)
         self._apply_tlb_counts(
             l1_hits, l1_misses, l2_hits, l2_misses, inval_l1, inval_l2,
@@ -1255,31 +1174,17 @@ class FastReplay:
                 np.array(fault_pages, dtype=np.int64) - self._first_page,
             )
         add = machine.stats.add
-        page_size = self._page_size
         for name, count in (
             ("access.local", local_w),
             ("access.host", host_w),
             ("access.remote", remote_w),
             ("fault.page", n_page),
             ("fault.protection", n_prot),
-            ("collapse.protection_triggered", n_prot),
-            ("local_map.count", n_local_map),
-            ("remote_map.count", n_remote_map),
-            ("migration.count", n_migrate),
-            ("migration.bytes", n_migrate * page_size),
-            ("migration.counter_triggered", n_migrate),
-            ("duplication.count", n_dup),
-            ("duplication.bytes", n_dup * page_size),
-            ("duplication.remap", n_remap),
-            ("duplication.demotions", n_demote),
-            ("collapse.count", n_collapse),
-            ("shootdown.count", n_shot),
         ):
             if count:
                 add(name, count)
-        if n_collapse:
-            # Every collapse adds its victim count, zero included.
-            add("collapse.invalidated_copies", n_victims)
+        for name, count in tally.items():
+            add(name, count)
         topology = machine.topology
         n_pcie = n_nvlink = 0
         for (src, dst), count in moves.items():

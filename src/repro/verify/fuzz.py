@@ -29,9 +29,12 @@ import time
 from dataclasses import dataclass, field, replace
 
 #: Policies a fuzz case replays: one per resolution style (pure
-#: migration, counter-driven, read duplication, object-aware) keeps the
-#: oracle surface wide while the per-case cost stays sub-second.
-DEFAULT_POLICIES = ("on_touch", "access_counter", "duplication", "oasis")
+#: migration, counter-driven, read duplication, object-aware, per-page
+#: learning) keeps the oracle surface wide while the per-case cost
+#: stays sub-second.
+DEFAULT_POLICIES = (
+    "on_touch", "access_counter", "duplication", "oasis", "grit",
+)
 
 #: One trace record: (phase, gpu, object index, page offset, write, weight).
 Record = tuple[int, int, int, int, bool, int]

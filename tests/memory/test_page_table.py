@@ -152,6 +152,18 @@ class TestPolicyBits:
         pt.set_policy_range(0, 4, POLICY_COUNTER)
         assert pt.policy_histogram() == {POLICY_COUNTER: 4, POLICY_ON_TOUCH: 4}
 
+    def test_store_entries_writes_policy_bits(self, pt):
+        pt.bulk_views()  # mirrors exist, so the store must mark them
+        pt.store_entries({5: [1, 0b10, 0b10, 0b10, POLICY_DUPLICATION]})
+        assert pt.entry(5) == (1, 0b10, 0b10, 0b10, POLICY_DUPLICATION)
+        assert pt.policy(5) == POLICY_DUPLICATION
+        assert pt.policy_histogram() == {
+            POLICY_ON_TOUCH: 7, POLICY_DUPLICATION: 1
+        }
+        assert pt.bulk_views()["policy"].tolist() == [
+            0, 0, 0, 0, 0, POLICY_DUPLICATION, 0, 0
+        ]
+
 
 class TestIncoherentMode:
     def test_multiple_writers_allowed(self):

@@ -5,13 +5,13 @@ observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
 tests hold it to that across every application and the policies with
 bulk fault lanes, plus the supporting bulk primitives (``translate_run``,
-the page-table numpy mirrors, the per-chunk mask facts cached with the
-phase, the lexsort interleaver).
+the page-table numpy mirrors, the lexsort interleaver).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,32 +24,47 @@ from repro.memory import (
     POLICY_ON_TOUCH,
     PageTables,
 )
-from repro.sim.fastpath import CHUNK, PhaseArrays, force_slow_path
+from repro.policies.grit import GritPolicy
+from repro.sim.fastpath import force_slow_path
 from repro.sim.machine import Machine
 from repro.sim.snapshot import capture, decision_digest, restore
 from repro.tlb import TLBHierarchy
 from repro.workloads import APPLICATION_ORDER
-from repro.workloads.base import PhaseTrace, TraceBuilder
+from repro.workloads.base import TraceBuilder
 
 ALL_APPS = list(APPLICATION_ORDER)
-POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit"]
+POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit",
+            "oasis_inmem"]
 
-#: Small but fault-rich footprint; keeps 55 paired runs affordable.
+#: Every application under every policy, plus one OASIS ablation: with
+#: the private filter off, first touches take the shared-fault path.
+CASES = [(policy, app) for app in ALL_APPS for policy in POLICIES] + [
+    pytest.param(("oasis", {"private_filter": False}), "st",
+                 id="oasis_no_private_filter-st"),
+]
+
+#: Small but fault-rich footprint; keeps 67 paired runs affordable.
 FOOTPRINT_MB = 3.0
 
 
-def run_pair(app: str, policy: str, monkeypatch, config=None):
+def build_policy(spec):
+    """A policy from its name, or from a ``(name, kwargs)`` pair."""
+    name, kwargs = (spec, {}) if isinstance(spec, str) else spec
+    return make_policy(name, **kwargs)
+
+
+def run_pair(app: str, policy, monkeypatch, config=None):
     """One run on each path; returns (fast, slow) result dicts."""
     config = config or baseline_config()
     trace = get_workload(app, config, footprint_mb=FOOTPRINT_MB)
     monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
-    fast = simulate(config, trace, make_policy(policy))
+    fast = simulate(config, trace, build_policy(policy))
     monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
-    slow = simulate(config, trace, make_policy(policy))
+    slow = simulate(config, trace, build_policy(policy))
     return fast, slow
 
 
-def run_machine_pair(app: str, policy: str, monkeypatch):
+def run_machine_pair(app: str, policy, monkeypatch):
     """One run on each path; returns the (fast, slow) machines."""
     config = baseline_config()
     trace = get_workload(app, config, footprint_mb=FOOTPRINT_MB)
@@ -59,17 +74,47 @@ def run_machine_pair(app: str, policy: str, monkeypatch):
             monkeypatch.setenv("REPRO_FORCE_SLOW_PATH", "1")
         else:
             monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
-        machine = Machine(config, trace, make_policy(policy))
+        machine = Machine(config, trace, build_policy(policy))
         assert (machine._fast is None) == slow
         machine.run()
         machines.append(machine)
     return machines
 
 
+def decision_state(policy) -> dict:
+    """The policy's own decision state, which the fused lane advances."""
+    state = {}
+    controller = getattr(policy, "controller", None)
+    if controller is not None:
+        otable = controller.otable
+        state["otable"] = (
+            [(e.obj_id, e.policy, e.pf_count, e.reset_pending)
+             for e in otable.entries()],
+            otable.hits, otable.misses, otable.evictions,
+        )
+        state["controller"] = (
+            controller.decisions, controller.resets,
+            controller.kernel_resets, controller.implicit_phase_detections,
+            list(controller.transitions.items()),
+        )
+    if isinstance(policy, GritPolicy):
+        pa = policy.pa_cache
+        state["grit"] = (
+            [(page, dataclasses.astuple(meta))
+             for page, meta in policy._meta.items()],
+            list(pa._lines), pa.hits, pa.misses, policy.predictions,
+        )
+    shadow = getattr(policy, "shadow_map", None)
+    if shadow is not None:
+        state["inmem"] = (shadow.lookups, sorted(policy._warm_lines))
+    return state
+
+
 def replay_state(machine) -> dict:
     """The replay state the fast lanes advance in place or write back."""
     queue = machine.driver.queue
     return {
+        "policy": decision_state(machine.policy),
         "decisions": decision_digest(machine.page_tables),
         "counters": dict(machine.access_counters._counts),
         "residency": [list(lru) for lru in machine.capacity._lru],
@@ -115,8 +160,7 @@ class TestForceSlowPath:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("app", ALL_APPS)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy,app", CASES)
     def test_fast_path_is_bit_identical(self, app, policy, monkeypatch):
         fast, slow = run_pair(app, policy, monkeypatch)
         assert fast.total_time_ns == slow.total_time_ns
@@ -126,15 +170,17 @@ class TestDeterminism:
         assert fast.l2_miss_policy_counts == slow.l2_miss_policy_counts
         assert fast.to_dict() == slow.to_dict()
 
-    @pytest.mark.parametrize("app", ALL_APPS)
-    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("policy,app", CASES)
     def test_fast_path_leaves_identical_state(self, app, policy, monkeypatch):
         fast, slow = run_machine_pair(app, policy, monkeypatch)
         # The counter file never keeps a tripped or reset counter.
         assert 0 not in fast.access_counters._counts.values()
         assert replay_state(fast) == replay_state(slow)
 
-    @pytest.mark.parametrize("policy", ["access_counter", "duplication"])
+    @pytest.mark.parametrize(
+        "policy",
+        ["access_counter", "duplication", "grit", "oasis", "oasis_inmem"],
+    )
     def test_uniform_policies_never_fall_back(self, policy, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
         config = baseline_config()
@@ -142,7 +188,7 @@ class TestDeterminism:
         machine = Machine(config, trace, make_policy(policy))
 
         def refuse(*args):
-            raise AssertionError("left the uniform lane")
+            raise AssertionError("left the whole-chunk lane")
 
         # Every chunk is one fused-loop run: no mask, no steady run and
         # no per-record replay.
@@ -159,7 +205,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("policy", ["access_counter", "duplication"])
     def test_distributed_placement_remaps_identical(self, policy, monkeypatch):
         # Pages start on a GPU without a mapping, so first touches by the
-        # holder take the uniform lane's local re-map branches.
+        # holder take the whole-chunk lane's local re-map branches.
         config = baseline_config(initial_placement="distributed")
         fast, slow = run_pair("st", policy, monkeypatch, config=config)
         assert fast.to_dict() == slow.to_dict()
@@ -287,46 +333,6 @@ class TestPageTableMirrors:
         assert decision_digest(fresh.page_tables) == expected
         assert decision_digest(pt) == expected
         assert_mirrors_current(fresh.page_tables)
-
-
-class TestPhaseArrays:
-    """The cached per-chunk facts answer the window scans they replace."""
-
-    def _phase(self, n, n_pages, seed):
-        rng = np.random.default_rng(seed)
-        return PhaseTrace(
-            name="p", explicit=True,
-            gpu=rng.integers(0, 4, n).astype(np.uint8),
-            page=1000 + rng.integers(0, n_pages, n),
-            write=(rng.random(n) < 0.3).astype(np.uint8),
-            weight=rng.integers(1, 5, n),
-        )
-
-    def test_page_facts_match_window_scans(self):
-        n = CHUNK + 300
-        phase = self._phase(n, n_pages=60, seed=3)
-        mixed_until = PhaseArrays(phase, 1000, 4, 16).page_facts()
-        page = phase.page.tolist()
-        gpu = phase.gpu.tolist()
-        starts = list(range(CHUNK, n)) + [0, 1, 17, CHUNK - 5]
-        for s in starts:
-            c1 = min((s // CHUNK + 1) * CHUNK, n)
-            s_rel = s % CHUNK
-            gpus: dict[int, set] = {}
-            for r in range(s, c1):
-                gpus.setdefault(page[r], set()).add(gpu[r])
-            for r in range(s, c1):
-                assert (mixed_until[r] < s_rel) == (len(gpus[page[r]]) == 1)
-
-    def test_key_facts_factorize_each_chunk(self):
-        n = 2 * CHUNK + 100
-        arrays = PhaseArrays(self._phase(n, n_pages=5000, seed=4), 1000, 4, 16)
-        key_id, chunk_keys = arrays.key_facts()
-        assert len(chunk_keys) == 3
-        for c, keys in enumerate(chunk_keys):
-            chunk = slice(c * CHUNK, (c + 1) * CHUNK)
-            assert keys.tolist() == np.unique(arrays.key[chunk]).tolist()
-            assert np.array_equal(keys[key_id[chunk]], arrays.key[chunk])
 
 
 class TestInterleaver:
