@@ -1,18 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench sweep verify verify-faults verify-obs \
-	verify-sim verify-memo verify-tenancy golden-update \
-	golden-update-tenancy reproduce reproduce-smoke perfbench-smoke
+.PHONY: test bench-smoke bench sweep verify verify-obs verify-sim \
+	verify-memo golden-update reproduce reproduce-smoke perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest -q
-
-# Fault-model verification: machine-invariant audit plus the
-# fastpath-equivalence-under-injection and harness-resilience suites.
-verify-faults:
-	$(PYTHON) -m pytest tests/faults tests/harness/test_runner_resilience.py -q
-	$(PYTHON) -m repro.cli faults --audit
 
 # Observability verification: trace determinism, stat/event agreement
 # and exporter round-trips.
@@ -35,27 +28,12 @@ verify-memo:
 	$(PYTHON) -m repro.cli verify --differential --lanes memo --apps c2d,st --jobs 4
 	$(PYTHON) benchmarks/bench_memo.py --smoke
 
-# Multi-tenant verification: the tenancy + TLB suites, the
-# degenerate-tenancy differential lane (single-tenant mix must be
-# bit-identical to the solo run on every registry app x oasis/grit),
-# a bounded 2-tenant interleaver/attribution fuzz, and the fairness
-# matrix smoke against the pinned golden digests.
-verify-tenancy:
-	$(PYTHON) -m pytest tests/tenancy tests/tlb -q
-	$(PYTHON) -m repro.cli verify --differential --lanes tenancy --jobs 4
-	$(PYTHON) -m repro.cli verify --fuzz --tenancy --budget 120 --seed 0
-	$(PYTHON) benchmarks/bench_multitenant.py --smoke
-
-verify: verify-faults verify-obs verify-sim verify-memo verify-tenancy
+verify: verify-obs verify-sim verify-memo
 
 # Re-pin tests/golden/golden.json after an intentional model change;
 # commit the file so the review diff names every counter that moved.
 golden-update:
 	$(PYTHON) -m repro.cli verify --update-golden --jobs 4
-
-# Re-pin tests/golden/golden_tenancy.json (full fairness matrix).
-golden-update-tenancy:
-	$(PYTHON) benchmarks/bench_multitenant.py --update-golden --jobs 4
 
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py

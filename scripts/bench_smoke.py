@@ -100,42 +100,6 @@ def bench_cache(config) -> dict:
     }
 
 
-def bench_fault_overhead(config) -> dict:
-    """Fault-free runs must pay nothing for the injection subsystem.
-
-    An empty FaultPlan must keep the vectorized fast path engaged and
-    produce bit-identical results; its wall time should sit within noise
-    of the plan-free run.
-    """
-    from repro.faults import FaultPlan
-    from repro.sim import simulate
-
-    empty = config.replace(fault_plan=FaultPlan())
-    trace = get_workload("st", config)
-    fast_machine = Machine(empty, trace, make_policy(POLICY))
-    assert fast_machine._fast is not None, "empty plan disabled the fast path"
-    plain_result = simulate(config, trace, make_policy(POLICY))
-    empty_result = simulate(empty, trace, make_policy(POLICY))
-    assert plain_result.to_dict() == empty_result.to_dict(), (
-        "empty FaultPlan changed the simulation result"
-    )
-    plain_s = min(time_replay(config, trace, slow=False) for _ in range(3))
-    empty_s = min(time_replay(empty, trace, slow=False) for _ in range(3))
-    overhead = empty_s / plain_s - 1.0
-    print(
-        f"faults st: plain {plain_s:6.3f}s  empty-plan {empty_s:6.3f}s  "
-        f"overhead {overhead:+.1%} (fast path engaged, bit-identical)"
-    )
-    return {
-        "app": "st",
-        "plain_wall_s": round(plain_s, 4),
-        "empty_plan_wall_s": round(empty_s, 4),
-        "overhead": round(overhead, 4),
-        "fast_path": True,
-        "bit_identical": True,
-    }
-
-
 def bench_obs_overhead(config, pairs: int = 9) -> dict:
     """Observability must be free when off and cheap when on.
 
@@ -203,7 +167,6 @@ def main() -> int:
     config = baseline_config()
     replay = bench_replay(config)
     cache = bench_cache(config)
-    faults = bench_fault_overhead(config)
     obs = bench_obs_overhead(config)
     payload = {
         "benchmark": "replay_smoke",
@@ -211,7 +174,6 @@ def main() -> int:
         "policy": POLICY,
         "replay": replay,
         "cache": cache,
-        "fault_overhead": faults,
         "obs_overhead": obs,
         "timestamp": time.time(),
     }

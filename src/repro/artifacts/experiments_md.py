@@ -40,18 +40,6 @@ exact counters that moved.  A model change that shifts these results is
 therefore always deliberate — it ships with a `make golden-update`
 re-pin whose diff lists every affected number (see `docs/MODEL.md` §10).
 
-Beyond the paper's single-workload evaluation,
-`benchmarks/bench_multitenant.py` measures multi-tenant co-scheduling
-(not an experiment in the paper — see `docs/MODEL.md` §15): three
-2-tenant mixes plus one 4-tenant mix of registry workloads, each under
-OASIS/GRIT/on-touch, reporting per-tenant slowdown vs the solo
-baseline, weighted speedup, the unfairness index and slowdown
-quartiles.  The matrix lands in `results/BENCH_multitenant.json` (one
-place with every other `BENCH_*.json` perf artifact — see
-`docs/MODEL.md` §16) and every cell's core and tenant-counter digests
-are pinned in `tests/golden/golden_tenancy.json` (re-pin after an
-intentional change with `make golden-update-tenancy`).
-
 ## Known deviations from the paper
 
 * **Uniform duplication never drops below the on-touch baseline.** In

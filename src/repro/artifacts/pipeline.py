@@ -421,9 +421,9 @@ def write_bench_all(
     """Consolidate every ``results/BENCH_*.json`` into one trajectory.
 
     The record is self-describing: one ``benches`` entry per perf
-    artifact present (replay smoke, fig15, memo, multitenant,
-    fault path, ...), plus the pipeline summary that produced it —
-    future re-anchors read a single file to see speed over time.
+    artifact present (replay smoke, fig15, memo, fault path, ...), plus
+    the pipeline summary that produced it — future re-anchors read a
+    single file to see speed over time.
     """
     benches = {}
     for path in sorted(results.glob("BENCH_*.json")):

@@ -12,12 +12,9 @@ Subcommands:
   ``--only``, ``--seeds``; same as ``scripts/reproduce_all``).
 * ``sweep`` — speedup table of applications x policies against
   on-touch through the parallel harness (``--apps``, ``--policy``,
-  ``--jobs``; ``--tenants`` adds multi-tenant mixes with fairness).
+  ``--jobs``).
 * ``list`` — list applications, policies, and experiments.
 * ``characterize APP`` — print the Section IV object characterization.
-* ``faults APP [--plan NAME|JSON|@FILE]`` — compare a healthy run
-  against the same run under an injected fault plan; ``--audit`` runs
-  the machine-invariant audit instead.
 * ``trace APP [--policy P] [--out FILE]`` — record one run with the
   observability tracer and export a Chrome ``trace_event`` JSON timeline
   (open in Perfetto / ``chrome://tracing``).
@@ -69,28 +66,6 @@ def _build_config(args):
     return baseline_config(**kwargs)
 
 
-def _resolve_fault_plan(raw, config, trace=None):
-    """Turn a ``--fault-plan`` value into a :class:`FaultPlan`.
-
-    Accepts a preset name (see ``repro.faults.PRESETS``), an inline JSON
-    spec (starts with ``{``), or ``@path/to/plan.json``.
-    """
-    from repro.faults import PRESETS, FaultPlan, preset_plan
-
-    raw = raw.strip()
-    if raw.startswith("@"):
-        raw = Path(raw[1:]).read_text().strip()
-    if raw.startswith("{"):
-        return FaultPlan.from_spec(raw)
-    if raw in PRESETS:
-        return preset_plan(raw, config, trace)
-    known = ", ".join(sorted(PRESETS))
-    raise SystemExit(
-        f"unknown fault plan {raw!r}: expected a preset ({known}), "
-        "inline JSON, or @file.json"
-    )
-
-
 def _observed_path(base: str, policy: str, many: bool) -> Path:
     """Output path for one policy's export (suffixed when several run)."""
     path = Path(base)
@@ -119,9 +94,6 @@ def _export_run(args, policy: str, tracer, metrics, workload: str,
 def cmd_simulate(args) -> int:
     config = _build_config(args)
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
-    if getattr(args, "fault_plan", None):
-        plan = _resolve_fault_plan(args.fault_plan, config, trace)
-        config = config.replace(fault_plan=plan)
     observed = bool(args.trace_out or args.metrics_out)
     results = {}
     for name in args.policy:
@@ -152,52 +124,6 @@ def cmd_simulate(args) -> int:
         [(name, r.speedup_over(baseline)) for name, r in results.items()],
         reference=1.0,
     ))
-    if config.fault_plan is not None:
-        print("resilience counters:")
-        for name, r in results.items():
-            summary = r.resilience_summary()
-            if summary:
-                rendered = ", ".join(
-                    f"{k}={int(v)}" for k, v in summary.items()
-                )
-                print(f"  {name}: {rendered}")
-    return 0
-
-
-def cmd_faults(args) -> int:
-    """Healthy-vs-faulted comparison, or the invariant audit."""
-    if args.audit:
-        from repro.faults import audit
-
-        report = audit.run_audit()
-        print(f"invariant audit: {report['checks']} checks")
-        if report["violations"]:
-            for violation in report["violations"]:
-                print(f"  VIOLATION {violation}")
-            return 1
-        print("  all invariants hold")
-        return 0
-
-    config = _build_config(args)
-    trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
-    plan = _resolve_fault_plan(args.plan, config, trace)
-    faulted_config = config.replace(fault_plan=plan)
-    policies = args.policy or ["oasis"]
-    print(f"fault plan {plan.digest()} on {args.app} "
-          f"(first fault at phase {plan.first_fault_phase})")
-    print(f"{'policy':<16s} {'healthy(ms)':>12s} {'faulted(ms)':>12s} "
-          f"{'slowdown':>9s} {'retries':>8s} {'fallbk':>7s} "
-          f"{'reroute':>8s} {'retired':>8s}")
-    for name in policies:
-        healthy = simulate(config, trace, make_policy(name))
-        faulted = simulate(faulted_config, trace, make_policy(name))
-        slowdown = faulted.total_time_ns / healthy.total_time_ns
-        print(f"{name:<16s} {healthy.total_time_ns / 1e6:>12.2f} "
-              f"{faulted.total_time_ns / 1e6:>12.2f} {slowdown:>8.2f}x "
-              f"{int(faulted.migration_retries):>8d} "
-              f"{int(faulted.migration_fallbacks):>7d} "
-              f"{int(faulted.reroutes):>8d} "
-              f"{int(faulted.retired_pages):>8d}")
     return 0
 
 
@@ -258,22 +184,10 @@ def cmd_list(_args) -> int:
 def cmd_sweep(args) -> int:
     _configure_runner(args)
     config = _build_config(args)
-    if getattr(args, "fault_plan", None):
-        # One plan across many apps: resolved without a trace, so
-        # trace-dependent presets (e.g. retired-pages) are rejected here.
-        plan = _resolve_fault_plan(args.fault_plan, config, trace=None)
-        config = config.replace(fault_plan=plan)
-    mixes = (
-        [m.strip() for m in args.tenants.split(",") if m.strip()]
-        if getattr(args, "tenants", None) else []
-    )
     apps = (
         [a.strip() for a in args.apps.split(",") if a.strip()]
-        if args.apps else (mixes if mixes else list(APPLICATION_ORDER))
+        if args.apps else list(APPLICATION_ORDER)
     )
-    for mix_name in mixes:
-        if mix_name not in apps:
-            apps.append(mix_name)
     policies = args.policy or ["on_touch", "access_counter", "duplication",
                                "ideal", "grit", "oasis"]
     from repro.harness import (
@@ -315,28 +229,6 @@ def cmd_sweep(args) -> int:
               f"{memo['snapshot_bytes'] / 1e6:.1f} MB stored"
               + (f", {memo['corrupt']} quarantined"
                  if memo["corrupt"] else ""))
-    if mixes:
-        from repro.tenancy import mix_fairness
-
-        fairness = {}
-        for mix_name in mixes:
-            for policy in policies:
-                report = mix_fairness(
-                    config, mix_name, policy,
-                    footprint_mb=args.footprint_mb,
-                )
-                fairness[f"{mix_name}/{policy}"] = report
-        print("\nfairness (per-tenant slowdown vs solo):")
-        for key, report in fairness.items():
-            slows = ", ".join(
-                f"{t}={s:.2f}x"
-                for t, s in sorted(report["slowdown"].items())
-            )
-            print(f"  {key:<24s} weighted_speedup="
-                  f"{report['weighted_speedup']:.2f} "
-                  f"unfairness={report['unfairness']:.2f}  {slows}")
-        if summary is not None:
-            summary["fairness"] = fairness
     if args.metrics_out:
         import json
 
@@ -380,9 +272,6 @@ def cmd_trace(args) -> int:
 
     config = _build_config(args)
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
-    if getattr(args, "fault_plan", None):
-        plan = _resolve_fault_plan(args.fault_plan, config, trace)
-        config = config.replace(fault_plan=plan)
     tracer, metrics = RecordingTracer(), MetricsRegistry()
     result = simulate(
         config, trace, make_policy(args.policy),
@@ -499,17 +388,14 @@ def cmd_verify(args) -> int:
     if args.fuzz or run_all:
         from repro.verify import fuzz
 
-        tenancy = getattr(args, "tenancy", False)
-        runner = fuzz.run_tenancy_fuzz if tenancy else fuzz.run_fuzz
         kwargs = {}
         if policies is not None:
             kwargs["policies"] = policies
-        report = runner(
+        report = fuzz.run_fuzz(
             seed=args.seed, cases=args.cases, budget_s=args.budget,
             **kwargs,
         )
-        label = "tenancy fuzz" if tenancy else "fuzz"
-        print(f"{label}: {report['cases']} cases in "
+        print(f"fuzz: {report['cases']} cases in "
               f"{report['elapsed_s']:.1f}s")
         for finding in report["failures"]:
             print(f"  FAILURE (seed {finding.seed}, shrunk to "
@@ -540,30 +426,6 @@ def cmd_characterize(args) -> int:
     return 0
 
 
-def _app_or_mix(value: str) -> str:
-    """Parse-time validation for APP args that also accept tenant mixes."""
-    if value in APPLICATIONS:
-        return value
-    known = ", ".join(sorted(APPLICATIONS))
-    if "+" in value:
-        from repro.tenancy.mix import parse_mix
-
-        try:
-            mix = parse_mix(value)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        for tenant in mix.tenants:
-            if tenant.app not in APPLICATIONS:
-                raise argparse.ArgumentTypeError(
-                    f"unknown application {tenant.app!r} in mix "
-                    f"{value!r}; known: {known}"
-                )
-        return value
-    raise argparse.ArgumentTypeError(
-        f"unknown application {value!r}; known: {known}"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.artifacts.pipeline import add_pipeline_arguments
 
@@ -574,10 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate an application")
-    sim.add_argument("app", metavar="APP", type=_app_or_mix,
-                     help="registry application "
-                          f"({', '.join(sorted(APPLICATIONS))}) or a "
-                          "multi-tenant mix like mm+bfs")
+    sim.add_argument("app", choices=sorted(APPLICATIONS))
     sim.add_argument("--policy", action="append",
                      choices=sorted(POLICY_FACTORIES),
                      help="repeatable; first one is the baseline "
@@ -589,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--distributed", action="store_true")
     sim.add_argument("--oversubscription", type=float, default=None)
     sim.add_argument("--reset-threshold", type=int, default=None)
-    sim.add_argument("--fault-plan", default=None, dest="fault_plan",
-                     help="inject faults: preset name, inline JSON, or "
-                          "@file.json (see 'faults' subcommand)")
     sim.add_argument("--trace", default=None, dest="trace_out",
                      metavar="FILE",
                      help="export a Chrome trace_event timeline per "
@@ -628,10 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep",
                          help="speedup table: apps x policies vs on-touch")
     swp.add_argument("--apps", default=None)
-    swp.add_argument("--tenants", default=None,
-                     help="comma-separated multi-tenant mixes (e.g. "
-                          "mm+bfs,mm+bfs+i2c+st) swept alongside --apps; "
-                          "also prints per-tenant fairness vs solo runs")
     swp.add_argument("--policy", action="append",
                      choices=sorted(POLICY_FACTORIES))
     swp.add_argument("--gpus", type=int, default=None)
@@ -652,10 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="DIR",
                      help="persist phase snapshots under DIR so later "
                           "sweeps resume across processes")
-    swp.add_argument("--fault-plan", default=None, dest="fault_plan",
-                     help="inject faults into every run: preset name, "
-                          "inline JSON, or @file.json (trace-dependent "
-                          "presets are not accepted here)")
     swp.add_argument("--trace", default=None, dest="trace_out",
                      metavar="DIR",
                      help="re-run each app x policy cell under the "
@@ -669,26 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lst = sub.add_parser("list", help="list apps, policies, experiments")
     lst.set_defaults(func=cmd_list)
-
-    flt = sub.add_parser(
-        "faults",
-        help="compare healthy vs fault-injected runs, or audit invariants",
-    )
-    flt.add_argument("app", nargs="?", default="st",
-                     choices=sorted(APPLICATIONS))
-    flt.add_argument("--policy", action="append",
-                     choices=sorted(POLICY_FACTORIES),
-                     help="repeatable (default: oasis)")
-    flt.add_argument("--plan", default="degraded-link",
-                     help="preset name, inline JSON, or @file.json "
-                          "(default: degraded-link)")
-    flt.add_argument("--gpus", type=int, default=None)
-    flt.add_argument("--footprint-mb", type=float, default=None,
-                     dest="footprint_mb")
-    flt.add_argument("--audit", action="store_true",
-                     help="run the machine-invariant audit instead of a "
-                          "comparison")
-    flt.set_defaults(func=cmd_faults)
 
     trc = sub.add_parser(
         "trace",
@@ -712,9 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--distributed", action="store_true")
     trc.add_argument("--oversubscription", type=float, default=None)
     trc.add_argument("--reset-threshold", type=int, default=None)
-    trc.add_argument("--fault-plan", default=None, dest="fault_plan",
-                     help="inject faults: preset name, inline JSON, or "
-                          "@file.json")
     trc.set_defaults(func=cmd_trace)
 
     ver = sub.add_parser(
@@ -731,10 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--fuzz", action="store_true",
                      help="seeded random trace/config fuzzing (failures "
                           "are shrunk to a minimal TraceBuilder program)")
-    ver.add_argument("--tenancy", action="store_true",
-                     help="with --fuzz: fuzz two-tenant mixes through "
-                          "the trace interleaver and per-tenant "
-                          "accounting instead of solo traces")
     ver.add_argument("--update-golden", action="store_true",
                      dest="update_golden",
                      help="recompute and re-pin the golden digests "
@@ -752,12 +573,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "own defaults; golden uses the full registry)")
     ver.add_argument("--lanes", default=None,
                      help="comma-separated differential lane subset "
-                          "(fast_slow, cache, traced, faultplan, "
-                          "parallel, memo, tenancy; default: all)")
+                          "(fast_slow, cache, traced, parallel, memo; "
+                          "default: all)")
     ver.add_argument("--policy", action="append",
                      choices=sorted(POLICY_FACTORIES),
                      help="repeatable policy subset (default: all; the "
-                          "fuzzers default to their own sets)")
+                          "fuzzer defaults to its own set)")
     ver.add_argument("--jobs", type=int, default=None,
                      help="worker processes for golden/differential runs")
     ver.set_defaults(func=cmd_verify)

@@ -179,12 +179,6 @@ class SystemConfig:
     interleave_burst: int = 32
     #: Analytical cost model.
     latency: LatencyModel = field(default_factory=LatencyModel)
-    #: Faults to inject into the run (:class:`repro.faults.FaultPlan`), or
-    #: ``None`` for a healthy system.  Declared as a string annotation so
-    #: this module never imports :mod:`repro.faults`; the plan is a frozen
-    #: dataclass, so it hashes and serializes with the rest of the config
-    #: (and therefore lands in the result cache key).
-    fault_plan: "FaultPlan | None" = None  # noqa: F821
 
     def __post_init__(self) -> None:
         if self.n_gpus < 1:

@@ -44,6 +44,12 @@ class OasisPolicy(CounterMigrationMixin, PolicyEngine):
         capacity_guard: under memory oversubscription, degrade duplication
             to a remote mapping when the requester is at capacity instead
             of evicting a live page for the new copy.
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's fault handling
+    (:meth:`on_fault`, :meth:`_shared_fault` and :meth:`_resolve_counter`)
+    inline, so a change here must be mirrored there;
+    ``tests/sim/test_fastpath.py`` compares both paths.
     """
 
     name = "oasis"

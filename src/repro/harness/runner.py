@@ -914,13 +914,6 @@ def run_sims_parallel(
         },
         "counters": {name: counters[name] for name in sorted(counters)},
     }
-    if any(name.startswith("tenant.") for name in counters):
-        # Multi-tenant runs in the sweep: per-tenant rollup (faults, TLB
-        # pressure, migration bandwidth, busiest-GPU time) aggregated
-        # over every run that carried tenant counters.
-        from repro.tenancy.fairness import tenant_rollup
-
-        _LAST_SWEEP["tenancy"] = tenant_rollup(counters)
     return out
 
 

@@ -6,7 +6,7 @@ remote access records bytes on the link it crossed, and the simulator bounds
 each phase's duration by the busiest link's transfer time.
 """
 
-from repro.interconnect.link import Link, LinkSeveredError
-from repro.interconnect.topology import Topology, UnreachableDeviceError
+from repro.interconnect.link import Link
+from repro.interconnect.topology import Topology
 
-__all__ = ["Link", "LinkSeveredError", "Topology", "UnreachableDeviceError"]
+__all__ = ["Link", "Topology"]

@@ -1,25 +1,14 @@
-"""A single bidirectional interconnect link (with health state)."""
+"""A single bidirectional interconnect link."""
 
 from __future__ import annotations
 
 
-class LinkSeveredError(RuntimeError):
-    """A transfer was attempted on a severed link."""
-
-
 class Link:
-    """One link with fixed bandwidth, per-hop latency and health state.
+    """One link with fixed bandwidth and per-hop latency.
 
     Traffic is accumulated in bytes; ``busy_time_ns`` converts the running
     total into the time the link has spent transferring, which the
     simulator uses as a lower bound on phase duration.
-
-    Fault injection can *degrade* the link (scale its bandwidth) or
-    *sever* it mid-run.  Busy time accumulated before a degradation is
-    folded at the old bandwidth so the phase bound stays exact; a severed
-    link refuses all further transfers (the topology reroutes or fails).
-    On a healthy link the folded term is exactly ``0.0``, so the busy
-    time is bit-identical to the pre-fault-model ``bytes / bandwidth``.
     """
 
     def __init__(self, name: str, bandwidth_bytes_per_ns: float, latency_ns: float) -> None:
@@ -30,14 +19,8 @@ class Link:
         self.name = name
         self.bandwidth = bandwidth_bytes_per_ns
         self.latency_ns = latency_ns
-        self._rated_bandwidth = bandwidth_bytes_per_ns
-        self._severed = False
         self._bytes = 0
         self._messages = 0
-        #: Bytes moved since the last bandwidth change.
-        self._bytes_epoch = 0
-        #: Busy time folded in at previous bandwidths.
-        self._busy_folded = 0.0
 
     @property
     def bytes_transferred(self) -> int:
@@ -48,33 +31,20 @@ class Link:
         return self._messages
 
     @property
-    def severed(self) -> bool:
-        """True when the link has been severed by fault injection."""
-        return self._severed
-
-    @property
-    def healthy(self) -> bool:
-        """True when the link is alive at its rated bandwidth."""
-        return not self._severed and self.bandwidth == self._rated_bandwidth
-
-    @property
     def busy_time_ns(self) -> float:
         """Total time spent moving the recorded bytes."""
-        return self._busy_folded + self._bytes_epoch / self.bandwidth
+        return self._bytes / self.bandwidth
 
     def transfer_time_ns(self, n_bytes: int) -> float:
         """Latency + serialization time for one transfer of ``n_bytes``."""
         if n_bytes < 0:
             raise ValueError("cannot transfer a negative byte count")
-        if self._severed:
-            raise LinkSeveredError(f"link {self.name} is severed")
         return self.latency_ns + n_bytes / self.bandwidth
 
     def record(self, n_bytes: int) -> float:
         """Account one transfer; returns its transfer time."""
         time = self.transfer_time_ns(n_bytes)
         self._bytes += n_bytes
-        self._bytes_epoch += n_bytes
         self._messages += 1
         return time
 
@@ -87,26 +57,8 @@ class Link:
         """
         if n_bytes < 0 or n_messages < 0:
             raise ValueError("bulk transfer counts must be non-negative")
-        if self._severed:
-            raise LinkSeveredError(f"link {self.name} is severed")
         self._bytes += n_bytes
-        self._bytes_epoch += n_bytes
         self._messages += n_messages
-
-    def apply_bandwidth_factor(self, factor: float) -> None:
-        """Degrade (``0 < factor < 1``) or sever (``factor == 0``) the link.
-
-        Busy time already accumulated is folded at the current bandwidth
-        before the change, so the phase-duration bound stays exact.
-        """
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("bandwidth factor must be in [0, 1]")
-        self._busy_folded = self.busy_time_ns
-        self._bytes_epoch = 0
-        if factor == 0.0:
-            self._severed = True
-        else:
-            self.bandwidth *= factor
 
     def snapshot(self) -> dict:
         """Plain-dict state for exporters and metrics sampling."""
@@ -115,16 +67,12 @@ class Link:
             "bytes": self._bytes,
             "messages": self._messages,
             "busy_time_ns": self.busy_time_ns,
-            "healthy": self.healthy,
-            "severed": self._severed,
         }
 
     def reset_traffic(self) -> None:
         """Zero the traffic counters (start of a fresh run)."""
         self._bytes = 0
         self._messages = 0
-        self._bytes_epoch = 0
-        self._busy_folded = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

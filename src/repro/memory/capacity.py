@@ -30,9 +30,6 @@ class CapacityManager:
             raise ValueError("capacity must be >= 1 page")
         self._capacity = capacity_pages
         self._lru: list[dict[int, None]] = [dict() for _ in range(n_gpus)]
-        #: Frames flagged bad by fault injection; ``None`` until the first
-        #: retirement so the healthy-path methods stay branch-free.
-        self._retired: set[tuple[int, int]] | None = None
 
     @property
     def enabled(self) -> bool:
@@ -54,22 +51,8 @@ class CapacityManager:
         """The pages currently resident on ``gpu`` (for audits/reports)."""
         return set(self._lru[gpu])
 
-    def mark_retired(self, gpu: int, page: int) -> None:
-        """Flag ``gpu``'s frame for ``page`` as ECC-retired (permanent)."""
-        if self._retired is None:
-            self._retired = set()
-        self._retired.add((gpu, page))
-
-    def is_retired(self, gpu: int, page: int) -> bool:
-        """True when the frame has been retired by fault injection."""
-        return self._retired is not None and (gpu, page) in self._retired
-
     def note_resident(self, gpu: int, page: int) -> None:
         """Record that ``page`` now occupies a frame on ``gpu`` (MRU)."""
-        if self._retired is not None and (gpu, page) in self._retired:
-            raise RuntimeError(
-                f"page {page} installed on GPU {gpu}'s retired frame"
-            )
         lru = self._lru[gpu]
         lru.pop(page, None)
         lru[page] = None
@@ -113,7 +96,6 @@ class CapacityManager:
         return [len(lru) for lru in self._lru]
 
     def reset(self) -> None:
-        """Forget all residency and retirements (fresh run)."""
+        """Forget all residency (fresh run)."""
         for lru in self._lru:
             lru.clear()
-        self._retired = None

@@ -39,15 +39,13 @@ _GPU_TRACK = re.compile(r"^gpu(\d+)$")
 
 
 def _track_sort_key(track: str) -> tuple:
-    """GPU rows first (numeric order), then driver, faults, links."""
+    """GPU rows first (numeric order), then driver, then links."""
     match = _GPU_TRACK.match(track)
     if match:
         return (0, int(match.group(1)), track)
     if track == "driver":
         return (1, 0, track)
-    if track == "faults":
-        return (2, 0, track)
-    return (3, 0, track)
+    return (2, 0, track)
 
 
 def _tid_map(tracer: RecordingTracer) -> dict[str, int]:

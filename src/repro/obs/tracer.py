@@ -18,8 +18,7 @@ Tracks
 
 Events live on named *tracks* — one per timeline row in the exported
 Chrome trace: ``"gpu0" .. "gpuN-1"`` for the GPUs, ``"driver"`` for the
-UVM driver, ``"faults"`` for injected hardware events, and
-``"link:<name>"`` for per-link utilization samples.
+UVM driver, and ``"link:<name>"`` for per-link utilization samples.
 
 Span hierarchy
 --------------
@@ -38,7 +37,7 @@ Columnar sinks
 --------------
 
 :meth:`Tracer.instant` builds one :class:`InstantEvent` per call, which
-is fine for cold events (fault injection, allocation) but too slow for
+is fine for cold events (allocation, eviction) but too slow for
 the per-fault hot loop, where a traced run emits two instants per
 simulated fault.  Hot call sites instead register a *sink* up front —
 :meth:`Tracer.sink` fixes the track, kind and field names once and
@@ -64,9 +63,6 @@ EVENT_KINDS = frozenset(
         "evict",  # driver pushed a page to host / dropped a copy
         "remote_map",  # driver installed a zero-copy remote PTE
         "local_map",  # driver re-mapped a GPU's resident copy
-        "fault_inject",  # scheduled hardware fault fired (faults track)
-        "retry",  # transient migration failure retried/degraded
-        "reroute",  # transfer rerouted around a severed link
         "alloc",  # object allocated (driver track)
         "free",  # object freed (driver track)
         # Artifact-pipeline lifecycle (pipeline track; wall-clock ns

@@ -100,7 +100,14 @@ class PACache:
 
 
 class GritPolicy(CounterMigrationMixin, PolicyEngine):
-    """Per-page learned policy with neighbour prediction."""
+    """Per-page learned policy with neighbour prediction.
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's fault handling
+    (:meth:`on_fault`, :meth:`_maybe_decide` and :meth:`_resolve`)
+    inline, so a change here must be mirrored there;
+    ``tests/sim/test_fastpath.py`` compares both paths.
+    """
 
     name = "grit"
 

@@ -231,15 +231,9 @@ class FastReplay:
 
         Capacity-managed (oversubscribed) runs touch eviction state on
         every access, so they always take the per-record path, as does
-        anything under ``REPRO_FORCE_SLOW_PATH=1``.  A fault plan active
-        from phase 0 disables the fast path outright; plans whose first
-        event fires later keep the fast path for the healthy prefix (the
-        machine gates per phase via ``injector.fast_path_allowed``).
+        anything under ``REPRO_FORCE_SLOW_PATH=1``.
         """
         if machine.capacity.enabled or force_slow_path():
-            return None
-        injector = getattr(machine, "injector", None)
-        if injector is not None and not injector.fast_path_allowed(0):
             return None
         return cls(machine)
 

@@ -25,7 +25,6 @@ import math
 
 from repro.config import HOST, SystemConfig
 from repro.engine import StatCounters
-from repro.faults import FaultInjector
 from repro.interconnect import Topology
 from repro.memory import AccessCounterFile, CapacityManager, PageTables
 from repro.memory.page import policy_name
@@ -38,7 +37,6 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.base import PolicyEngine
 from repro.sim.fastpath import FastReplay
 from repro.sim.results import PhaseResult, SimulationResult
-from repro.tenancy.accounting import TenancyAccounting
 from repro.tlb import TLBHierarchy
 from repro.verify.invariants import NULL_VERIFIER, Verifier
 from repro.uvm import UVMDriver
@@ -124,16 +122,6 @@ class Machine:
             if self.tracer.enabled
             else None
         )
-        # Multi-tenant attribution: only merged traces carrying >= 2
-        # tenants build an accounting object.  Solo traces (and the
-        # degenerate single-tenant mix, which attaches no tenant
-        # metadata) keep it None, so every hook below stays a single
-        # attribute test and solo results are bit-identical.
-        tenants = getattr(trace, "tenants", None)
-        self._tenancy = (
-            TenancyAccounting(trace) if tenants and len(tenants) >= 2
-            else None
-        )
         coherent = not getattr(policy, "requires_incoherent_page_tables", False)
         self.page_tables = PageTables(
             n_pages=trace.n_pages,
@@ -142,10 +130,7 @@ class Machine:
             first_page=trace.first_page,
             coherent=coherent,
         )
-        self.topology = Topology(
-            config.n_gpus, config.latency, stats=self.stats,
-            tracer=self.tracer,
-        )
+        self.topology = Topology(config.n_gpus, config.latency)
         self.tlbs = [
             TLBHierarchy(config.l1_tlb, config.l2_tlb, config.latency)
             for _ in range(config.n_gpus)
@@ -169,27 +154,6 @@ class Machine:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        # Fault injection: an empty (or absent) plan builds no injector at
-        # all, so the healthy path stays branch-free and bit-identical.
-        plan = config.fault_plan
-        if plan is not None and not plan.empty:
-            self.injector = FaultInjector(
-                plan,
-                topology=self.topology,
-                page_tables=self.page_tables,
-                capacity=self.capacity,
-                stats=self.stats,
-                n_gpus=config.n_gpus,
-                tracer=self.tracer,
-            )
-        else:
-            self.injector = None
-        self.driver.injector = self.injector
-        if self._tenancy is not None:
-            # The driver attributes page movement (migration/duplication
-            # bandwidth) to tenants by page; None (the class default)
-            # keeps the solo driver path untouched.
-            self.driver.tenancy = self._tenancy
         self.clocks = [0.0] * config.n_gpus
         self._fault_keys = [f"fault.by_gpu.{g}" for g in range(config.n_gpus)]
         self._object_fault_keys = [
@@ -203,28 +167,21 @@ class Machine:
         policy.attach(self)
         # Vectorized steady-state replayer; None when the run must stay on
         # the per-record path (capacity manager, REPRO_FORCE_SLOW_PATH,
-        # an attached tracer/metrics registry, or multi-tenant
-        # attribution — per-event observation and per-tenant counters
-        # both need the exact per-record path, which is bit-identical
+        # or an attached tracer/metrics registry — per-event observation
+        # needs the exact per-record path, which is bit-identical
         # anyway).
-        self._fast = (
-            None if (self._obs_on or self._tenancy is not None)
-            else FastReplay.for_machine(self)
-        )
+        self._fast = None if self._obs_on else FastReplay.for_machine(self)
         # Phase-prefix memoization (a MemoSession from
-        # repro.sim.sweep.PhaseMemo): only healthy, unobserved,
-        # multi-phase runs participate.  Observed runs would lose their
-        # per-event records across skipped phases, and injected runs'
-        # injector state is deliberately outside the snapshot payload.
-        # The session still captures boundaries on slow-path runs — its
-        # key carries the replay-path flag, so fast and slow prefixes
-        # can never cross-pollinate.
+        # repro.sim.sweep.PhaseMemo): only unobserved, multi-phase runs
+        # participate.  Observed runs would lose their per-event records
+        # across skipped phases.  The session still captures boundaries
+        # on slow-path runs — its key carries the replay-path flag, so
+        # fast and slow prefixes can never cross-pollinate.
         self._memo = (
             memo
             if (
                 memo is not None
                 and not self._obs_on
-                and self.injector is None
                 and len(trace.phases) >= 2
             )
             else None
@@ -293,17 +250,6 @@ class Machine:
         pt = self.page_tables
         clocks = self.clocks
         stats = self.stats
-        ten = self._tenancy
-        if ten is None:
-            ti = -1
-            t_start = 0.0
-        else:
-            # Per-tenant attribution (multi-tenant traces only): resolve
-            # the owning tenant once and bracket the record with clock
-            # reads so contention stalls land on the tenant that paid
-            # them.  Adds no floating-point work on the solo path.
-            ti = ten.index_of(page)
-            t_start = clocks[gpu]
         clocks[gpu] += weight * self._compute_ns
         if self.capacity.enabled:
             self.capacity.note_access(gpu, page)
@@ -315,26 +261,16 @@ class Machine:
             cost_ns, l2_miss = tlb.translate_fast(page)
             if l2_miss:
                 self._note_l2_miss(bits)
-            if ti >= 0:
-                stats.add(ten.lookup_keys[ti])
-                if l2_miss:
-                    stats.add(ten.walk_keys[ti])
             clocks[gpu] += cost_ns / self._mem_parallelism
             self._fault(gpu, page, is_write, protection=False)
             weight -= 1
             if weight <= 0:
-                if ti >= 0:
-                    stats.add(ten.busy_keys[ti][gpu], clocks[gpu] - t_start)
                 return
             # Remaining accesses in the record proceed with the new mapping.
             owner, copies, mapped, writable, bits = pt.entry(page)
         cost, l2_miss = tlb.translate_fast(page)
         if l2_miss:
             self._note_l2_miss(bits)
-        if ti >= 0:
-            stats.add(ten.lookup_keys[ti])
-            if l2_miss:
-                stats.add(ten.walk_keys[ti])
         if copies & bit:
             if is_write and not writable & bit:
                 # Write to a read-only duplicate: page-protection fault,
@@ -345,34 +281,20 @@ class Machine:
             cost += self._local_ns * weight
             clocks[gpu] += cost / self._mem_parallelism
             stats.add("access.local", weight)
-            if ti >= 0:
-                stats.add(ten.local_keys[ti], weight)
         else:
             if owner == HOST:
                 per_access = self._host_ns
                 stats.add("access.host", weight)
-                if ti >= 0:
-                    stats.add(ten.host_keys[ti], weight)
             else:
                 per_access = self._remote_ns
                 stats.add("access.remote", weight)
-                if ti >= 0:
-                    stats.add(ten.remote_keys[ti], weight)
             clocks[gpu] += cost / self._mem_parallelism
             clocks[gpu] += per_access * weight / self._remote_parallelism
             if owner != gpu:
                 self.topology.record_transfer(
                     gpu, owner, REMOTE_ACCESS_BYTES * weight
                 )
-            if self.injector is not None and self.injector.is_degraded(gpu, page):
-                # Zero-copy fallback after a blocked install: the page is
-                # pinned remote by the fault, so the policy (which may not
-                # even implement remote-access handling) is not consulted.
-                stats.add("access.degraded", weight)
-            else:
-                self.policy.on_remote_access(gpu, page, is_write, weight)
-        if ti >= 0:
-            stats.add(ten.busy_keys[ti][gpu], clocks[gpu] - t_start)
+            self.policy.on_remote_access(gpu, page, is_write, weight)
 
     def _note_l2_miss(self, bits: int) -> None:
         """Count one L2 TLB miss against the page's policy ``bits``."""
@@ -396,15 +318,6 @@ class Machine:
         # the resolution work; the GPU additionally pays the fault round
         # trip, partially overlapped with other wavefronts.
         service = self._fault_occupancy_ns + resolution
-        ten = self._tenancy
-        if ten is not None:
-            ti = ten.index_of(page)
-            if ti >= 0:
-                stats.add(
-                    ten.fault_prot_keys[ti] if protection
-                    else ten.fault_page_keys[ti]
-                )
-                stats.add(ten.occupancy_keys[ti], service)
         clocks = self.clocks
         done = self.driver.queue.submit(clocks[gpu], service)
         stall = (done - clocks[gpu]) + self._fault_service_ns
@@ -458,11 +371,7 @@ class Machine:
                 )
         for index in range(start_index, len(self.trace.phases)):
             phase = self.trace.phases[index]
-            if tracing:
-                self.topology.note_time(now)
             self._do_allocations(index, now)
-            if self.injector is not None:
-                self.injector.start_phase(index, now, self.driver)
             self.policy.on_phase_start(index, phase)
             if tracing:
                 for track in span_tracks:
@@ -553,13 +462,7 @@ class Machine:
     def _run_phase(self, phase, start_time: float, index: int = 0) -> PhaseResult:
         link_busy_before = [link.busy_time_ns for link in self.topology.links()]
         driver_busy_before = self.driver.queue.busy_time
-        # The vectorized path is exact only on a healthy machine; once the
-        # first fault phase is reached every record goes through the exact
-        # per-record path (bit-identical to REPRO_FORCE_SLOW_PATH=1).
-        fast_ok = self._fast is not None and (
-            self.injector is None or self.injector.fast_path_allowed(index)
-        )
-        if fast_ok:
+        if self._fast is not None:
             self._fast.run_phase(phase)
         else:
             access = self.access

@@ -118,37 +118,6 @@ class SimulationResult:
     def evictions(self) -> float:
         return self.metrics_snapshot().counter("eviction.count")
 
-    # -- resilience accounting (fault injection) ---------------------------
-
-    @property
-    def migration_retries(self) -> float:
-        """Transient migration attempts retried after injected failures."""
-        return self.metrics_snapshot().counter("driver.migration_retries")
-
-    @property
-    def migration_fallbacks(self) -> float:
-        """Installs degraded to zero-copy remote mappings by faults."""
-        return self.metrics_snapshot().counter("driver.migration_fallbacks")
-
-    @property
-    def reroutes(self) -> float:
-        """Transfers rerouted around severed links."""
-        return self.metrics_snapshot().counter("fault_inject.reroutes")
-
-    @property
-    def retired_pages(self) -> float:
-        """Frames retired by the fault plan during the run."""
-        return self.metrics_snapshot().counter("fault_inject.page_retired")
-
-    def resilience_summary(self) -> dict[str, float]:
-        """Every injection/resilience counter (empty on a healthy run)."""
-        snapshot = self.metrics_snapshot()
-        return {
-            key: value
-            for key, value in snapshot.counters.items()
-            if key.startswith(("fault_inject.", "driver.", "access.degraded"))
-        }
-
     # -- comparisons -------------------------------------------------------
 
     def speedup_over(self, baseline: "SimulationResult") -> float:

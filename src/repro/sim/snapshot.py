@@ -50,11 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump whenever the snapshot payload layout or any captured component's
 #: state shape changes; old snapshots become unreachable (and harmless).
-#: v2: TLBs carry a ``lookups`` counter, the driver a ``tenancy`` ref.
+#: v2: TLBs carry a ``lookups`` counter, the driver a co-scheduling ref.
 #: v3: the driver binds its page size and PTE latencies; the topology
 #: carries an ordered-pair link table.
 #: v4: the driver carries a ``local_map`` trace sink.
-SNAPSHOT_VERSION = 4
+#: v5: the driver, capacity manager, links and topology drop their
+#: fault-injection and co-scheduling state.
+SNAPSHOT_VERSION = 5
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes
@@ -187,10 +189,6 @@ class _SnapshotPickler(pickle.Pickler):
             id(machine.tracer): ("tracer",),
             id(machine.verifier): ("verifier",),
         }
-        if machine._tenancy is not None:
-            # Derived deterministically from the trace: token it so the
-            # driver's back-reference re-binds instead of duplicating.
-            tokens[id(machine._tenancy)] = ("tenancy",)
         for obj in machine.trace.objects:
             tokens[id(obj)] = ("objdef", obj.obj_id)
             tokens[id(obj.allocation)] = ("alloc", obj.obj_id)
@@ -219,8 +217,6 @@ class _SnapshotUnpickler(pickle.Unpickler):
             return machine.tracer
         if kind == "verifier":
             return machine.verifier
-        if kind == "tenancy":
-            return machine._tenancy
         if kind == "objdef":
             return self._objects[pid[1]]
         if kind == "alloc":

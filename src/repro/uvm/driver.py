@@ -16,6 +16,12 @@ shootdown victims and released holders are bit operations on those
 masks.  The page size and the PTE update and invalidation latencies are
 bound once per driver.
 
+The fast path's fused lane (``FastReplay._run_uniform`` in
+:mod:`repro.sim.fastpath`) inlines migrate, collapse, duplicate,
+``map_local`` and ``map_remote`` as closures, so a change to one of them
+must be mirrored there; ``tests/sim/test_fastpath.py`` compares both
+paths.
+
 Primitives:
 
 * :meth:`UVMDriver.migrate` — move the page's single authoritative copy to
@@ -63,12 +69,6 @@ class UVMDriver:
     is a single attribute test.
     """
 
-    #: Per-tenant page-movement attribution
-    #: (:class:`~repro.tenancy.accounting.TenancyAccounting`), bound by
-    #: the machine on multi-tenant traces.  A class attribute so drivers
-    #: restored from pre-tenancy snapshots still resolve it to ``None``.
-    tenancy = None
-
     def __init__(
         self,
         config: SystemConfig,
@@ -103,7 +103,7 @@ class UVMDriver:
         self._pte_update_ns = config.latency.pte_update_ns
         self._pte_invalidate_ns = config.latency.pte_invalidate_ns
         # Hot primitives (one event per serviced fault) emit through
-        # columnar sinks; cold events (evict, retry) use _note below.
+        # columnar sinks; cold events (evict) use _note below.
         if tracer.enabled:
             self._migrate_rows = tracer.sink(
                 "driver", "migrate", ("gpu", "page", "src", "copied")
@@ -128,10 +128,6 @@ class UVMDriver:
             self._local_map_rows = None
         #: FIFO model of the driver CPU servicing faults one at a time.
         self.queue = SerialServer()
-        #: :class:`repro.faults.FaultInjector` when a fault plan is active
-        #: (set by the machine after construction); ``None`` on a healthy
-        #: system, keeping every fault check a single attribute test.
-        self.injector = None
 
     def _note(self, kind: str, n_bytes: float | None = None, **args) -> None:
         """Emit one driver-track instant (and optional size observation)."""
@@ -206,53 +202,6 @@ class UVMDriver:
             self.stats.add("traffic.nvlink_bytes", n_bytes)
         return time
 
-    def _degrade_to_remote(self, gpu: int, page: int, reason: str) -> float:
-        """Fall back to a zero-copy remote mapping after a blocked install.
-
-        The page stays where it is; ``gpu`` gets a PTE pointing at the
-        remote copy and the injector remembers the mapping so the machine
-        services its accesses without re-entering the policy (which may
-        not implement remote-access callbacks).
-        """
-        self.injector.note_degraded(gpu, page)
-        self.stats.add("driver.migration_fallbacks")
-        self.stats.add(f"driver.fallback_{reason}")
-        return self.map_remote(gpu, page)
-
-    def _gate_install(self, gpu: int, page: int, transient: bool) -> tuple[bool, float, str]:
-        """Consult the injector before installing data on ``gpu``.
-
-        Returns ``(proceed, extra_cost_ns, reason)``.  ``transient`` marks
-        data moves that the flake model covers (migrations); permanent
-        conditions (retired frame, unreachable source) apply to every
-        data-moving primitive.
-        """
-        inj = self.injector
-        if inj.is_retired(gpu, page):
-            return False, 0.0, "retired"
-        src = self._nearest_source(page, gpu)
-        if src != gpu and not inj.destination_reachable(src, gpu):
-            return False, 0.0, "unreachable"
-        if not transient:
-            return True, 0.0, ""
-        verdict = inj.gate_migration(gpu, page)
-        extra = 0.0
-        if verdict.retries:
-            self.stats.add("driver.migration_retries", verdict.retries)
-            self.stats.add("driver.backoff_ns", verdict.backoff_ns)
-            extra = verdict.backoff_ns
-            if self._obs:
-                self._note(
-                    "retry",
-                    gpu=gpu,
-                    page=page,
-                    retries=verdict.retries,
-                    backoff_ns=verdict.backoff_ns,
-                )
-        if not verdict.proceed:
-            return False, extra, verdict.reason
-        return True, extra, ""
-
     def _maybe_evict(self, gpu: int, protect: int) -> float:
         """Evict LRU pages from ``gpu`` until it fits; returns the latency."""
         capacity = self.capacity
@@ -265,22 +214,10 @@ class UVMDriver:
     # -- primitives ----------------------------------------------------------
 
     def migrate(self, gpu: int, page: int) -> float:
-        """Move the page to ``gpu``'s memory as the exclusive writable copy.
-
-        Under an active fault plan the data install is gated first: a
-        retired destination frame or an unreachable source degrades the
-        request to a zero-copy remote mapping, and transient migration
-        failures are retried with exponential backoff (degrading only
-        after ``max_retries`` attempts fail).
-        """
-        pt = self.page_tables
-        extra = 0.0
-        if self.injector is not None and not pt.has_copy(gpu, page):
-            proceed, extra, reason = self._gate_install(gpu, page, transient=True)
-            if not proceed:
-                return extra + self._degrade_to_remote(gpu, page, reason)
-            self.injector.clear_degraded(gpu, page)
-        owner, copies, mapped, _writable = pt.install_exclusive(page, gpu)
+        """Move the page to ``gpu``'s memory as the exclusive writable copy."""
+        owner, copies, mapped, _writable = (
+            self.page_tables.install_exclusive(page, gpu)
+        )
         bit = 1 << gpu
         others = copies & ~bit
         src = _source(owner, others)
@@ -293,8 +230,6 @@ class UVMDriver:
         self.counters.reset_group(page)
         self.stats.add("migration.count")
         self.stats.add("migration.bytes", self._page_size)
-        if self.tenancy is not None:
-            self.tenancy.note_migration(self.stats, page)
         if self._obs:
             # Sink rows subsume the size observation (derived by
             # flush_observations at end of run); only a registry without
@@ -309,18 +244,13 @@ class UVMDriver:
                 )
         cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
-        return cost + extra
+        return cost
 
     def duplicate(self, gpu: int, page: int) -> float:
         """Install a read-only copy of the page on ``gpu``."""
-        pt = self.page_tables
-        if self.injector is not None and not pt.has_copy(gpu, page):
-            proceed, _extra, reason = self._gate_install(
-                gpu, page, transient=False
-            )
-            if not proceed:
-                return self._degrade_to_remote(gpu, page, reason)
-        owner, copies, mapped, writable = pt.install_duplicate(page, gpu)
+        owner, copies, mapped, writable = (
+            self.page_tables.install_duplicate(page, gpu)
+        )
         bit = 1 << gpu
         if copies & bit:
             # Already a holder (e.g. owner re-mapping after invalidation):
@@ -346,8 +276,6 @@ class UVMDriver:
         self.capacity.note_resident(gpu, page)
         self.stats.add("duplication.count")
         self.stats.add("duplication.bytes", self._page_size)
-        if self.tenancy is not None:
-            self.tenancy.note_duplication(self.stats, page)
         if self._obs:
             if self._duplicate_rows is not None:
                 self._duplicate_rows.append(
@@ -361,14 +289,9 @@ class UVMDriver:
 
     def collapse(self, gpu: int, page: int) -> float:
         """Write-collapse: make ``gpu`` the exclusive writable holder."""
-        pt = self.page_tables
-        if self.injector is not None and not pt.has_copy(gpu, page):
-            proceed, _extra, reason = self._gate_install(
-                gpu, page, transient=False
-            )
-            if not proceed:
-                return self._degrade_to_remote(gpu, page, reason)
-        owner, copies, mapped, _writable = pt.install_exclusive(page, gpu)
+        owner, copies, mapped, _writable = (
+            self.page_tables.install_exclusive(page, gpu)
+        )
         bit = 1 << gpu
         had_copy = bool(copies & bit)
         others = copies & ~bit
@@ -435,15 +358,11 @@ class UVMDriver:
         pt = self.page_tables
         cost = 0.0
         if not pt.has_copy(gpu, page):
-            if self.injector is not None and self.injector.is_retired(gpu, page):
-                return self._degrade_to_remote(gpu, page, "retired")
             src = self._nearest_source(page, gpu)
             cost += self._transfer(src, gpu)
             pt.add_copy(gpu, page)
             self.capacity.note_resident(gpu, page)
             self.stats.add("duplication.count")
-            if self.tenancy is not None:
-                self.tenancy.note_duplication(self.stats, page)
             if self._obs:
                 if self._duplicate_rows is not None:
                     self._duplicate_rows.append(
@@ -492,8 +411,6 @@ class UVMDriver:
         if owner != HOST:
             cost += self._transfer(owner, HOST)
         self.stats.add("eviction.count")
-        if self.tenancy is not None:
-            self.tenancy.note_eviction(self.stats, page)
         if self._obs:
             self._note(
                 "evict",

@@ -9,7 +9,7 @@ Four layers, each usable on its own and all wired into
 * :mod:`repro.verify.differential` — one oracle runner asserting
   bit-identical result digests across every execution mode (slow/fast
   path, serial/parallel harness, cached/recomputed, traced/untraced,
-  fault-plan forced-slow).
+  memoized/cold).
 * :mod:`repro.verify.fuzz` — a seeded random trace/config fuzzer with
   greedy delta-debugging shrinking that emits a minimal failing
   :class:`~repro.workloads.base.TraceBuilder` program plus a repro

@@ -4,11 +4,10 @@ The simulator computes the same run through several redundant machines —
 the vectorized fast path vs the per-record slow path, the parallel
 harness pool vs in-process serial execution, the two-level result cache
 vs a fresh computation, an observed (traced/metered) run vs an
-unobserved one, a fault-injected run that mixes fast phases with the
-forced-slow tail, and a snapshot-resumed run vs a cold replay (the
-sweep fast path of :mod:`repro.sim.sweep`).  Each redundancy is
-documented as *bit-identical*, so
-each one is a free oracle: run both sides and compare canonical digests.
+unobserved one, and a snapshot-resumed run vs a cold replay (the sweep
+fast path of :mod:`repro.sim.sweep`).  Each redundancy is documented as
+*bit-identical*, so each one is a free oracle: run both sides and
+compare canonical digests.
 A mismatch means one of the paths silently diverged — the exact class of
 bug a single-path test suite can never see.
 
@@ -35,10 +34,7 @@ import os
 from contextlib import contextmanager
 
 #: Per-(app, policy) lanes plus the batch-level harness lanes.
-LANES = (
-    "fast_slow", "cache", "traced", "faultplan", "parallel", "memo",
-    "tenancy",
-)
+LANES = ("fast_slow", "cache", "traced", "parallel", "memo")
 
 #: Default app subset: the two cheapest registry workloads.  The full
 #: 11-app matrix is the golden lane's job; the differential lanes re-run
@@ -191,33 +187,6 @@ def check_traced_vs_untraced(config, app: str, policy: str,
     return _compare("traced", f"{app}/{policy}", plain, observed)
 
 
-def default_fault_plan():
-    """The injection plan the fault-plan lane replays (phase-1 events)."""
-    from repro.faults import FaultPlan, LinkFault, MigrationFlake
-
-    return FaultPlan(
-        link_faults=(LinkFault(a=0, b=1, phase=1, bandwidth_factor=0.25),),
-        migration_flakes=(MigrationFlake(rate=0.15, phase=1),),
-    )
-
-
-def check_faultplan_forced_slow(config, app: str, policy: str,
-                                seed: int = 0, plan=None) -> list[str]:
-    """A fault-injected run vs the same run forced fully slow.
-
-    With phase-1 events the normal run replays phase 0 vectorized and
-    the rest per-record; forcing the slow path makes every phase exact.
-    Agreement proves the mid-run fast→slow handoff loses nothing.
-    """
-    faulted = config.replace(
-        fault_plan=plan if plan is not None else default_fault_plan()
-    )
-    mixed = _simulate(faulted, app, policy, seed)
-    with forced_slow_path():
-        slow = _simulate(faulted, app, policy, seed)
-    return _compare("faultplan", f"{app}/{policy}", mixed, slow)
-
-
 def check_serial_vs_parallel(config, pairs, seed: int = 0,
                              jobs: int = 2) -> list[str]:
     """One batch through the worker pool vs the same batch in-process.
@@ -286,54 +255,12 @@ def check_memoized_vs_cold(config, app: str, policy: str,
     return mismatches
 
 
-#: Policies the degenerate-tenancy lane covers on every registry app.
-TENANCY_LANE_POLICIES = ("oasis", "grit")
-
-
-def check_degenerate_tenancy(
-    config, apps=None, policies=TENANCY_LANE_POLICIES, seed: int = 0,
-) -> list[str]:
-    """A single-tenant ``TenantMix`` vs the plain solo ``simulate()``.
-
-    The degenerate mix runs through the full tenancy merge machinery
-    (window layout with zero shift, the tenant-round-robin interleaver,
-    object rebasing) and must come out bit-identical to the solo run —
-    trace digest, core digest, and every counter.  Defaults to **all**
-    registry workloads: this is the oracle that licenses the machine's
-    "no tenant metadata → untouched solo path" fast-path gate.
-    """
-    from repro import get_workload, make_policy, simulate
-    from repro.tenancy.mix import single_tenant_trace, trace_digest
-    from repro.workloads.registry import APPLICATION_ORDER
-
-    if apps is None:
-        apps = APPLICATION_ORDER
-    mismatches: list[str] = []
-    for app in apps:
-        solo_trace = get_workload(app, config, seed=seed)
-        mix_trace = single_tenant_trace(app, config, seed=seed)
-        if trace_digest(solo_trace) != trace_digest(mix_trace):
-            mismatches.append(
-                f"tenancy {app}: single-tenant mix trace digest differs "
-                "from the solo trace"
-            )
-            continue
-        for policy in policies:
-            solo = simulate(config, solo_trace, make_policy(policy))
-            mixed = simulate(config, mix_trace, make_policy(policy))
-            mismatches.extend(
-                _compare("tenancy", f"{app}/{policy}", solo, mixed)
-            )
-    return mismatches
-
-
 # -- the oracle runner -----------------------------------------------------
 
 _PAIR_LANES = {
     "fast_slow": check_fast_vs_slow,
     "cache": check_cached_vs_recomputed,
     "traced": check_traced_vs_untraced,
-    "faultplan": check_faultplan_forced_slow,
     "memo": check_memoized_vs_cold,
 }
 
@@ -393,13 +320,6 @@ def run_differential(
             check_serial_vs_parallel(config, pairs, seed=seed, jobs=jobs)
         )
         comparisons += len(pairs)
-    if "tenancy" in lanes:
-        # Batch lane over the full registry: a degenerate single-tenant
-        # mix must be bit-identical to the solo run for every workload.
-        from repro.workloads.registry import APPLICATION_ORDER
-
-        mismatches.extend(check_degenerate_tenancy(config, seed=seed))
-        comparisons += len(APPLICATION_ORDER) * len(TENANCY_LANE_POLICIES)
     return {
         "pairs": len(pairs),
         "comparisons": comparisons,

@@ -2,8 +2,8 @@
 
 Hand-written tests replay traces someone thought of; the fuzzer replays
 traces nobody did — random object layouts, phase structures, access
-mixes, oversubscription factors and fault plans — and holds every run to
-the same oracles as the curated suites:
+mixes and oversubscription factors — and holds every run to the same
+oracles as the curated suites:
 
 * the phase-boundary :class:`~repro.verify.invariants.InvariantVerifier`
   (structural consistency + counter algebra), and
@@ -51,7 +51,6 @@ class FuzzCase:
     n_phases: int
     records: tuple[Record, ...]
     oversubscription: float | None = None
-    fault_plan: object = None
     policies: tuple[str, ...] = DEFAULT_POLICIES
 
     @property
@@ -83,7 +82,6 @@ def generate_case(seed: int, policies=DEFAULT_POLICIES) -> FuzzCase:
     oversubscription = (
         round(rng.uniform(1.2, 2.0), 2) if rng.random() < 0.2 else None
     )
-    fault_plan = _random_plan(rng, n_gpus, n_phases) if rng.random() < 0.3 else None
     return FuzzCase(
         seed=seed,
         n_gpus=n_gpus,
@@ -91,33 +89,8 @@ def generate_case(seed: int, policies=DEFAULT_POLICIES) -> FuzzCase:
         n_phases=n_phases,
         records=tuple(records),
         oversubscription=oversubscription,
-        fault_plan=fault_plan,
         policies=tuple(policies),
     )
-
-
-def _random_plan(rng: random.Random, n_gpus: int, n_phases: int):
-    from repro.faults import FaultPlan, LinkFault, MigrationFlake
-
-    link_faults = ()
-    flakes = ()
-    if rng.random() < 0.7:
-        a = rng.randrange(n_gpus)
-        b = (a + 1 + rng.randrange(n_gpus - 1)) % n_gpus if n_gpus > 1 else a
-        if a != b:
-            link_faults = (LinkFault(
-                a=min(a, b), b=max(a, b),
-                phase=rng.randrange(n_phases),
-                bandwidth_factor=rng.choice((0.0, 0.25, 0.5)),
-            ),)
-    if rng.random() < 0.5:
-        flakes = (MigrationFlake(
-            rate=round(rng.uniform(0.05, 0.3), 2),
-            phase=rng.randrange(n_phases),
-        ),)
-    if not link_faults and not flakes:
-        return None
-    return FaultPlan(link_faults=link_faults, migration_flakes=flakes)
 
 
 # -- execution -------------------------------------------------------------
@@ -151,7 +124,6 @@ def case_config(case: FuzzCase):
     return baseline_config(
         n_gpus=case.n_gpus,
         oversubscription=case.oversubscription,
-        fault_plan=case.fault_plan,
     )
 
 
@@ -247,22 +219,19 @@ def shrink_case(case: FuzzCase, failure: str) -> FuzzCase:
     if slim != case.records and fails_same(replace(case, records=slim)):
         case = replace(case, records=slim)
 
-    # Drop the config complications when they are not load-bearing.
-    for knob in ("fault_plan", "oversubscription"):
-        if getattr(case, knob) is not None:
-            trial = replace(case, **{knob: None})
-            if fails_same(trial):
-                case = trial
+    # Drop the oversubscription when it is not load-bearing.
+    if case.oversubscription is not None:
+        trial = replace(case, oversubscription=None)
+        if fails_same(trial):
+            case = trial
 
-    # Compact the phase structure: without a fault plan, phase numbers
-    # carry no meaning beyond ordering, so renumber the surviving ones
-    # consecutively; with a plan (or when compaction changes behavior)
-    # fall back to just trimming empty trailing phases.
+    # Compact the phase structure: phase numbers carry no meaning beyond
+    # ordering, so renumber the surviving ones consecutively; when
+    # compaction changes behavior, fall back to just trimming empty
+    # trailing phases.
     used_phases = sorted({rec[0] for rec in case.records})
     if used_phases:
-        if case.fault_plan is None and used_phases != list(
-            range(len(used_phases))
-        ):
+        if used_phases != list(range(len(used_phases))):
             remap = {ph: i for i, ph in enumerate(used_phases)}
             recs = tuple(
                 (remap[ph], gpu, obj, off, wr, wt)
@@ -307,18 +276,11 @@ def case_program(case: FuzzCase) -> str:
         "from repro.sim.machine import Machine",
         "from repro.verify.invariants import InvariantVerifier",
         "from repro.workloads.base import TraceBuilder",
+        "",
     ]
-    if case.fault_plan is not None:
-        lines.append(
-            "from repro.faults import FaultPlan, LinkFault, "
-            "MigrationFlake, PageRetirement"
-        )
-    lines.append("")
     knobs = [f"n_gpus={case.n_gpus}"]
     if case.oversubscription is not None:
         knobs.append(f"oversubscription={case.oversubscription!r}")
-    if case.fault_plan is not None:
-        knobs.append(f"fault_plan={case.fault_plan!r}")
     lines.append(f"config = baseline_config({', '.join(knobs)})")
     lines.append(
         f"builder = TraceBuilder({f'fuzz{case.seed}'!r}, {case.n_gpus}, "
@@ -363,249 +325,6 @@ def repro_command(case: FuzzCase) -> str:
         f"PYTHONPATH=src python -m repro.cli verify --fuzz "
         f"--seed {case.seed} --cases 1"
         + _policy_flags(case.policies, DEFAULT_POLICIES)
-    )
-
-
-# -- tenancy fuzzing -------------------------------------------------------
-
-#: Policies a tenant-mix case replays: migration-only plus the two
-#: object-aware contenders, whose per-object bits are the state most
-#: likely to bleed across interleaved address spaces.
-TENANCY_POLICIES = ("on_touch", "oasis", "grit")
-
-
-@dataclass(frozen=True)
-class TenantFuzzCase:
-    """A 2-tenant mix of two independently generated sub-cases.
-
-    Both halves share a GPU count and carry no config complications
-    (fault plans / oversubscription stay on the solo fuzzer); the mix
-    machinery under test is the window layout, the interleaver, and the
-    per-tenant attribution laws.
-    """
-
-    seed: int
-    a: FuzzCase
-    b: FuzzCase
-    policies: tuple[str, ...] = TENANCY_POLICIES
-
-    @property
-    def n_records(self) -> int:
-        return len(self.a.records) + len(self.b.records)
-
-
-def _tenant_half(rng: random.Random, seed: int, n_gpus: int) -> FuzzCase:
-    n_objects = rng.randint(1, 3)
-    objects = tuple(
-        (f"o{i}", rng.randint(4, 32)) for i in range(n_objects)
-    )
-    n_phases = rng.randint(1, 3)
-    records: list[Record] = []
-    for phase in range(n_phases):
-        for _ in range(rng.randint(5, 40)):
-            obj = rng.randrange(n_objects)
-            records.append((
-                phase,
-                rng.randrange(n_gpus),
-                obj,
-                rng.randrange(objects[obj][1]),
-                rng.random() < 0.3,
-                rng.choice((1, 1, 1, 2, 4, 16)),
-            ))
-    return FuzzCase(
-        seed=seed,
-        n_gpus=n_gpus,
-        objects=objects,
-        n_phases=n_phases,
-        records=tuple(records),
-    )
-
-
-def generate_tenant_case(
-    seed: int, policies=TENANCY_POLICIES,
-) -> TenantFuzzCase:
-    """Derive one 2-tenant scenario deterministically from ``seed``."""
-    rng = random.Random(seed ^ 0x7E4A9C1)
-    n_gpus = rng.choice((2, 4))
-    return TenantFuzzCase(
-        seed=seed,
-        a=_tenant_half(rng, seed, n_gpus),
-        b=_tenant_half(rng, seed + 1_000_003, n_gpus),
-        policies=tuple(policies),
-    )
-
-
-def build_tenant_trace(case: TenantFuzzCase):
-    """Materialize both halves and merge them into one 2-tenant trace."""
-    from repro.tenancy.mix import merge_traces
-
-    return merge_traces(
-        [build_trace(case.a), build_trace(case.b)],
-        ["a", "b"],
-        burst=4,
-        name=f"tfuzz{case.seed}",
-    )
-
-
-def run_tenant_case(case: TenantFuzzCase) -> str | None:
-    """Hold one tenant mix to every oracle; first failure or ``None``.
-
-    Oracles: the merge itself (windows disjoint, record counts conserve,
-    re-merging is bit-identical), the phase-boundary invariant verifier
-    under each policy — which now includes the per-tenant counter
-    conservation laws — and replay determinism (two runs, one digest).
-    """
-    from repro import make_policy
-    from repro.sim.machine import Machine
-    from repro.tenancy.mix import trace_digest
-    from repro.verify.differential import core_digest, counters_digest
-    from repro.verify.invariants import InvariantVerifier
-
-    try:
-        config = case_config(case.a)
-        trace = build_tenant_trace(case)
-    except Exception as exc:  # noqa: BLE001 — any crash is a finding
-        return f"merge: trace merge raised {type(exc).__name__}: {exc}"
-    tenants = trace.tenants
-    if tenants is None or len(tenants) != 2:
-        return "merge: merged trace lost its tenant metadata"
-    a, b = tenants
-    if a.first_page + a.n_pages > b.first_page:
-        return (
-            f"merge: tenant windows overlap "
-            f"([{a.first_page}, +{a.n_pages}) vs {b.first_page})"
-        )
-    want = len(case.a.records) + len(case.b.records)
-    got = trace.total_records
-    if got != want:
-        return f"merge: merged {got} records != sum of inputs {want}"
-    if trace_digest(trace) != trace_digest(build_tenant_trace(case)):
-        return "merge: re-merging the same inputs changed the trace digest"
-    for policy in case.policies:
-        verifier = InvariantVerifier(strict=False)
-        try:
-            result = Machine(
-                config, trace, make_policy(policy), verifier=verifier
-            ).run()
-        except Exception as exc:  # noqa: BLE001
-            return f"{policy}: replay raised {type(exc).__name__}: {exc}"
-        if verifier.violations:
-            return f"{policy}: {verifier.violations[0]}"
-        try:
-            again = Machine(config, trace, make_policy(policy)).run()
-        except Exception as exc:  # noqa: BLE001
-            return f"{policy}: re-replay raised {type(exc).__name__}: {exc}"
-        if core_digest(result) != core_digest(again) or (
-            counters_digest(result) != counters_digest(again)
-        ):
-            return f"{policy}: multi-tenant replay is nondeterministic"
-    return None
-
-
-def shrink_tenant_case(
-    case: TenantFuzzCase, failure: str,
-) -> TenantFuzzCase:
-    """ddmin both halves while the mix keeps failing the same way."""
-    marker = failure.split(":", 1)[0]
-
-    def fails_same(candidate: TenantFuzzCase) -> bool:
-        found = run_tenant_case(candidate)
-        return found is not None and found.split(":", 1)[0] == marker
-
-    for half in ("a", "b"):
-        sub = getattr(case, half)
-        records = _ddmin(
-            list(sub.records),
-            lambda recs, h=half, s=sub: fails_same(
-                replace(case, **{h: replace(s, records=tuple(recs))})
-            ),
-        )
-        trial = replace(
-            case, **{half: replace(sub, records=tuple(records))}
-        )
-        if fails_same(trial):
-            case = trial
-
-    for half in ("a", "b"):
-        sub = getattr(case, half)
-        slim = tuple(
-            (ph, gpu, obj, off, wr, 1)
-            for ph, gpu, obj, off, wr, _ in sub.records
-        )
-        if slim != sub.records:
-            trial = replace(case, **{half: replace(sub, records=slim)})
-            if fails_same(trial):
-                case = trial
-        used = {rec[2] for rec in getattr(case, half).records}
-        keep = max(used) + 1 if used else 1
-        sub = getattr(case, half)
-        if keep < len(sub.objects):
-            trial = replace(
-                case, **{half: replace(sub, objects=sub.objects[:keep])}
-            )
-            if fails_same(trial):
-                case = trial
-
-    marker_policy = marker.strip()
-    if marker_policy in case.policies and len(case.policies) > 1:
-        trial = replace(case, policies=(marker_policy,))
-        if fails_same(trial):
-            case = trial
-    return case
-
-
-def tenant_case_program(case: TenantFuzzCase) -> str:
-    """The minimal failing mix as a standalone two-builder program."""
-    lines = [
-        "from repro import baseline_config, make_policy",
-        "from repro.sim.machine import Machine",
-        "from repro.tenancy.mix import merge_traces",
-        "from repro.verify.invariants import InvariantVerifier",
-        "from repro.workloads.base import TraceBuilder",
-        "",
-        f"config = baseline_config(n_gpus={case.a.n_gpus})",
-    ]
-    for tag, sub in (("a", case.a), ("b", case.b)):
-        lines.append(
-            f"b_{tag} = TraceBuilder({f'fuzz{sub.seed}'!r}, {sub.n_gpus}, "
-            f"config.page_size, seed={sub.seed}, burst=4)"
-        )
-        for i, (name, n_pages) in enumerate(sub.objects):
-            lines.append(
-                f"{tag}o{i} = b_{tag}.alloc({name!r}, "
-                f"{n_pages} * config.page_size)"
-            )
-        for phase in range(sub.n_phases):
-            lines.append(
-                f"b_{tag}.begin_phase('p{phase}', explicit={phase == 0})"
-            )
-            for rec_phase, gpu, obj, offset, write, weight in sub.records:
-                if rec_phase == phase:
-                    lines.append(
-                        f"b_{tag}.emit({gpu}, {tag}o{obj}, {offset}, "
-                        f"{write}, {weight})"
-                    )
-            lines.append(f"b_{tag}.end_phase()")
-    lines.append(
-        "trace = merge_traces([b_a.build(), b_b.build()], ['a', 'b'], "
-        "burst=4)"
-    )
-    lines.append(f"for policy in {list(case.policies)!r}:")
-    lines.append("    verifier = InvariantVerifier(strict=False)")
-    lines.append(
-        "    Machine(config, trace, make_policy(policy), "
-        "verifier=verifier).run()"
-    )
-    lines.append("    assert not verifier.violations, verifier.violations")
-    return "\n".join(lines) + "\n"
-
-
-def tenant_repro_command(case: TenantFuzzCase) -> str:
-    """The one-liner that regenerates and re-runs exactly this mix."""
-    return (
-        f"PYTHONPATH=src python -m repro.cli verify --fuzz --tenancy "
-        f"--seed {case.seed} --cases 1"
-        + _policy_flags(case.policies, TENANCY_POLICIES)
     )
 
 
@@ -666,58 +385,6 @@ def run_fuzz(
             n_records=shrunk.n_records,
             program=case_program(shrunk),
             command=repro_command(shrunk),
-        ))
-        if len(failures) >= stop_at:
-            break
-    return {
-        "cases": ran,
-        "elapsed_s": time.monotonic() - started,
-        "failures": failures,
-    }
-
-
-def run_tenancy_fuzz(
-    seed: int = 0,
-    *,
-    cases: int | None = None,
-    budget_s: float | None = None,
-    policies=TENANCY_POLICIES,
-    stop_at: int = 1,
-    on_case=None,
-) -> dict:
-    """Fuzz 2-tenant mixes (``repro-oasis verify --fuzz --tenancy``).
-
-    Same contract as :func:`run_fuzz`: case *i* uses seed ``seed + i``,
-    failures are ddmin-shrunk (both halves) and reported as standalone
-    two-builder programs.
-    """
-    if cases is None and budget_s is None:
-        cases = 50
-    started = time.monotonic()
-    ran = 0
-    failures: list[FuzzFailure] = []
-    index = 0
-    while True:
-        if cases is not None and ran >= cases:
-            break
-        if budget_s is not None and time.monotonic() - started >= budget_s:
-            break
-        case = generate_tenant_case(seed + index, policies=policies)
-        index += 1
-        ran += 1
-        failure = run_tenant_case(case)
-        if on_case is not None:
-            on_case(case, failure)
-        if failure is None:
-            continue
-        shrunk = shrink_tenant_case(case, failure)
-        final = run_tenant_case(shrunk) or failure
-        failures.append(FuzzFailure(
-            seed=shrunk.seed,
-            failure=final,
-            n_records=shrunk.n_records,
-            program=tenant_case_program(shrunk),
-            command=tenant_repro_command(shrunk),
         ))
         if len(failures) >= stop_at:
             break

@@ -6,8 +6,7 @@ at every quiescent point (phase boundaries, end of run):
 **Structural invariants** (:func:`check_machine_invariants`) — the
 cross-component state is consistent: every PTE points at a live copy,
 copy-holder sets agree with page ownership, capacity accounting mirrors
-the page tables, TLBs never cache translations for unmapped pages,
-retired frames stay empty.
+the page tables, TLBs never cache translations for unmapped pages.
 
 **Counter algebra** (:func:`check_counter_laws`) — the recorded event
 counts obey exact conservation laws derived from the access path:
@@ -21,12 +20,12 @@ counts obey exact conservation laws derived from the access path:
   ``replayed == access.local + access.remote + access.host + fault.page``
   (the faulting access of a page fault is the one access that never
   reaches a data branch);
-* **link-traffic conservation**: on reroute-free runs the per-link byte
-  totals equal the driver's transfer counters plus the remote-access
-  granules — ``nvlink_bytes == traffic.nvlink_bytes + 128·access.remote``
-  and ``pcie_bytes == traffic.pcie_bytes + 128·access.host``; with
-  reroutes the per-link totals may only exceed that floor (each rerouted
-  message is charged on both hop links);
+* **link-traffic conservation**, an equality on every run: every
+  transfer crosses exactly the one link joining its endpoints, so the
+  per-link byte totals equal the driver's transfer counters plus the
+  remote-access granules —
+  ``nvlink_bytes == traffic.nvlink_bytes + 128·access.remote`` and
+  ``pcie_bytes == traffic.pcie_bytes + 128·access.host``;
 * **resolution accounting**: every fault installs a translation through
   exactly one driver primitive, so
   ``migration.count + duplication.count + duplication.remap +
@@ -35,8 +34,9 @@ counts obey exact conservation laws derived from the access path:
   hypothetical ideal policy is exempt — it can re-map a still-resident
   copy without any counter);
 * **per-policy laws** where the resolution path is fixed: plain on-touch
-  resolves every page fault with exactly one migration (or one injected
-  fallback), and never sees a protection fault.
+  resolves every page fault with exactly one migration
+  (``migration.count == fault.page``), and never sees a protection
+  fault.
 
 Checks run behind a null-object hook (:data:`NULL_VERIFIER`, the same
 pattern as :data:`repro.obs.tracer.NULL_TRACER`): an unverified run pays
@@ -157,11 +157,6 @@ def check_machine_invariants(machine) -> list[str]:
     except AssertionError as exc:
         violations.append(f"page-table structure: {exc}")
 
-    injector = machine.injector
-    retired = (
-        {(g, p) for (g, p) in injector._retired} if injector is not None else set()
-    )
-
     pages = range(trace.first_page, trace.first_page + trace.n_pages)
     for page in pages:
         owner = pt.location(page)
@@ -180,10 +175,6 @@ def check_machine_invariants(machine) -> list[str]:
                     violations.append(
                         f"page {page}: GPU {gpu} remote-maps a dead copy"
                     )
-            if has_copy and (gpu, page) in retired:
-                violations.append(
-                    f"page {page}: copy on GPU {gpu}'s retired frame"
-                )
 
     # Capacity accounting mirrors the copy sets.  (Only exact under host
     # initial placement: distributed placement seeds copies the capacity
@@ -290,39 +281,28 @@ def check_counter_laws(machine, replayed_accesses: int | None = None) -> list[st
                 "access conservation: local+remote+host+fault.page="
                 f"{accounted:g} != replayed accesses {replayed_accesses:g}"
             )
-        if stats["access.degraded"] > remote + host:
-            violations.append(
-                f"access.degraded={stats['access.degraded']:g} exceeds "
-                f"remote+host accesses {remote + host:g}"
-            )
 
-        # Link-traffic conservation.  Degraded (zero-copy) accesses and
-        # driver page moves are the only traffic sources; reroutes charge
-        # both hop links, so with reroutes the law relaxes to a floor.
+        # Link-traffic conservation: remote accesses and driver page
+        # moves are the only traffic sources.
         nvlink = machine.topology.nvlink_bytes()
         pcie = machine.topology.pcie_bytes()
-        nvlink_floor = (
+        nvlink_expected = (
             stats["traffic.nvlink_bytes"] + REMOTE_ACCESS_BYTES * remote
         )
-        pcie_floor = stats["traffic.pcie_bytes"] + REMOTE_ACCESS_BYTES * host
-        if stats["fault_inject.reroutes"] == 0:
-            if nvlink != nvlink_floor:
-                violations.append(
-                    f"traffic conservation: nvlink bytes {nvlink:g} != "
-                    f"traffic.nvlink_bytes + {REMOTE_ACCESS_BYTES}*"
-                    f"access.remote = {nvlink_floor:g}"
-                )
-            if pcie != pcie_floor:
-                violations.append(
-                    f"traffic conservation: pcie bytes {pcie:g} != "
-                    f"traffic.pcie_bytes + {REMOTE_ACCESS_BYTES}*"
-                    f"access.host = {pcie_floor:g}"
-                )
-        elif nvlink + pcie < nvlink_floor + pcie_floor:
+        pcie_expected = (
+            stats["traffic.pcie_bytes"] + REMOTE_ACCESS_BYTES * host
+        )
+        if nvlink != nvlink_expected:
             violations.append(
-                "traffic conservation: rerouted link bytes "
-                f"{nvlink + pcie:g} below the transfer floor "
-                f"{nvlink_floor + pcie_floor:g}"
+                f"traffic conservation: nvlink bytes {nvlink:g} != "
+                f"traffic.nvlink_bytes + {REMOTE_ACCESS_BYTES}*"
+                f"access.remote = {nvlink_expected:g}"
+            )
+        if pcie != pcie_expected:
+            violations.append(
+                f"traffic conservation: pcie bytes {pcie:g} != "
+                f"traffic.pcie_bytes + {REMOTE_ACCESS_BYTES}*"
+                f"access.host = {pcie_expected:g}"
             )
 
     # Resolution accounting: every fault installs a translation through
@@ -351,55 +331,17 @@ def check_counter_laws(machine, replayed_accesses: int | None = None) -> list[st
                 f"{hierarchy.l2.lookups} != l1 misses {hierarchy.l1.misses}"
             )
 
-    # Multi-tenant attribution conservation: tenant-namespaced counters
-    # are strictly additive decompositions of their aggregate families.
-    tenancy = getattr(machine, "_tenancy", None)
-    if tenancy is not None:
-        def tenant_sum(suffix: str) -> float:
-            return sum(
-                stats[f"tenant.{name}.{suffix}"] for name in tenancy.names
-            )
-
-        for family in (
-            "fault.page", "fault.protection", "access.local",
-            "access.remote", "access.host", "migration.count",
-            "migration.bytes", "duplication.count", "eviction.count",
-        ):
-            attributed = tenant_sum(family)
-            aggregate = stats[family]
-            if attributed != aggregate:
-                violations.append(
-                    f"tenancy conservation: sum(tenant.*.{family})="
-                    f"{attributed:g} != {family}={aggregate:g}"
-                )
-        l1_probes = sum(
-            h.l1.hits + h.l1.misses for h in machine.tlbs
-        )
-        attributed_lookups = tenant_sum("tlb.lookups")
-        if attributed_lookups != l1_probes:
-            violations.append(
-                "tenancy conservation: sum(tenant.*.tlb.lookups)="
-                f"{attributed_lookups:g} != L1 probes {l1_probes:g}"
-            )
-        walks = sum(h.l2.misses for h in machine.tlbs)
-        attributed_walks = tenant_sum("tlb.walks")
-        if attributed_walks != walks:
-            violations.append(
-                "tenancy conservation: sum(tenant.*.tlb.walks)="
-                f"{attributed_walks:g} != page-table walks {walks:g}"
-            )
-
     if machine.policy.name == "on_touch":
         if protection_faults:
             violations.append(
                 f"on_touch law: {protection_faults:g} protection faults "
                 "(on-touch never creates read duplicates)"
             )
-        resolved = stats["migration.count"] + stats["driver.migration_fallbacks"]
-        if resolved != page_faults:
+        migrations = stats["migration.count"]
+        if migrations != page_faults:
             violations.append(
-                "on_touch law: migration.count+driver.migration_fallbacks="
-                f"{resolved:g} != fault.page={page_faults:g}"
+                f"on_touch law: migration.count={migrations:g} != "
+                f"fault.page={page_faults:g}"
             )
 
     return violations
@@ -434,17 +376,15 @@ def run_invariant_suite(
     apps=SUITE_APPS,
     policies=None,
     *,
-    fault_plans: bool = True,
     oversubscription: bool = True,
 ) -> dict:
     """Replay registry workloads with the phase-boundary verifier.
 
-    Covers every policy on each app, plus (optionally) one injected
-    fault plan and one oversubscribed configuration per app.  Returns
+    Covers every policy on each app, plus (optionally) one oversubscribed
+    configuration per app.  Returns
     ``{"checks": int, "phases": int, "violations": [str, ...]}``.
     """
     from repro import POLICY_FACTORIES, baseline_config, get_workload
-    from repro.faults import FaultPlan, LinkFault, MigrationFlake
 
     if policies is None:
         policies = sorted(POLICY_FACTORIES)
@@ -459,21 +399,11 @@ def run_invariant_suite(
         phases += verifier.checked_phases
         violations.extend(f"{label}: {v}" for v in verifier.violations)
 
-    plan = FaultPlan(
-        link_faults=(LinkFault(a=0, b=1, phase=1, bandwidth_factor=0.25),),
-        migration_flakes=(MigrationFlake(rate=0.15, phase=1),),
-    )
     for app in apps:
         config = baseline_config()
         trace = get_workload(app, config)
         for policy in policies:
             run_one(config, trace, policy, f"{app}/{policy}")
-        if fault_plans:
-            faulted = config.replace(fault_plan=plan)
-            for policy in policies:
-                run_one(
-                    faulted, trace, policy, f"{app}/{policy}+plan"
-                )
         if oversubscription:
             pressured = config.replace(oversubscription=1.5)
             trace_p = get_workload(app, pressured)

@@ -69,10 +69,6 @@ class PhaseTrace:
     page: np.ndarray
     write: np.ndarray
     weight: np.ndarray
-    #: Optional per-record tenant index (multi-tenant merged traces only;
-    #: ``None`` for solo traces).  Redundant with the page windows — every
-    #: tenant owns a disjoint page range — so it never feeds digests.
-    tenant: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.gpu)
@@ -103,11 +99,6 @@ class Trace:
     phases: list[PhaseTrace]
     first_page: int
     n_pages: int
-    #: Tenant metadata for multi-tenant merged traces (a tuple of
-    #: ``repro.tenancy.mix.TenantInfo``).  ``None`` for solo traces *and*
-    #: for degenerate single-tenant mixes, so the machine treats those
-    #: exactly like a plain solo run (bit-identical, fast-path eligible).
-    tenants: tuple | None = None
 
     @property
     def footprint_bytes(self) -> int:

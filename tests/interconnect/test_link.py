@@ -3,7 +3,6 @@
 import pytest
 
 from repro.interconnect import Link
-from repro.interconnect.link import LinkSeveredError
 
 
 class TestLink:
@@ -51,11 +50,8 @@ class TestLink:
         link = Link("l", 3.0, 5.0)
         assert link.record(300) == link.transfer_time_ns(300) == 105.0
 
-    def test_record_rejects_negative_and_severed(self):
+    def test_record_rejects_negative(self):
         link = Link("l", 1.0, 0.0)
         with pytest.raises(ValueError):
             link.record(-1)
-        link.apply_bandwidth_factor(0.0)
-        with pytest.raises(LinkSeveredError):
-            link.record(1)
         assert (link.bytes_transferred, link.message_count) == (0, 0)

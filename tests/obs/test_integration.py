@@ -178,46 +178,3 @@ class TestChromeExportOfRealRun:
         # 4 GPUs: 6 NVLink pairs + 4 PCIe host links.
         assert len(link_tracks) == 10
 
-
-class TestFaultInjectionEvents:
-    def plan(self):
-        from repro.faults import FaultPlan
-
-        return FaultPlan.from_spec(json.dumps({
-            "link_faults": [
-                {"phase": 1, "a": 0, "b": 1, "bandwidth_factor": 0.0}
-            ],
-            "migration_flakes": [
-                {"phase": 1, "rate": 0.5, "gpus": [0, 1, 2, 3]}
-            ],
-        }))
-
-    def test_fault_inject_and_retry_instants(self, config):
-        faulted = config.replace(fault_plan=self.plan())
-        result, tracer, _m = observed_run(faulted)
-        totals = tracer.event_totals()
-        assert totals.get("fault_inject", 0) == result.stats.get(
-            "fault_inject.link_severed", 0.0
-        ) + result.stats.get("fault_inject.link_degraded", 0.0)
-        injected = [e for e in tracer.instants if e.kind == "fault_inject"]
-        assert all(e.track == "faults" for e in injected)
-        if result.stats.get("driver.migration_retries", 0.0):
-            assert totals.get("retry", 0) > 0
-
-    def test_reroute_instants_match_counter(self, config):
-        faulted = config.replace(fault_plan=self.plan())
-        result, tracer, _m = observed_run(faulted)
-        reroutes = result.stats.get("fault_inject.reroutes", 0.0)
-        if reroutes:
-            # One instant per record_transfer reroute; bulk reroutes
-            # collapse many messages into one instant, so the instant
-            # count is a lower bound that the message counter meets.
-            assert 0 < tracer.event_totals().get("reroute", 0) <= reroutes
-
-    def test_faulted_observed_run_matches_unobserved(self, config):
-        faulted = config.replace(fault_plan=self.plan())
-        trace = two_phase_trace()
-        plain = simulate(faulted, trace, make_policy("oasis"))
-        observed, _t, _m = observed_run(faulted, trace=two_phase_trace())
-        assert observed.total_time_ns == plain.total_time_ns
-        assert observed.stats == plain.stats

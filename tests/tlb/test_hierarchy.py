@@ -1,5 +1,6 @@
 """TLB hierarchy tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,3 +132,40 @@ class TestFastPathsMatchTranslate:
                 pending.append(page)
         flush()
         assert _state(run) == _state(ref)
+
+
+class TestStatsConservation:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hierarchy_levels_conserve(self, seed):
+        tlb = TLBHierarchy(TLBConfig(4, 2), TLBConfig(16, 4), LatencyModel())
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            page = int(rng.integers(0, 64)) + (
+                128 if rng.integers(0, 2) else 0
+            )
+            tlb.translate(page)
+        assert tlb.l1.hits + tlb.l1.misses == tlb.l1.lookups
+        assert tlb.l2.hits + tlb.l2.misses == tlb.l2.lookups
+        assert tlb.l2.lookups == tlb.l1.misses
+        assert tlb.l1.lookups == 400
+
+    def test_translate_run_counts_like_translate_fast(self):
+        rng = np.random.default_rng(1)
+        pages = [int(rng.integers(0, 96)) for _ in range(500)]
+        one = TLBHierarchy(TLBConfig(4, 2), TLBConfig(16, 4), LatencyModel())
+        two = TLBHierarchy(TLBConfig(4, 2), TLBConfig(16, 4), LatencyModel())
+        costs_fast = []
+        walks_fast = []
+        for pos, page in enumerate(pages):
+            cost, walked = one.translate_fast(page)
+            costs_fast.append(cost)
+            if walked:
+                walks_fast.append(pos)
+        costs_run, walks_run = two.translate_run(pages)
+        assert costs_run == costs_fast
+        assert walks_run == walks_fast
+        for mine, theirs in ((one.l1, two.l1), (one.l2, two.l2)):
+            assert (mine.hits, mine.misses, mine.lookups) == (
+                theirs.hits, theirs.misses, theirs.lookups
+            )
+            assert mine.hits + mine.misses == mine.lookups

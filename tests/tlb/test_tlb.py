@@ -1,5 +1,6 @@
 """Set-associative TLB tests, including an LRU reference model."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -140,3 +141,68 @@ class TestAgainstReference:
             assert tlb.contains(page) == any(
                 page in s for s in ref.sets
             )
+
+
+class TestInterleavedAddressSpaces:
+    """Address spaces whose windows are set-count aligned collide per set."""
+
+    def test_window_aligned_pages_share_sets(self):
+        tlb = make(entries=8, ways=2)  # 4 sets
+        window = 64  # multiple of n_sets: page and page+window collide
+        tlb.fill(3)
+        tlb.fill(3 + window)
+        victim = tlb.fill(3 + 2 * window)
+        assert victim == 3  # LRU of the shared set, not another set
+
+    def test_cross_address_space_conflict_evictions(self):
+        tlb = make(entries=8, ways=2)
+        window = 64
+        # Two address spaces fill the shared sets to capacity without
+        # evicting each other; a third working set at the same offsets
+        # evicts the LRU (address space a) from every set.
+        for page in range(4):
+            tlb.fill(page)
+        for page in range(4):
+            assert tlb.fill(window + page) is None
+        assert tlb.occupancy == 8
+        for page in range(4):
+            assert tlb.fill(2 * window + page) == page
+        for page in range(4):
+            assert not tlb.contains(page)
+            assert tlb.contains(window + page)
+            assert tlb.contains(2 * window + page)
+        assert tlb.occupancy == 8
+
+    def test_disjoint_sets_do_not_conflict(self):
+        tlb = make(entries=8, ways=2)  # 4 sets
+        for page in range(4):  # one page per set: no pressure anywhere
+            assert tlb.fill(page) is None
+        for page in range(4):
+            assert tlb.contains(page)
+
+    def test_interleaved_streams_deterministic(self):
+        rng = np.random.default_rng(7)
+        pages = [
+            int(rng.integers(0, 16)) + (64 if rng.integers(0, 2) else 0)
+            for _ in range(200)
+        ]
+        a, b = make(16, 4), make(16, 4)
+        for page in pages:
+            if not a.lookup(page):
+                a.fill(page)
+            if not b.lookup(page):
+                b.fill(page)
+        assert (a.hits, a.misses, a.lookups) == (b.hits, b.misses, b.lookups)
+        assert a.cached_pages() == b.cached_pages()
+
+
+class TestStatsConservation:
+    def test_single_level_lookups_partition(self):
+        tlb = make(16, 4)
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            page = int(rng.integers(0, 48))
+            if not tlb.lookup(page):
+                tlb.fill(page)
+        assert tlb.lookups == 300
+        assert tlb.hits + tlb.misses == tlb.lookups

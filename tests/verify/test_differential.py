@@ -10,7 +10,6 @@ from repro.verify.differential import (
     canonical_json,
     check_cached_vs_recomputed,
     check_fast_vs_slow,
-    check_faultplan_forced_slow,
     check_serial_vs_parallel,
     check_traced_vs_untraced,
     core_digest,
@@ -81,10 +80,6 @@ def test_cache_lane_agrees(config):
 
 def test_traced_lane_agrees(config):
     assert check_traced_vs_untraced(config, "i2c", "oasis") == []
-
-
-def test_faultplan_lane_agrees(config):
-    assert check_faultplan_forced_slow(config, "i2c", "oasis") == []
 
 
 def test_parallel_lane_agrees(config):

@@ -11,12 +11,10 @@ from repro.verify.fuzz import (
     case_config,
     case_program,
     generate_case,
-    generate_tenant_case,
     repro_command,
     run_case,
     run_fuzz,
     shrink_case,
-    tenant_repro_command,
 )
 
 
@@ -118,8 +116,7 @@ def test_repro_command_names_a_policy_subset():
     )
 
 
-@pytest.mark.parametrize("tenancy", [False, True])
-def test_cli_fuzz_passes_the_policy_subset(monkeypatch, tenancy):
+def test_cli_fuzz_passes_the_policy_subset(monkeypatch):
     from repro import cli
     from repro.verify import fuzz
 
@@ -129,35 +126,12 @@ def test_cli_fuzz_passes_the_policy_subset(monkeypatch, tenancy):
         seen.append(kwargs)
         return {"cases": 0, "elapsed_s": 0.0, "failures": []}
 
-    runner = "run_tenancy_fuzz" if tenancy else "run_fuzz"
-    monkeypatch.setattr(fuzz, runner, fake)
-    argv = ["verify", "--fuzz", "--cases", "1"] + ["--tenancy"] * tenancy
+    monkeypatch.setattr(fuzz, "run_fuzz", fake)
+    argv = ["verify", "--fuzz", "--cases", "1"]
     assert cli.main(argv + ["--policy", "duplication"]) == 0
     assert cli.main(argv) == 0
     assert seen[0]["policies"] == ("duplication",)
     assert "policies" not in seen[1]
-
-
-def test_tenant_repro_command_names_a_policy_subset():
-    case = generate_tenant_case(3, policies=("oasis",))
-    assert tenant_repro_command(case).endswith(
-        "--tenancy --seed 3 --cases 1 --policy oasis"
-    )
-    assert "--policy" not in tenant_repro_command(generate_tenant_case(3))
-
-
-def test_fault_plan_cases_replay_clean():
-    # Scan forward for generated cases that carry a fault plan and make
-    # sure the oracles hold there too (reroutes, flakes, retirements).
-    seen = 0
-    seed = 0
-    while seen < 3 and seed < 200:
-        case = generate_case(seed)
-        if case.fault_plan is not None:
-            seen += 1
-            assert run_case(case) is None, f"seed {seed}"
-        seed += 1
-    assert seen == 3
 
 
 #: The shrunk seed-190 finding: under capacity pressure ``evict_from``
@@ -192,5 +166,4 @@ def test_case_config_round_trip():
     config = case_config(case)
     assert config.n_gpus == case.n_gpus
     assert config.oversubscription == case.oversubscription
-    assert config.fault_plan == case.fault_plan
     assert isinstance(case, FuzzCase)
