@@ -1,31 +1,12 @@
-"""Multi-tenant co-scheduling: mixes, attribution, fairness.
+"""Tenant mixes: several registry workloads merged into one trace.
 
-``repro.tenancy`` lets 2--4 of the registry workloads share one
-simulated machine: :mod:`repro.tenancy.mix` merges their traces into a
-single multi-tenant :class:`~repro.workloads.base.Trace` with disjoint
-address windows and burst-interleaved records; the machine attributes
-TLB/fault/driver/migration work per tenant (``tenant.<name>.*``
-counters, :mod:`repro.tenancy.accounting`); and
-:mod:`repro.tenancy.fairness` turns shared-vs-solo timings into
-slowdown / weighted-speedup / unfairness reports.
-
-Mixes are addressed by name — ``get_workload("mm+bfs", config)`` — so
-the whole harness (memoized sweeps, experiments, reproduce) runs them
-without modification: ``repro-oasis sweep --tenants mm+bfs,mm+i2c``.
+:mod:`repro.tenancy.mix` gives each of 1--4 workloads a disjoint
+address window and burst-interleaves their records phase by phase.  The
+registry routes mix names to it (``get_workload("mm+bfs", config)``).
+The simulator has no notion of tenants: a mix replays as one
+application, with no per-tenant accounting.
 """
 
-from repro.tenancy.accounting import TenancyAccounting
-from repro.tenancy.fairness import (
-    fairness_report,
-    mix_fairness,
-    publish_fairness_metrics,
-    quartiles,
-    shared_time_ns,
-    solo_time_ns,
-    tenant_counters,
-    tenant_names,
-    tenant_rollup,
-)
 from repro.tenancy.mix import (
     MAX_TENANTS,
     TenantInfo,
@@ -41,23 +22,13 @@ from repro.tenancy.mix import (
 
 __all__ = [
     "MAX_TENANTS",
-    "TenancyAccounting",
     "TenantInfo",
     "TenantMix",
     "TenantSpec",
     "build_mix_trace",
-    "fairness_report",
     "get_mix_workload",
     "merge_traces",
-    "mix_fairness",
     "parse_mix",
-    "publish_fairness_metrics",
-    "quartiles",
-    "shared_time_ns",
     "single_tenant_trace",
-    "solo_time_ns",
-    "tenant_counters",
-    "tenant_names",
-    "tenant_rollup",
     "trace_digest",
 ]

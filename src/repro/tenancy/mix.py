@@ -1,21 +1,22 @@
 """Tenant mixes: specs, disjoint address windows, and the interleaver.
 
-A :class:`TenantMix` names 2--4 workloads (with per-tenant seed and
-footprint overrides) to co-schedule on one simulated machine.  The merge
-gives every tenant a **disjoint base-address window** — a power-of-two
-span of pages large enough for the largest tenant, so window membership
-is a single shift/compare — rebases each tenant's objects into its
-window, and interleaves the per-tenant record streams phase by phase
-with the same stable ``np.lexsort`` burst round-robin the
+A :class:`TenantMix` names 1--4 workloads (with per-tenant seed and
+footprint overrides) to merge into one trace.  The merge gives every
+tenant a **disjoint base-address window** — a power-of-two span of pages
+large enough for the largest tenant, so window membership is a single
+shift/compare — rebases each tenant's objects into its window, and
+interleaves the per-tenant record streams phase by phase with the same
+stable ``np.lexsort`` burst round-robin the
 :class:`~repro.workloads.base.TraceBuilder` uses for GPUs.  Phase
 boundaries stay aligned: merged phase *k* carries every tenant's phase
 *k* records, and the barrier at its end synchronizes all tenants.
 
-A single-tenant mix runs through the identical merge machinery with a
-zero shift, keeps the solo object/phase/trace names, and attaches **no**
-tenant metadata — so the machine treats it exactly like the plain solo
-trace and the result is bit-identical (the ``tenancy`` differential lane
-pins this).
+The simulator does no per-tenant accounting: a merged trace replays as
+one application, and :attr:`~repro.workloads.base.Trace.tenants` only
+records where each tenant's window lies.  A single-tenant mix runs
+through the identical merge machinery with a zero shift, keeps the solo
+object/phase/trace names, and attaches **no** tenant metadata, so it is
+the solo trace and its run is bit-identical to the solo run.
 
 Mix names are strings like ``"mm+bfs"``; each tenant token accepts
 optional suffixes ``@<footprint_mb>`` and ``#<seed>``
@@ -420,8 +421,7 @@ def get_mix_workload(
     """Build (or fetch from cache) a mix trace from a ``"a+b"`` name.
 
     This is the registry delegation target: ``get_workload("mm+bfs", ...)``
-    routes here, so the harness memo/cache, sweep and reproduce layers
-    all handle mixes with no further changes.
+    routes here.
     """
     label = parse_mix(name).label
     mb = float(footprint_mb) if footprint_mb is not None else None

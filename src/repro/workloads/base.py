@@ -69,6 +69,11 @@ class PhaseTrace:
     page: np.ndarray
     write: np.ndarray
     weight: np.ndarray
+    #: Optional per-record tenant index (merged mix traces only; ``None``
+    #: for solo traces).  Redundant with the page windows — every tenant
+    #: owns a disjoint page range — so it never feeds digests, and the
+    #: machine never reads it.
+    tenant: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.gpu)
@@ -99,6 +104,11 @@ class Trace:
     phases: list[PhaseTrace]
     first_page: int
     n_pages: int
+    #: Tenant windows of a merged mix trace (a tuple of
+    #: ``repro.tenancy.mix.TenantInfo``).  ``None`` for solo traces and
+    #: for single-tenant mixes.  The machine never reads it: a mix
+    #: replays as one application.
+    tenants: tuple | None = None
 
     @property
     def footprint_bytes(self) -> int:

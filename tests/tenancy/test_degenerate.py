@@ -1,29 +1,11 @@
-"""Degenerate-tenancy oracle: a one-tenant mix IS the solo run.
-
-The full lane (every registry app x oasis/grit) runs under
-``repro-oasis verify --differential --lanes tenancy``; here a cheap
-subset pins the bit-identity contract in tier-1.
-"""
+"""Degenerate mix: a one-tenant mix IS the solo run."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import get_workload, make_policy, simulate
-from repro.verify import differential
 from repro.tenancy.mix import single_tenant_trace, trace_digest
-
-
-def test_lane_is_registered():
-    assert "tenancy" in differential.LANES
-    assert differential.TENANCY_LANE_POLICIES == ("oasis", "grit")
-
-
-def test_degenerate_lane_subset_matches(config):
-    mismatches = differential.check_degenerate_tenancy(
-        config, apps=("mm", "bfs"), policies=("oasis",), seed=0
-    )
-    assert mismatches == []
 
 
 @pytest.mark.parametrize("app", ["mm", "bfs"])
@@ -41,23 +23,3 @@ def test_single_tenant_counters_bit_identical(config):
     mixed = simulate(config, mix_trace, make_policy("grit"))
     assert solo.total_time_ns == mixed.total_time_ns
     assert solo.stats == mixed.stats
-
-
-def test_runner_counts_tenancy_comparisons(config, monkeypatch):
-    calls = {}
-
-    def fake_check(cfg, seed=0):
-        calls["seed"] = seed
-        return []
-
-    monkeypatch.setattr(
-        differential, "check_degenerate_tenancy", fake_check
-    )
-    report = differential.run_differential(
-        apps=("mm",), policies=("oasis",), seed=3, jobs=2,
-        lanes=("tenancy",),
-    )
-    assert calls["seed"] == 3
-    assert report["mismatches"] == []
-    assert report["comparisons"] > 0
-    assert report["lanes"] == ("tenancy",) or "tenancy" in report["lanes"]

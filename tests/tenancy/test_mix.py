@@ -226,11 +226,9 @@ class TestDeterminismAcrossProcesses:
 
     def _digests(self, hash_seed: str) -> str:
         code = (
-            "from repro.verify.fuzz import generate_tenant_case, "
-            "build_tenant_trace\n"
             "from repro.tenancy.mix import trace_digest, get_mix_workload\n"
-            "print(trace_digest(build_tenant_trace("
-            "generate_tenant_case(5))))\n"
+            "print(trace_digest(get_mix_workload('bfs#5+mm+mm', "
+            "footprint_mb=8, seed=1)))\n"
             "print(trace_digest(get_mix_workload('mm+bfs', "
             "footprint_mb=8, seed=0)))\n"
         )
