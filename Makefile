@@ -40,8 +40,8 @@ bench-smoke:
 
 # Repo benchmark smoke: one short traced perfbench run (policy_sweep,
 # seed 1) that must be correct, fail nothing, and show nonzero self
-# time in every fast-path layer (a layer reads 0 when the method the
-# benchmark wraps has gone).
+# time in the SoA-build, fault-lane, per-record and memo layers (a
+# layer reads 0 when the method the benchmark wraps has gone).
 perfbench-smoke:
 	$(PYTHON) scripts/perfbench_smoke.py
 
