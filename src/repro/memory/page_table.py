@@ -28,27 +28,23 @@ Two kinds of mutator change the columns.  The *whole-page transitions*
 :meth:`release_to_host`, :meth:`release_copy`) are what the UVM
 driver's migrate, collapse, duplicate, evict and ``evict_from``
 primitives call: each moves one page to its final state with one bounds
-check, one ``version`` bump and one mirror mark, and returns the page's
-prior columns so the caller derives copy source, shootdown victims and
-released holders with bit operations.  The *fine-grained* mutators
-(``map_local``, ``unmap_all_except``, ``set_exclusive``, ``add_copy``,
-...) change one aspect at a time; the driver's ``map_remote`` and
-``map_local``, the ideal policy and fault injection use them, and every
-transition equals a fixed sequence of them.  The fast path's fault
-lanes write through two batch transitions: :meth:`bulk_install_exclusive`
-for on-touch style installs, and :meth:`store_entries`, the
-whole-chunk lane's write-back of the entries (policy bits included)
-its loop changed.
+check and one mirror mark, and returns the page's prior columns so the
+caller derives copy source, shootdown victims and released holders with
+bit operations.  The *fine-grained* mutators (``map_local``,
+``unmap_all_except``, ``set_exclusive``, ``add_copy``, ...) change one
+aspect at a time; the driver's ``map_remote``, ``map_local`` and
+``ideal_copy`` use them, and every transition equals a fixed sequence of
+them.  The fast path's fused loops read the columns directly and write
+back through two batch transitions: :meth:`bulk_install_exclusive` for
+plain on-touch's migrations, and :meth:`store_entries` for the entries
+(policy bits included) the other policies' loop changed.
 
-For the vectorized steady-state replay path the same columns are also
-available as numpy arrays (:meth:`bulk_views`).  The arrays are built
-lazily on first request.  After that every mutator records the page
-indices it changed, and :meth:`bulk_views` flushes them with one
-fancy-index store per column before returning, so the fast-path
-eligibility scan is a handful of numpy mask operations instead of a
-dict/list probe per trace record.  ``version`` increments on every
-mutation (once per transition); the replay loop uses it to know when a
-previously computed eligibility mask went stale.
+The same columns are also available as numpy arrays
+(:meth:`bulk_views`), which the phase-snapshot tier hashes into its
+decision digest.  The arrays are built lazily on first request.  After
+that every mutator records the page indices it changed, and
+:meth:`bulk_views` flushes them with one fancy-index store per column
+before returning.
 
 Invariants maintained by the mutators (checked by :meth:`check_invariants`):
 
@@ -123,8 +119,6 @@ class PageTables:
         self._mapped_mask = [0] * n_pages
         self._writable_mask = [0] * n_pages
         self._policy = [POLICY_ON_TOUCH] * n_pages
-        #: Bumped on every mutation; consumers cache derived state per version.
-        self.version = 0
         self._views: dict[str, np.ndarray] | None = None
         self._dirty = None
 
@@ -147,16 +141,14 @@ class PageTables:
     # -- bulk numpy views ---------------------------------------------------
 
     def bulk_views(self) -> dict[str, np.ndarray]:
-        """Numpy mirrors of the per-page columns for vectorized scans.
+        """Numpy mirrors of the per-page columns.
 
         Returns arrays indexed by ``page - first_page``: ``owner`` (device
         ids), ``copies`` / ``mapped`` / ``writable`` (per-GPU bitmasks) and
         ``policy`` (PTE policy bits), all int64.  Built lazily on first
         call; every later call first flushes the pages mutated since the
         previous one, so the arrays are current when returned.  Callers
-        must treat them as read-only, call again after any mutation, and
-        re-check :attr:`version` to detect staleness of anything they
-        derived from them.
+        must treat them as read-only and call again after any mutation.
         """
         views = self._views
         if views is None:
@@ -183,13 +175,12 @@ class PageTables:
         return views
 
     def _touch(self, idx: int) -> None:
-        """Record a mutation of one page: bump the version, mark its mirrors.
+        """Record a mutation of one page: mark its mirrors.
 
         Once more marks pile up than the table has pages (a slow-path
         run reads the mirrors only at phase boundaries), rebuilding is
         cheaper than flushing: the mirrors are dropped instead.
         """
-        self.version += 1
         dirty = self._dirty
         if dirty is not None:
             dirty.append(idx)
@@ -199,15 +190,15 @@ class PageTables:
     def bulk_install_exclusive(
         self, idxs: np.ndarray, gpus: np.ndarray
     ) -> None:
-        """Batch of :meth:`install_exclusive` for the fast path's fault lane.
+        """Batch of :meth:`install_exclusive` for plain on-touch's fused loop.
 
         The resulting columns do not depend on a page's prior state, so
         for distinct ``idxs`` the batch equals per-page transitions from
         any state.  The caller must have applied the rest of each
         transition itself — the shootdowns, capacity releases and
-        transfers the prior state implied: the fault lane installs
-        virgin first touches and, under plain on-touch, cross-GPU
-        bounces and pulls of exclusively held pages.
+        transfers the prior state implied: the loop installs virgin
+        first touches, cross-GPU bounces and pulls of exclusively held
+        pages, and holders re-mapping their own pages.
         """
         owner = self._owner
         copies = self._copy_mask
@@ -219,7 +210,6 @@ class PageTables:
             copies[idx] = bit
             mapped[idx] = bit
             writable[idx] = bit
-        self.version += 1
         views = self._views
         if views is not None and len(idxs):
             bits = np.left_shift(np.int64(1), gpus)
@@ -233,9 +223,8 @@ class PageTables:
 
         ``entries`` maps a page to its final ``[owner, copies, mapped,
         writable, policy]`` (the :meth:`entry` columns), each a state the
-        driver primitives and policies reach.  The batch is one
-        transition: a single ``version`` bump, and one mirror mark per
-        page for :meth:`bulk_views` to flush.
+        driver primitives and policies reach.  Each page gets one
+        mirror mark for :meth:`bulk_views` to flush.
         """
         if not entries:
             return
@@ -254,7 +243,6 @@ class PageTables:
             writable[idx] = state[3]
             policy[idx] = state[4]
             idxs.append(idx)
-        self.version += 1
         dirty = self._dirty
         if dirty is not None:
             dirty.extend(idxs)
@@ -527,7 +515,6 @@ class PageTables:
         if stop > self._n_pages:
             raise IndexError("policy range extends past tracked pages")
         self._policy[start:stop] = [bits] * n_pages
-        self.version += 1
         if self._views is not None:
             self._views["policy"][start:stop] = bits
 

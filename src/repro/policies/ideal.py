@@ -16,7 +16,13 @@ from repro.policies.base import PolicyEngine
 
 
 class IdealPolicy(PolicyEngine):
-    """Duplicate-everything upper bound (not realizable)."""
+    """Duplicate-everything upper bound (not realizable).
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's resolution inline,
+    so a change here must be mirrored there; ``tests/sim/test_fastpath.py``
+    compares both paths.
+    """
 
     name = "ideal"
 

@@ -13,7 +13,13 @@ from repro.policies.base import PolicyEngine
 
 
 class OnTouchPolicy(PolicyEngine):
-    """Uniform on-touch migration."""
+    """Uniform on-touch migration.
+
+    The fast path's on-touch loop (``FastReplay._run_bulk_fault`` in
+    :mod:`repro.sim.fastpath`) replays this policy's resolution inline,
+    so a change here must be mirrored there; ``tests/sim/test_fastpath.py``
+    compares both paths.
+    """
 
     name = "on_touch"
 

@@ -28,7 +28,13 @@ from repro.policies.base import PolicyEngine
 
 
 class StaticAdvisePolicy(PolicyEngine):
-    """Per-object static hints, fixed for the whole execution."""
+    """Per-object static hints, fixed for the whole execution.
+
+    The fast path's uniform lane (``FastReplay._run_uniform`` in
+    :mod:`repro.sim.fastpath`) replays this policy's resolutions inline,
+    so a change here must be mirrored there; ``tests/sim/test_fastpath.py``
+    compares both paths.
+    """
 
     name = "static_advise"
 

@@ -1,62 +1,43 @@
-"""Vectorized steady-state replay — the simulator's fast path.
+"""Whole-chunk replay — the simulator's fast path.
 
 :class:`FastReplay` replays a phase's record arrays chunk by chunk, and
 every observable — clocks, stats, traffic, TLB hit/miss counts, counter
 state, the policy's own decision state — stays **bit-identical** to a
 pure per-record replay (``REPRO_FORCE_SLOW_PATH=1`` disables the fast
-path for A/B checks).  It has two ways to do that.
+path for A/B checks).  Every chunk is one run of a fused scalar loop
+that replays every record and never falls back to the per-record path.
+There are two loops.
 
-Under access-counter, duplication, GRIT and OASIS (OASIS-InMem and the
-OASIS ablation flags included) every chunk is one *whole-chunk lane*
-run, :meth:`FastReplay._run_uniform`: a fused scalar loop that replays
-every record — local and remote accesses, page and protection faults,
-counter trips and the group migrations they trigger — and never falls
-back to the per-record path.  It keeps the touched page-table entries
-(policy bits included) and counters in local dicts, seeded from the
-live tables and written back once at the end.  A fault calls the
-policy's own decision state in record order (GRIT's PA-Cache and
-per-page learning, OASIS' O-Table controller and metadata lookup) and
-applies the resolution with the driver arithmetic inlined.  The
-sequential state — TLB LRU dicts, the driver FIFO, per-GPU clocks,
-residency LRU order — advances in place; stats and link traffic are
-summed and applied after the loop.
+Under access-counter, duplication, GRIT, OASIS (OASIS-InMem and the
+OASIS ablation flags included), Ideal and static-advise the loop is
+:meth:`FastReplay._run_uniform`.  It replays local and remote accesses,
+page and protection faults, counter trips and the group migrations they
+trigger.  It keeps the touched page-table entries (policy bits
+included) and counters in local dicts, seeded from the live tables and
+written back once at the end.  A fault calls the policy's own decision
+state in record order (GRIT's PA-Cache and per-page learning, OASIS'
+O-Table controller and metadata lookup) and applies the resolution with
+the driver arithmetic inlined.
 
-Every other policy goes through eligibility masks.  A record ``(gpu,
-page, is_write, weight)`` is *eligible* for bulk replay in the *steady
-lane* when, under the page-table state current at mask-build time,
-``gpu`` has a valid PTE for ``page`` pointing at its own copy, and the
-record is a read or the PTE is writable: no fault is possible, and
-replay only adds local access latency and ``access.local`` counts.
-Under plain on-touch a *fault lane* also replays runs of records whose
-page is in a simple exclusive state (virgin, or held by one GPU): each
-resolves as a migration with a fixed driver service time.
+Plain on-touch keeps a leaner loop of its own
+(:meth:`FastReplay._run_bulk_fault`).  With coherent tables and no
+capacity manager migration is its only resolution, so every page is
+virgin or held by one GPU, and each record resolves with one of five
+fixed driver service times.
 
-Eligibility masks are derived from the page tables' numpy mirrors
-(:meth:`PageTables.bulk_views`, which flushes the pages mutated since
-its last call) and are invalidated by the page-table ``version``
-counter: any fault resolution mutates the page tables, which bumps the
-version, which forces per-record replay until the mask is rebuilt
-(rebuilds are throttled so a fault storm degrades gracefully to the
-slow path instead of thrashing on mask recomputation).
+In both loops the sequential state — TLB LRU dicts, the driver FIFO,
+per-GPU clocks, residency LRU order — advances in place; stats and link
+traffic are summed and applied after the loop.  The results are exact,
+not merely close: the loops repeat the float operations of
+``Machine.access``, ``Machine._fault``, the policy and the driver
+primitives in their order, and stat counters and traffic bytes are
+integer-valued and far below 2**53, so summing them in bulk is exact
+under any grouping.
 
-Why the bulk math is exact and not merely close:
-
-* per-GPU clocks are folded with ``np.cumsum`` over the interleaved
-  per-record latency terms, seeded with the GPU's current clock —
-  numpy's cumsum is a strict sequential left fold, so the result is the
-  same IEEE-754 value the per-record ``+=`` chain produces;
-* stat counters and traffic bytes are integer-valued and far below
-  2**53, so bulk integer sums are exact under any grouping;
-* the LRU TLBs are inherently sequential, so bulk runs use
-  :meth:`TLBHierarchy.translate_run` — the same lookup/fill/evict logic
-  in one tight loop — rather than a numpy approximation;
-* the fused loops repeat the float operations of ``Machine.access``,
-  ``Machine._fault``, the policy and the driver primitives in their
-  order.
-
-The fast path is disabled outright when the capacity manager is active
-(oversubscription runs touch eviction state on every access) or when
-``REPRO_FORCE_SLOW_PATH`` is set.
+A run replays per record when the capacity manager is active
+(oversubscription runs touch eviction state on every access), when
+``REPRO_FORCE_SLOW_PATH`` is set, or when its policy has no loop — a
+subclass that overrides a handler, for example.
 """
 
 from __future__ import annotations
@@ -79,27 +60,31 @@ from repro.memory.page_table import duplicated
 from repro.policies.access_counter import AccessCounterPolicy
 from repro.policies.duplication import DuplicationPolicy
 from repro.policies.grit import GritPolicy
+from repro.policies.ideal import IdealPolicy
 from repro.policies.on_touch import OnTouchPolicy
+from repro.policies.static_advise import StaticAdvisePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.machine import Machine
     from repro.workloads.base import PhaseTrace
 
-#: Records per replay chunk: one whole-chunk lane run (its entries and
-#: counters are written back per chunk), and the longest window an
-#: eligibility mask covers.
+#: Records per fused-loop run; its entries and counters are written back
+#: per chunk.
 CHUNK = 4096
 
-#: Minimum eligible-run length worth the bulk-call overhead; shorter runs
-#: replay per-record (which is always exact).
-MIN_RUN = 16
+#: The fused loop's mode for each policy class it replays, matched on
+#: the exact class: a subclass may override a handler.
+_MODES = {
+    OnTouchPolicy: "on_touch",
+    AccessCounterPolicy: "counter",
+    DuplicationPolicy: "dup",
+    GritPolicy: "grit",
+    IdealPolicy: "ideal",
+    StaticAdvisePolicy: "advise",
+}
 
-#: Minimum per-record steps between mask rebuilds after a version bump;
-#: amortizes the O(window) rebuild cost during fault storms.
-REBUILD_MIN_STEPS = 64
-
-#: The fault handlers the whole-chunk lane replays for an OASIS policy;
-#: a subclass that overrides any of them keeps the masks.
+#: The fault handlers the loop replays for an OASIS policy; a subclass
+#: that overrides any of them replays per record.
 _OASIS_HANDLERS = (
     "on_fault", "on_protection_fault", "_shared_fault", "_resolve_counter",
     "on_remote_access",
@@ -111,21 +96,16 @@ def force_slow_path() -> bool:
     return os.environ.get("REPRO_FORCE_SLOW_PATH", "").strip() not in ("", "0")
 
 
-def _lane_of(policy) -> str | None:
-    """The whole-chunk lane mode for ``policy``, or None for the masks."""
+def _mode_of(policy) -> str | None:
+    """The fused loop's mode for ``policy``, or None if it has no loop."""
     kind = type(policy)
-    if kind is AccessCounterPolicy:
-        return "counter"
-    if kind is DuplicationPolicy:
-        return "dup"
-    if kind is GritPolicy:
-        return "grit"
-    if isinstance(policy, OasisPolicy) and all(
+    mode = _MODES.get(kind)
+    if mode is None and isinstance(policy, OasisPolicy) and all(
         getattr(kind, name) is getattr(OasisPolicy, name)
         for name in _OASIS_HANDLERS
     ):
-        return "oasis"
-    return None
+        mode = "oasis"
+    return mode
 
 
 class PhaseArrays:
@@ -141,20 +121,18 @@ class PhaseArrays:
         self, phase: "PhaseTrace", first_page: int, n_gpus: int, ppg: int
     ) -> None:
         self.gpu = phase.gpu.astype(np.int64)
-        self.idx = phase.page - first_page
         self.is_w = phase.write != 0
-        self.bit = np.left_shift(np.int64(1), self.gpu)
-        # Each record's access-counter key, for the whole-chunk lane;
-        # built for every policy, so all of a sweep's runs share one
-        # cache entry.
+        # Each record's access-counter key; built for every policy, so
+        # all of a sweep's runs share one cache entry.
         self.key = (phase.page // ppg) * n_gpus + self.gpu
 
 
 class FastReplay:
-    """Chunked bulk replayer bound to one :class:`Machine`."""
+    """Chunked fused-loop replayer bound to one :class:`Machine`."""
 
-    def __init__(self, machine: "Machine") -> None:
+    def __init__(self, machine: "Machine", mode: str) -> None:
         self.machine = machine
+        self._mode = mode
         config = machine.config
         lat = config.latency
         self._first_page = machine.trace.first_page
@@ -166,40 +144,35 @@ class FastReplay:
         self._mem_par = lat.mem_parallelism
         self._remote_par = lat.remote_parallelism
         self._ppg = config.pages_per_counter_group
-        # The whole-chunk lane's policy mode (None: replay through the
-        # masks, plain on-touch with its exclusive-state fault lane).
-        self._uniform = _lane_of(machine.policy)
-        self._on_touch = type(machine.policy) is OnTouchPolicy
         self._page_size = config.page_size
         self._obj_arr = np.array(machine._obj_of_page, dtype=np.int64)
-        # A virgin first touch always moves one page host->GPU over PCIe
-        # (all host links are identical) and updates one PTE; the empty
-        # shootdown and disabled capacity manager contribute exactly 0.0,
-        # so this single float is the resolution of an on-touch lane
-        # first touch.
-        transfer_ns = machine.topology.link(HOST, 0).transfer_time_ns(
+        # One page over PCIe (all host links are identical) and over
+        # NVLink (all GPU pairs are identical).
+        self._pcie_ns = machine.topology.link(HOST, 0).transfer_time_ns(
             config.page_size
         )
-        self._pcie_ns = transfer_ns
-        self._pte_update_ns = lat.pte_update_ns
-        self._pte_invalidate_ns = lat.pte_invalidate_ns
-        self._collapse_overhead_ns = lat.collapse_overhead_ns
-        self._virgin_resolution = transfer_ns + lat.pte_update_ns
-        self._occ_ns = lat.fault_driver_occupancy_ns
-        self._fault_service_ns = lat.fault_service_ns
-        self._fault_par = lat.fault_parallelism
-        self._virgin_service = self._occ_ns + self._virgin_resolution
-        # Plain on-touch migrates on *every* fault, so cross-GPU bounces
-        # of exclusively-held pages are predictable too: shoot down the
-        # holder's PTE (if mapped), pull the page over NVLink, update the
-        # PTE.  All GPU pairs share identical link parameters.
         if config.n_gpus >= 2:
             nvlink_ns = machine.topology.link(0, 1).transfer_time_ns(
                 config.page_size
             )
         else:
-            nvlink_ns = 0.0  # unreachable: no second GPU to bounce from
+            nvlink_ns = 0.0  # unreachable: no second GPU to copy from
         self._nvlink_ns = nvlink_ns
+        self._pte_update_ns = lat.pte_update_ns
+        self._pte_invalidate_ns = lat.pte_invalidate_ns
+        self._collapse_overhead_ns = lat.collapse_overhead_ns
+        self._occ_ns = lat.fault_driver_occupancy_ns
+        self._fault_service_ns = lat.fault_service_ns
+        self._fault_par = lat.fault_parallelism
+        # The driver service time of each on-touch migration: a virgin
+        # first touch pulls the page over PCIe; the empty shootdown and
+        # the disabled capacity manager add exactly 0.0.  A bounce shoots
+        # down the holder's PTE and pulls over NVLink, a pull from an
+        # unmapped holder only pulls, and a holder re-mapping its own
+        # page only updates the PTE.
+        self._service_virgin = self._occ_ns + (
+            self._pcie_ns + lat.pte_update_ns
+        )
         self._service_bounce = self._occ_ns + (
             (lat.pte_invalidate_ns + nvlink_ns) + lat.pte_update_ns
         )
@@ -210,20 +183,9 @@ class FastReplay:
         # Per-phase record arrays (set by run_phase).
         self._gpu: np.ndarray | None = None
         self._page: np.ndarray | None = None
-        self._idx: np.ndarray | None = None
         self._is_w: np.ndarray | None = None
         self._weight: np.ndarray | None = None
-        self._bit: np.ndarray | None = None
         self._key: np.ndarray | None = None
-        # Current eligibility window (set by _rebuild).
-        self._mask_base = 0
-        self._mask_version = -1
-        self._mask: np.ndarray | None = None
-        self._false_pos: np.ndarray | None = None
-        self._fmask: np.ndarray | None = None
-        self._f_false_pos: np.ndarray | None = None
-        self._f_owner: np.ndarray | None = None
-        self._f_map0: np.ndarray | None = None
 
     @classmethod
     def for_machine(cls, machine: "Machine") -> "FastReplay | None":
@@ -231,19 +193,19 @@ class FastReplay:
 
         Capacity-managed (oversubscribed) runs touch eviction state on
         every access, so they always take the per-record path, as does
-        anything under ``REPRO_FORCE_SLOW_PATH=1``.
+        a policy with no fused loop and anything under
+        ``REPRO_FORCE_SLOW_PATH=1``.
         """
         if machine.capacity.enabled or force_slow_path():
             return None
-        return cls(machine)
+        mode = _mode_of(machine.policy)
+        return None if mode is None else cls(machine, mode)
 
     # -- phase driver ------------------------------------------------------
 
     def run_phase(self, phase: "PhaseTrace") -> None:
         """Replay one phase, bit-identical to the per-record loop."""
         n = len(phase.gpu)
-        if n == 0:
-            return
         soa_key = (self._first_page, self._n_gpus, self._ppg)
         cached = getattr(phase, "_soa", None)
         if cached is not None and cached[0] == soa_key:
@@ -252,220 +214,58 @@ class FastReplay:
             arrays = PhaseArrays(phase, *soa_key)
             phase._soa = (soa_key, arrays)
         self._gpu = arrays.gpu
-        self._idx = arrays.idx
         self._is_w = arrays.is_w
-        self._bit = arrays.bit
         self._key = arrays.key
         self._page = phase.page
         self._weight = phase.weight
-        start = 0
-        while start < n:
-            stop = min(start + CHUNK, n)
-            self._run_chunk(start, stop)
-            start = stop
+        for start in range(0, n, CHUNK):
+            self._run_bulk_fault(start, min(start + CHUNK, n))
 
-    def _run_chunk(self, c0: int, c1: int) -> None:
-        if self._uniform is not None:
-            self._run_bulk_fault(c0, c1, 0)
-            return
-        machine = self.machine
-        pt = machine.page_tables
-        access = machine.access
-        gpu_l = self._gpu[c0:c1].tolist()
-        page_l = self._page[c0:c1].tolist()
-        write_l = self._is_w[c0:c1].tolist()
-        weight_l = self._weight[c0:c1].tolist()
-        self._mask_version = -1  # chunk always starts with a fresh mask
-        steps = REBUILD_MIN_STEPS
-        i = c0
-        while i < c1:
-            if pt.version != self._mask_version:
-                if steps >= REBUILD_MIN_STEPS:
-                    self._rebuild(i, c1)
-                    steps = 0
-                else:
-                    k = i - c0
-                    access(gpu_l[k], page_l[k], write_l[k], weight_l[k])
-                    steps += 1
-                    i += 1
-                    continue
-            rel = i - self._mask_base
-            if self._mask[rel]:
-                false_pos = self._false_pos
-                nxt = np.searchsorted(false_pos, rel)
-                end_rel = (
-                    int(false_pos[nxt])
-                    if nxt < len(false_pos)
-                    else len(self._mask)
-                )
-                j = self._mask_base + end_rel
-                if j - i >= MIN_RUN:
-                    self._run_bulk(i, j)
-                    i = j
-                    continue
-            elif self._fmask is not None and self._fmask[rel]:
-                false_pos = self._f_false_pos
-                nxt = np.searchsorted(false_pos, rel)
-                end_rel = (
-                    int(false_pos[nxt])
-                    if nxt < len(false_pos)
-                    else len(self._fmask)
-                )
-                j = self._mask_base + end_rel
-                if j - i >= MIN_RUN:
-                    self._run_bulk_fault(i, j, rel)
-                    # The installs bumped the page-table version; credit
-                    # the processed records toward the rebuild budget so
-                    # long fault runs re-mask immediately.
-                    steps += j - i
-                    i = j
-                    continue
-            k = i - c0
-            access(gpu_l[k], page_l[k], write_l[k], weight_l[k])
-            steps += 1
-            i += 1
+    # -- fused loops -------------------------------------------------------
 
-    # -- eligibility -------------------------------------------------------
+    def _run_bulk_fault(self, i: int, j: int) -> None:
+        """Replay records ``[i, j)`` in one fused loop.
 
-    def _rebuild(self, i: int, c1: int) -> None:
-        """Recompute the eligibility masks for records ``[i, c1)``."""
-        pt = self.machine.page_tables
-        views = pt.bulk_views()
-        window = slice(i, c1)
-        idx_w = self._idx[window]
-        bit_w = self._bit[window]
-        mapped_raw = views["mapped"][idx_w]
-        copies_raw = views["copies"][idx_w]
-        writable_raw = views["writable"][idx_w]
-        # Steady: a local mapping with the permission the record needs.
-        eligible = ((mapped_raw & copies_raw & bit_w) != 0) & (
-            ~self._is_w[window] | ((writable_raw & bit_w) != 0)
-        )
-        if self._on_touch:
-            # Plain on-touch resolves *every* fault with a migration, so
-            # any page in a "simple exclusive" state is predictable:
-            # virgin (host owner, nothing anywhere), or exclusively held
-            # by one GPU — mapped (bounce: shootdown + NVLink pull) or
-            # not (NVLink pull / local remap).  The fused loop tracks
-            # each page's holder as the run migrates it around.
-            owner_w = views["owner"][idx_w]
-            owner_bit = np.where(
-                owner_w >= 0,
-                np.left_shift(np.int64(1), np.maximum(owner_w, 0)),
-                np.int64(0),
-            )
-            fmask = (copies_raw == owner_bit) & (
-                (mapped_raw == 0)
-                | ((mapped_raw == copies_raw) & (writable_raw == mapped_raw))
-            )
-            self._fmask = fmask
-            self._f_false_pos = np.flatnonzero(~fmask)
-            self._f_owner = owner_w
-            self._f_map0 = mapped_raw != 0
-        else:
-            self._fmask = None
-        self._mask_base = i
-        self._mask = eligible
-        self._false_pos = np.flatnonzero(~eligible)
-        self._mask_version = pt.version
+        Every policy but plain on-touch replays in :meth:`_run_uniform`.
+        Plain on-touch, with coherent tables and no capacity manager,
+        resolves every fault with a migration, so each page is virgin
+        (host owner, no copy) or held by one GPU, which maps it writable
+        or leaves it unmapped.  Each record is then one of: a local
+        access by the holder, a virgin first touch (host->GPU pull over
+        PCIe), a cross-GPU bounce (holder PTE shootdown + NVLink pull),
+        an NVLink pull from an unmapped holder, or the holder re-mapping
+        its own page — each with a fixed driver service time.
 
-    # -- bulk replay -------------------------------------------------------
-
-    def _run_bulk(self, i: int, j: int) -> None:
-        """Replay eligible records ``[i, j)`` in bulk (mask is current).
-
-        Every record is a local access its PTE permits, so replay adds
-        the compute, TLB and local access latency and ``access.local``.
+        On a page's first record the loop reads its owner and mapped
+        bits from the live page-table columns, then tracks its holder as
+        the run migrates it.  Nothing is written back until the loop
+        ends: the installs go in one batch
+        (:meth:`PageTables.bulk_install_exclusive`), and stats, faults
+        and link bytes are summed.  On-touch counts no remote access, so
+        the counter file stays empty and a migration's group reset has
+        nothing to clear.  The arithmetic mirrors ``Machine.access`` +
+        ``Machine._fault`` + ``UVMDriver.migrate`` operation for
+        operation.
         """
-        machine = self.machine
-        n = j - i
-        gpu_run = self._gpu[i:j]
-        page_run = self._page[i:j]
-        idx_run = self._idx[i:j]
-        weight_run = self._weight[i:j]
-        run_gpus = np.unique(gpu_run)
-
-        # TLB lookups: per-GPU state is sequential, so each GPU's pages go
-        # through the inlined LRU loop in record order.
-        costs = np.empty(n, dtype=np.float64)
-        walk_parts: list[np.ndarray] = []
-        for gpu in run_gpus.tolist():
-            sel = np.flatnonzero(gpu_run == gpu)
-            costs_g, walks_g = machine.tlbs[gpu].translate_run(
-                page_run[sel].tolist()
-            )
-            costs[sel] = costs_g
-            if walks_g:
-                walk_parts.append(sel[np.array(walks_g, dtype=np.int64)])
-        if walk_parts:
-            walk_pos = np.concatenate(walk_parts)
-            bits = machine.page_tables.bulk_views()["policy"][
-                idx_run[walk_pos]
-            ]
-            unique_bits, bit_counts = np.unique(bits, return_counts=True)
-            miss_counts = machine.l2_miss_policy_counts
-            for value, count in zip(
-                unique_bits.tolist(), bit_counts.tolist()
-            ):
-                name = policy_name(value)
-                miss_counts[name] = miss_counts.get(name, 0) + int(count)
-
-        # Clock terms, as Machine.access charges a local access: t0
-        # compute, then t1 (tlb + local) / mem_par.
-        t0 = weight_run * self._compute_ns
-        t1 = (costs + self._local_ns * weight_run) / self._mem_par
-        clocks = machine.clocks
-        for gpu in run_gpus.tolist():
-            sel = np.flatnonzero(gpu_run == gpu)
-            terms = np.empty(2 * len(sel) + 1, dtype=np.float64)
-            terms[0] = clocks[gpu]
-            terms[1::2] = t0[sel]
-            terms[2::2] = t1[sel]
-            clocks[gpu] = float(np.cumsum(terms)[-1])
-        # An integer-valued float counter, exact under a bulk sum.
-        machine.stats.add("access.local", int(weight_run.sum()))
-
-    def _run_bulk_fault(self, i: int, j: int, rel: int) -> None:
-        """Replay a run of predictable page faults in one fused loop.
-
-        Under the whole-chunk lane's policies the run is a whole chunk,
-        replayed by :meth:`_run_uniform`.  Under plain on-touch every
-        record touches a page in a simple exclusive state, so each
-        access is one of: a local access by the current holder, a virgin
-        first touch (host->GPU pull over PCIe), a cross-GPU bounce
-        (holder PTE shootdown + NVLink pull), an NVLink pull from an
-        unmapped owner, or a local remap — each with a fixed driver
-        service time.  The sequential state — TLB LRU dicts, the driver
-        FIFO, per-GPU clocks, residency LRU lists and each page's
-        current holder — is advanced in one fused scalar loop;
-        everything order-insensitive (stats, page-table installs,
-        counters, link bytes) is applied in bulk afterwards.  The
-        arithmetic mirrors ``Machine.access`` + ``Machine._fault`` + the
-        driver primitives operation for operation, so the results are
-        bit-identical to per-record replay.
-        """
-        if self._uniform is not None:
+        if self._mode != "on_touch":
             self._run_uniform(i, j)
             return
         machine = self.machine
-        n = j - i
-        gpu_run = self._gpu[i:j]
-        idx_run = self._idx[i:j]
-        gpu_l = gpu_run.tolist()
+        pt = machine.page_tables
+        owner_col = pt._owner
+        mapped_col = pt._mapped_mask
+        policy_col = pt._policy
+        first_page = self._first_page
+        gpu_l = self._gpu[i:j].tolist()
         page_l = self._page[i:j].tolist()
         weight_l = self._weight[i:j].tolist()
-        pol_l = (
-            machine.page_tables.bulk_views()["policy"][idx_run].tolist()
-        )
-        own0_l = self._f_owner[rel:rel + n].tolist()
-        map0_l = self._f_map0[rel:rel + n].tolist()
 
         compute_ns = self._compute_ns
         local_ns = self._local_ns
         mem_par = self._mem_par
         fault_service = self._fault_service_ns
         fault_par = self._fault_par
-        service_virgin = self._virgin_service
+        service_virgin = self._service_virgin
         service_bounce = self._service_bounce
         service_pull = self._service_pull
         service_remap = self._service_remap
@@ -498,22 +298,19 @@ class FastReplay:
         walk_hist: dict[int, int] = {}
         local_extra = 0
         shoot_total = 0
-        #: page -> current exclusive holder, as the run moves pages.
+        #: page -> current holder, once the run has touched the page.
         holder: dict[int, int] = {}
-        #: page -> final holder, for pages this run actually migrated.
+        #: page -> final holder, for pages this run migrated.
         install: dict[int, int] = {}
-        inst_ks: list[int] = []
+        fault_pages: list[int] = []
 
-        for k in range(n):
-            g = gpu_l[k]
-            page = page_l[k]
-            w = weight_l[k]
-            h = holder.get(page, -2)
-            if h == -2:
-                o = own0_l[k]
-                m0 = map0_l[k]
+        for g, page, w in zip(gpu_l, page_l, weight_l):
+            o = holder.get(page, -2)
+            if o == -2:
+                idx = page - first_page
+                o = owner_col[idx]
+                m0 = mapped_col[idx] != 0
             else:
-                o = h
                 m0 = True
             # Translation attempt: on a fault the walk happens before
             # the fault is detected, so both levels fill either way and
@@ -545,7 +342,7 @@ class FastReplay:
                         del e1[next(iter(e1))]
                     e1[page] = None
                     cost = walk_cost
-                    bits = pol_l[k]
+                    bits = policy_col[page - first_page]
                     walk_hist[bits] = walk_hist.get(bits, 0) + 1
             if o == g and m0:
                 # Local access by the current holder.
@@ -585,7 +382,7 @@ class FastReplay:
                 pair = (o, g) if o < g else (g, o)
                 nv_pairs[pair] = nv_pairs.get(pair, 0) + 1
             fault_counts[g] += 1
-            inst_ks.append(k)
+            fault_pages.append(page)
             holder[page] = g
             install[page] = g
             start = free_at if free_at > c else c
@@ -604,7 +401,7 @@ class FastReplay:
             lru.pop(page, None)
             lru[page] = None
 
-        n_faults = len(inst_ks)
+        n_faults = len(fault_pages)
         queue.advance_to(free_at, busy, n_faults)
         self._apply_tlb_counts(
             l1_hits, l1_misses, l2_hits, l2_misses, inval_l1, inval_l2,
@@ -612,12 +409,11 @@ class FastReplay:
         )
         stats = machine.stats
         page_size = self._page_size
-        pt = machine.page_tables
         topology = machine.topology
         if n_faults:
             self._count_faults(
                 fault_counts,
-                idx_run[np.array(inst_ks, dtype=np.int64)],
+                np.array(fault_pages, dtype=np.int64) - first_page,
             )
             stats.add("fault.page", n_faults)
             stats.add("migration.count", n_faults)
@@ -628,13 +424,7 @@ class FastReplay:
             gpus_arr = np.fromiter(
                 install.values(), dtype=np.int64, count=len(install)
             )
-            pt.bulk_install_exclusive(pages_arr - self._first_page, gpus_arr)
-            # Migration resets the whole 64 KB counter group, which can
-            # clear neighbouring pages' counts — replay exactly.
-            counters = machine.access_counters
-            if counters.active_counters:
-                for k in inst_ks:
-                    counters.reset_group(page_l[k])
+            pt.bulk_install_exclusive(pages_arr - first_page, gpus_arr)
             if shoot_total:
                 stats.add("shootdown.count", shoot_total)
             n_pcie = sum(pcie_counts)
@@ -656,15 +446,16 @@ class FastReplay:
             stats.add("access.local", local_extra)
 
     def _run_uniform(self, i: int, j: int) -> None:
-        """Replay records ``[i, j)`` in the whole-chunk lane.
+        """Replay records ``[i, j)`` of any policy but plain on-touch.
 
         One fused loop replays every record of access-counter,
-        duplication, GRIT and OASIS: local and remote accesses, page and
-        protection faults, counter trips and the group migrations they
-        trigger.  Each touched page's ``[owner, copies, mapped, writable,
-        policy bits]`` and each touched counter live in local dicts,
-        seeded from the tables on first touch and written back once at
-        the end (:meth:`PageTables.store_entries`,
+        duplication, GRIT, OASIS, Ideal and static-advise: local and
+        remote accesses, page and protection faults, counter trips and
+        the group migrations they trigger.  Each touched page's
+        ``[owner, copies, mapped, writable, policy bits]`` and each
+        touched counter live in local dicts, seeded from the tables on
+        first touch and written back once at the end
+        (:meth:`PageTables.store_entries`,
         :meth:`AccessCounterFile.store_counts`).
 
         A fault is resolved as the policy's handler does it, in record
@@ -673,15 +464,15 @@ class FastReplay:
         policy's own decision state — GRIT's PA-Cache and per-page
         learning, OASIS' O-Table controller and metadata lookup — where
         the handler does.  After a page fault the record's remaining
-        accesses re-test the new entry, as ``Machine.access`` does: GRIT
-        and OASIS re-map a duplicated copy read-only, so a write can
-        fault again on protection.  The TLB, residency-LRU and FIFO
-        recurrences advance in place; stats and link traffic are summed
-        and applied after the loop, creating exactly the keys the
+        accesses re-test the new entry, as ``Machine.access`` does: GRIT,
+        OASIS and static-advise re-map a duplicated copy read-only, so a
+        write can fault again on protection.  The TLB, residency-LRU and
+        FIFO recurrences advance in place; stats and link traffic are
+        summed and applied after the loop, creating exactly the keys the
         per-record path would.  A state the policy cannot reach (a
-        protection fault under access-counter, a remote mapping under
-        duplication) is handed to the policy, which raises as it does on
-        the per-record path.
+        protection fault under access-counter or Ideal, a remote mapping
+        under any policy that counts no remote access) is handed to the
+        policy, which raises as it does on the per-record path.
         """
         from repro.sim.machine import REMOTE_ACCESS_BYTES
 
@@ -689,8 +480,8 @@ class FastReplay:
         policy = machine.policy
         pt = machine.page_tables
         entry = pt.entry
-        mode = self._uniform
-        counting = mode != "dup"
+        mode = self._mode
+        counting = mode in ("counter", "grit", "oasis")
         gpu_l = self._gpu[i:j].tolist()
         page_l = self._page[i:j].tolist()
         write_l = self._is_w[i:j].tolist()
@@ -918,6 +709,9 @@ class FastReplay:
 
         # -- the policy's handlers: (g, page, is_w, st) / (g, page, st) -
 
+        def on_protection(g, page, st):
+            return policy.on_protection_fault(g, page)  # raises
+
         if mode == "counter":
 
             def on_fault(g, page, is_w, st):
@@ -925,9 +719,6 @@ class FastReplay:
                 if st[1] >> g & 1:
                     return map_local(g, st, True)
                 return map_remote(g, st)
-
-            def on_protection(g, page, st):
-                return policy.on_protection_fault(g, page)  # raises
 
         elif mode == "dup":
 
@@ -940,6 +731,46 @@ class FastReplay:
             def on_protection(g, page, st):
                 """DuplicationPolicy.on_protection_fault."""
                 tally["collapse.protection_triggered"] += 1
+                return collapse(g, page, st)
+
+        elif mode == "ideal":
+
+            def on_fault(g, page, is_w, st):
+                """UVMDriver.ideal_copy on incoherent tables: the copy
+                strips no writer."""
+                bit = 1 << g
+                copies = st[1]
+                cost = 0.0
+                if not copies & bit:
+                    src = (
+                        (copies & -copies).bit_length() - 1
+                        if copies else st[0]
+                    )
+                    cost = transfer(src, g)
+                    st[1] = copies | bit
+                    make_resident(g, page)
+                    tally["duplication.count"] += 1
+                st[2] |= bit
+                st[3] |= bit
+                return cost + pte_ns
+
+        elif mode == "advise":
+
+            def on_fault(g, page, is_w, st):
+                """StaticAdvisePolicy.on_fault."""
+                owner, copies = st[0], st[1]
+                if copies >> g & 1:
+                    return map_local(g, st, not duplicated(owner, copies))
+                if st[4] == POLICY_DUPLICATION:
+                    if is_w:
+                        tally["advise.wrong_hint_writes"] += 1
+                        return collapse(g, page, st)
+                    return duplicate(g, page, st)
+                return migrate(g, page, st)
+
+            def on_protection(g, page, st):
+                """StaticAdvisePolicy.on_protection_fault."""
+                tally["advise.wrong_hint_writes"] += 1
                 return collapse(g, page, st)
 
         elif mode == "grit":

@@ -13,7 +13,8 @@ phase ends when the slowest GPU, the driver, and the busiest link have all
 drained; clocks re-synchronize at phase boundaries (kernels are barriers).
 
 :meth:`Machine.access` is the per-record path (the vectorized fast path
-in :mod:`repro.sim.fastpath` replays whatever it can prove equivalent).
+in :mod:`repro.sim.fastpath` replays every policy it has a fused loop
+for, bit-identically).
 It reads the page's whole page-table entry once per record, and again
 after a page fault, whose resolution may rewrite any column; its latency
 terms and the traced page range are bound once per machine.
@@ -165,11 +166,11 @@ class Machine:
         self.l2_miss_policy_counts: dict[str, int] = {}
         self._allocated: set[int] = set()
         policy.attach(self)
-        # Vectorized steady-state replayer; None when the run must stay on
-        # the per-record path (capacity manager, REPRO_FORCE_SLOW_PATH,
-        # or an attached tracer/metrics registry — per-event observation
-        # needs the exact per-record path, which is bit-identical
-        # anyway).
+        # Whole-chunk fused-loop replayer; None when the run must stay on
+        # the per-record path (capacity manager, REPRO_FORCE_SLOW_PATH, a
+        # policy with no fused loop, or an attached tracer/metrics
+        # registry — per-event observation needs the exact per-record
+        # path, which is bit-identical anyway).
         self._fast = None if self._obs_on else FastReplay.for_machine(self)
         # Phase-prefix memoization (a MemoSession from
         # repro.sim.sweep.PhaseMemo): only unobserved, multi-phase runs
@@ -379,7 +380,7 @@ class Machine:
                         track, phase.name, now,
                         {"phase": index, "explicit": phase.explicit},
                     )
-            phase_result = self._run_phase(phase, start_time=now, index=index)
+            phase_result = self._run_phase(phase, start_time=now)
             phases.append(phase_result)
             now += phase_result.duration_ns
             if tracing:
@@ -459,7 +460,7 @@ class Machine:
                     )
                 self.policy.on_free(obj)
 
-    def _run_phase(self, phase, start_time: float, index: int = 0) -> PhaseResult:
+    def _run_phase(self, phase, start_time: float) -> PhaseResult:
         link_busy_before = [link.busy_time_ns for link in self.topology.links()]
         driver_busy_before = self.driver.queue.busy_time
         if self._fast is not None:

@@ -56,7 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v4: the driver carries a ``local_map`` trace sink.
 #: v5: the driver, capacity manager, links and topology drop their
 #: fault-injection and co-scheduling state.
-SNAPSHOT_VERSION = 5
+#: v6: the page tables drop their ``version`` counter.
+SNAPSHOT_VERSION = 6
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes

@@ -64,8 +64,9 @@ class TLBHierarchy:
 
         State-identical to :meth:`translate`, which stays the reference
         — same LRU order in both levels, same hit/miss/lookup counts —
-        but with the lookups and fills inlined, as :meth:`translate_run`
-        does for a run of pages, and without the result object.
+        but with the lookups and fills inlined and without the result
+        object.  The fast path's fused loops inline the same steps on
+        the LRU dicts and add the hit/miss counts after the loop.
         """
         l1 = self.l1
         e1 = l1._sets[page % l1._n_sets]
@@ -95,75 +96,6 @@ class TLBHierarchy:
             del e1[next(iter(e1))]
         e1[page] = None
         return self._walk_cost, True
-
-    def translate_run(self, pages) -> tuple[list[float], list[int]]:
-        """Translate a run of already-mapped pages in one call.
-
-        Bit- and state-identical to calling :meth:`translate_fast` once per
-        page — the LRU dicts, hit/miss counters and per-record costs come
-        out exactly the same — but with the per-level lookup/fill logic
-        inlined into one tight loop, which is what makes the vectorized
-        replay fast path worthwhile for TLB-bound runs.
-
-        Args:
-            pages: sequence of python ints (convert numpy slices with
-                ``.tolist()`` so dict keys stay plain ints).
-
-        Returns:
-            ``(costs, walk_positions)``: per-record lookup cost in ns, and
-            the indices within ``pages`` that missed both levels and walked
-            the page table (the caller charges those to policy stats).
-        """
-        l1 = self.l1
-        l2 = self.l2
-        l1_cost = self._l1_cost
-        l2_cost = self._l2_cost
-        walk_cost = self._walk_cost
-        l1_sets = l1._sets
-        l1_n_sets = l1._n_sets
-        l1_ways = l1._ways
-        l2_sets = l2._sets
-        l2_n_sets = l2._n_sets
-        l2_ways = l2._ways
-        l1_hits = l1_misses = l2_hits = l2_misses = 0
-        costs: list[float] = []
-        append_cost = costs.append
-        walks: list[int] = []
-        for pos, page in enumerate(pages):
-            e1 = l1_sets[page % l1_n_sets]
-            if page in e1:
-                del e1[page]
-                e1[page] = None
-                l1_hits += 1
-                append_cost(l1_cost)
-                continue
-            l1_misses += 1
-            e2 = l2_sets[page % l2_n_sets]
-            if page in e2:
-                del e2[page]
-                e2[page] = None
-                l2_hits += 1
-                if len(e1) >= l1_ways:
-                    del e1[next(iter(e1))]
-                e1[page] = None
-                append_cost(l2_cost)
-                continue
-            l2_misses += 1
-            if len(e2) >= l2_ways:
-                del e2[next(iter(e2))]
-            e2[page] = None
-            if len(e1) >= l1_ways:
-                del e1[next(iter(e1))]
-            e1[page] = None
-            append_cost(walk_cost)
-            walks.append(pos)
-        l1.hits += l1_hits
-        l1.misses += l1_misses
-        l1.lookups += l1_hits + l1_misses
-        l2.hits += l2_hits
-        l2.misses += l2_misses
-        l2.lookups += l2_hits + l2_misses
-        return costs, walks
 
     def shootdown(self, page: int) -> bool:
         """Invalidate ``page`` in both levels; True if either level held it."""

@@ -16,11 +16,11 @@ shootdown victims and released holders are bit operations on those
 masks.  The page size and the PTE update and invalidation latencies are
 bound once per driver.
 
-The fast path's fused lane (``FastReplay._run_uniform`` in
-:mod:`repro.sim.fastpath`) inlines migrate, collapse, duplicate,
-``map_local`` and ``map_remote`` as closures, so a change to one of them
-must be mirrored there; ``tests/sim/test_fastpath.py`` compares both
-paths.
+The fast path's fused loops (``FastReplay._run_uniform`` and
+``FastReplay._run_bulk_fault`` in :mod:`repro.sim.fastpath`) inline
+migrate, collapse, duplicate, ``map_local``, ``map_remote`` and
+``ideal_copy``, so a change to one of them must be mirrored there;
+``tests/sim/test_fastpath.py`` compares both paths.
 
 Primitives:
 

@@ -30,10 +30,11 @@ from dataclasses import dataclass, field, replace
 
 #: Policies a fuzz case replays: one per resolution style (pure
 #: migration, counter-driven, read duplication, object-aware, per-page
-#: learning) keeps the oracle surface wide while the per-case cost
-#: stays sub-second.
+#: learning, incoherent copies, static hints) keeps the oracle surface
+#: wide while the per-case cost stays sub-second.
 DEFAULT_POLICIES = (
     "on_touch", "access_counter", "duplication", "oasis", "grit",
+    "ideal", "static_advise",
 )
 
 #: One trace record: (phase, gpu, object index, page offset, write, weight).

@@ -1,11 +1,11 @@
 """Fast-path replay determinism: bulk replay must be bit-identical.
 
-The vectorized replayer (:mod:`repro.sim.fastpath`) promises that every
+The fused-loop replayer (:mod:`repro.sim.fastpath`) promises that every
 observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
-tests hold it to that across every application and the policies with
-bulk fault lanes, plus the supporting bulk primitives (``translate_run``,
-the page-table numpy mirrors, the lexsort interleaver).
+tests hold it to that across every application and every registry
+policy, plus the supporting primitives (the page-table numpy mirrors,
+the lexsort interleaver).
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import baseline_config, get_workload, make_policy, simulate
+from repro import (
+    POLICY_FACTORIES,
+    baseline_config,
+    get_workload,
+    make_policy,
+    simulate,
+)
 from repro.config import HOST, SystemConfig
 from repro.memory import (
     POLICY_COUNTER,
@@ -25,16 +31,16 @@ from repro.memory import (
     PageTables,
 )
 from repro.policies.grit import GritPolicy
+from repro.policies.on_touch import OnTouchPolicy
 from repro.sim.fastpath import force_slow_path
 from repro.sim.machine import Machine
 from repro.sim.snapshot import capture, decision_digest, restore
-from repro.tlb import TLBHierarchy
 from repro.workloads import APPLICATION_ORDER
 from repro.workloads.base import TraceBuilder
 
 ALL_APPS = list(APPLICATION_ORDER)
 POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit",
-            "oasis_inmem"]
+            "oasis_inmem", "ideal", "static_advise"]
 
 #: Every application under every policy, plus one OASIS ablation: with
 #: the private filter off, first touches take the shared-fault path.
@@ -43,7 +49,7 @@ CASES = [(policy, app) for app in ALL_APPS for policy in POLICIES] + [
                  id="oasis_no_private_filter-st"),
 ]
 
-#: Small but fault-rich footprint; keeps 67 paired runs affordable.
+#: Small but fault-rich footprint; keeps 89 paired runs affordable.
 FOOTPRINT_MB = 3.0
 
 
@@ -158,6 +164,21 @@ class TestForceSlowPath:
         machine = Machine(config, trace, make_policy("on_touch"))
         assert machine._fast is None
 
+    def test_policy_without_a_loop_replays_per_record(self, config,
+                                                      monkeypatch):
+        monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
+
+        class CountingOnTouch(OnTouchPolicy):
+            def on_fault(self, gpu, page, is_write):
+                self.stats.add("test.faults")
+                return super().on_fault(gpu, page, is_write)
+
+        trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
+        machine = Machine(config, trace, CountingOnTouch())
+        assert machine._fast is None
+        result = machine.run()
+        assert result.stats["test.faults"] == result.total_faults > 0
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("policy,app", CASES)
@@ -177,10 +198,7 @@ class TestDeterminism:
         assert 0 not in fast.access_counters._counts.values()
         assert replay_state(fast) == replay_state(slow)
 
-    @pytest.mark.parametrize(
-        "policy",
-        ["access_counter", "duplication", "grit", "oasis", "oasis_inmem"],
-    )
+    @pytest.mark.parametrize("policy", list(POLICY_FACTORIES))
     def test_uniform_policies_never_fall_back(self, policy, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
         config = baseline_config()
@@ -188,19 +206,17 @@ class TestDeterminism:
         machine = Machine(config, trace, make_policy(policy))
 
         def refuse(*args):
-            raise AssertionError("left the whole-chunk lane")
+            raise AssertionError("replayed a record per record")
 
-        # Every chunk is one fused-loop run: no mask, no steady run and
-        # no per-record replay.
+        # Every chunk is one fused-loop run.
         monkeypatch.setattr(machine, "access", refuse)
-        monkeypatch.setattr(machine._fast, "_rebuild", refuse)
-        monkeypatch.setattr(machine._fast, "_run_bulk", refuse)
         assert machine.run().total_faults > 0
 
     def test_distributed_placement_identical(self, monkeypatch):
         config = baseline_config(initial_placement="distributed")
-        fast, slow = run_pair("mm", "on_touch", monkeypatch, config=config)
-        assert fast.to_dict() == slow.to_dict()
+        for policy in ("on_touch", "ideal", "static_advise"):
+            fast, slow = run_pair("mm", policy, monkeypatch, config=config)
+            assert fast.to_dict() == slow.to_dict(), policy
 
     @pytest.mark.parametrize("policy", ["access_counter", "duplication"])
     def test_distributed_placement_remaps_identical(self, policy, monkeypatch):
@@ -212,28 +228,6 @@ class TestDeterminism:
         remaps = {"access_counter": "local_map.count",
                   "duplication": "duplication.remap"}
         assert fast.stats[remaps[policy]] > 0
-
-
-class TestTranslateRun:
-    def test_matches_translate_fast(self, config):
-        rng = np.random.default_rng(11)
-        pages = rng.integers(0, 4000, size=3000).tolist()
-        a = TLBHierarchy(config.l1_tlb, config.l2_tlb, config.latency)
-        b = TLBHierarchy(config.l1_tlb, config.l2_tlb, config.latency)
-        costs_run, walk_positions = a.translate_run(pages)
-        costs_ref = []
-        walk_ref = []
-        for pos, page in enumerate(pages):
-            cost, l2_miss = b.translate_fast(page)
-            costs_ref.append(cost)
-            if l2_miss:
-                walk_ref.append(pos)
-        assert costs_run == costs_ref
-        assert walk_positions == walk_ref
-        for lvl_a, lvl_b in ((a.l1, b.l1), (a.l2, b.l2)):
-            assert lvl_a.hits == lvl_b.hits
-            assert lvl_a.misses == lvl_b.misses
-            assert lvl_a._sets == lvl_b._sets
 
 
 MIRRORS = ("owner", "copies", "mapped", "writable", "policy")
@@ -289,9 +283,7 @@ class TestPageTableMirrors:
             lambda: pt.set_exclusive(106, HOST),
         ]
         for step in steps:
-            version = pt.version
             step()
-            assert pt.version == version + 1
             assert_mirrors_current(pt)
         # Marks pile up between reads and one flush settles them; past
         # one mark per page the mirrors are dropped and rebuilt instead.

@@ -91,7 +91,7 @@ _steps = st.lists(
 
 
 class TestFastPathsMatchTranslate:
-    """``translate()`` is the reference; both fast paths must agree."""
+    """``translate()`` is the reference; the fast path must agree."""
 
     @settings(max_examples=200, deadline=None)
     @given(steps=_steps)
@@ -108,31 +108,6 @@ class TestFastPathsMatchTranslate:
                 )
             assert _state(fast) == _state(ref)
 
-    @settings(max_examples=200, deadline=None)
-    @given(steps=_steps)
-    def test_translate_run_matches_translate(self, steps):
-        ref = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
-        run = TLBHierarchy(TLBConfig(4, 2), TLBConfig(8, 4), LAT)
-        # Runs of translations between shootdowns, as the fast path
-        # replays the records between two page-table mutations.
-        pending: list[int] = []
-
-        def flush():
-            results = [ref.translate(page) for page in pending]
-            costs, walks = run.translate_run(pending)
-            assert costs == [r.cost_ns for r in results]
-            assert walks == [i for i, r in enumerate(results) if r.l2_miss]
-            pending.clear()
-
-        for is_shootdown, page in steps:
-            if is_shootdown:
-                flush()
-                assert run.shootdown(page) == ref.shootdown(page)
-            else:
-                pending.append(page)
-        flush()
-        assert _state(run) == _state(ref)
-
 
 class TestStatsConservation:
     @pytest.mark.parametrize("seed", range(3))
@@ -148,24 +123,3 @@ class TestStatsConservation:
         assert tlb.l2.hits + tlb.l2.misses == tlb.l2.lookups
         assert tlb.l2.lookups == tlb.l1.misses
         assert tlb.l1.lookups == 400
-
-    def test_translate_run_counts_like_translate_fast(self):
-        rng = np.random.default_rng(1)
-        pages = [int(rng.integers(0, 96)) for _ in range(500)]
-        one = TLBHierarchy(TLBConfig(4, 2), TLBConfig(16, 4), LatencyModel())
-        two = TLBHierarchy(TLBConfig(4, 2), TLBConfig(16, 4), LatencyModel())
-        costs_fast = []
-        walks_fast = []
-        for pos, page in enumerate(pages):
-            cost, walked = one.translate_fast(page)
-            costs_fast.append(cost)
-            if walked:
-                walks_fast.append(pos)
-        costs_run, walks_run = two.translate_run(pages)
-        assert costs_run == costs_fast
-        assert walks_run == walks_fast
-        for mine, theirs in ((one.l1, two.l1), (one.l2, two.l2)):
-            assert (mine.hits, mine.misses, mine.lookups) == (
-                theirs.hits, theirs.misses, theirs.lookups
-            )
-            assert mine.hits + mine.misses == mine.lookups
