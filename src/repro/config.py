@@ -134,12 +134,6 @@ class LatencyModel:
     #: but other wavefronts make some progress).
     fault_parallelism: float = 4.0
 
-    def transfer_ns(self, n_bytes: int, bytes_per_ns: float) -> float:
-        """Pure data-movement time for ``n_bytes`` on a link."""
-        if n_bytes < 0:
-            raise ValueError("cannot transfer a negative byte count")
-        return n_bytes / bytes_per_ns
-
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -60,15 +60,6 @@ class Link:
         self._bytes += n_bytes
         self._messages += n_messages
 
-    def snapshot(self) -> dict:
-        """Plain-dict state for exporters and metrics sampling."""
-        return {
-            "name": self.name,
-            "bytes": self._bytes,
-            "messages": self._messages,
-            "busy_time_ns": self.busy_time_ns,
-        }
-
     def reset_traffic(self) -> None:
         """Zero the traffic counters (start of a fresh run)."""
         self._bytes = 0

@@ -149,20 +149,6 @@ def get_workload(
         if page_size is not None
         else (config.page_size if config else PAGE_SIZE_4K)
     )
-    if "+" in key:
-        # Mix name ("mm+bfs"): delegate to the mix interleaver, which
-        # builds each tenant through this registry.  Imported lazily —
-        # repro.tenancy.mix imports this module.
-        from repro.tenancy.mix import get_mix_workload
-
-        return get_mix_workload(
-            key,
-            n_gpus=gpus,
-            page_size=psize,
-            footprint_mb=footprint_mb,
-            seed=seed,
-            burst=burst,
-        )
     if key not in APPLICATIONS:
         known = ", ".join(sorted(APPLICATIONS))
         raise ValueError(f"unknown application {name!r}; known: {known}")
