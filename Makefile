@@ -61,4 +61,6 @@ bench:
 	$(PYTHON) -m pytest benchmarks -q
 
 sweep:
-	$(PYTHON) scripts/sweep.py --jobs 4
+	$(PYTHON) -m repro.cli sweep --jobs 4 --policy on_touch \
+		--policy access_counter --policy duplication --policy ideal \
+		--policy grit --policy oasis --policy oasis_inmem

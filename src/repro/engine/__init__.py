@@ -3,8 +3,6 @@
 The trace-driven simulator is mostly analytical, but two pieces of real
 event bookkeeping remain:
 
-* :class:`~repro.engine.events.EventQueue` — a priority queue of timestamped
-  events, used by tests and by components that need ordered retirement.
 * :class:`~repro.engine.server.SerialServer` — a single-server FIFO queue
   used to model the UVM driver, which services page faults one at a time on
   the host CPU.
@@ -13,7 +11,6 @@ event bookkeeping remain:
 """
 
 from repro.engine.counters import StatCounters
-from repro.engine.events import Event, EventQueue
 from repro.engine.server import SerialServer
 
-__all__ = ["Event", "EventQueue", "SerialServer", "StatCounters"]
+__all__ = ["SerialServer", "StatCounters"]

@@ -6,12 +6,20 @@ simulation results are memoized at two levels:
 
 * **in process** — a bounded LRU keyed by the full parameter tuple
   (``SystemConfig`` is a frozen dataclass, so the whole configuration is
-  hashable).  The bound (default 256 results, override with
-  ``REPRO_RUNNER_CACHE_SIZE``) keeps long sweep sessions from holding
-  every result ever computed.
+  hashable).  The bound (:data:`DEFAULT_CACHE_SIZE`, 256 results) keeps
+  long sweep sessions from holding every result ever computed.
 * **on disk** — optionally, a persistent content-addressed store (see
   :mod:`repro.harness.diskcache`) shared across processes and sessions.
-  Enable with :func:`configure` or ``REPRO_DISK_CACHE=1``.
+  Enable it with :func:`configure`.
+
+Traces are not cached here: :func:`~repro.workloads.get_workload`
+memoizes them, so every policy of a cohort replays one trace object.
+
+All runner state lives in one :class:`Session`: its :class:`Settings`
+(set only through :func:`configure`), the stores they open, the result
+LRU, one counter dict and the last sweep's summary.  :func:`clear_cache`
+clears it; :func:`cache_stats`, :func:`memo_stats`,
+:func:`last_sweep_summary` and :func:`disk_cache` read it.
 
 Independent runs can also be computed in parallel across worker
 processes with :func:`run_sims_parallel`; :func:`speedup_table` uses it
@@ -34,7 +42,7 @@ import traceback as _traceback
 from collections import OrderedDict, deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import POLICY_FACTORIES, make_policy
 from repro.config import SystemConfig
@@ -44,14 +52,8 @@ from repro.sim import SimulationResult, simulate
 from repro.sim.sweep import PhaseMemo
 from repro.workloads import get_workload
 
-#: Default cap on in-process memoized results.
+#: In-process memoized results kept, least recently used dropped first.
 DEFAULT_CACHE_SIZE = 256
-
-#: Built traces kept for reuse across a sweep's runs.  Sharing the trace
-#: object also shares the per-phase SoA replay arrays and prefix digests
-#: cached on it (see :mod:`repro.sim.sweep`), so every policy variant in
-#: a cohort skips both trace generation and array derivation.
-DEFAULT_TRACE_CACHE_SIZE = 8
 
 #: Default attempts per run in :func:`run_sims_parallel` (1 = no retry).
 DEFAULT_MAX_ATTEMPTS = 2
@@ -59,57 +61,86 @@ DEFAULT_MAX_ATTEMPTS = 2
 #: Pool rebuilds tolerated before degrading to in-process execution.
 DEFAULT_POOL_FAILURE_LIMIT = 2
 
-_CACHE: OrderedDict[tuple, SimulationResult] = OrderedDict()
-_STATS = {
-    "hits": 0,
-    "misses": 0,
-    "evictions": 0,
-    "run_retries": 0,
-    "pool_failures": 0,
-    # Result-store writes that failed with OSError (disk full,
-    # read-only store): the result survives in memory and is recomputed
-    # by a later process instead of crashing this one.
-    "store_errors": 0,
-    # Phase-memo counters merged back from worker processes; the serial
-    # path's counters live on the in-process PhaseMemo itself, so
-    # :func:`memo_stats` sums both (the sources are disjoint).
-    "memo_hits": 0,
-    "memo_misses": 0,
-    "memo_stores": 0,
-    "memo_snapshot_bytes": 0,
-    "memo_resumed_phases": 0,
-    "memo_corrupt": 0,
-    "memo_io_errors": 0,
-}
 #: Scalar memo counters shipped as per-run deltas from pool workers.
 _MEMO_DELTA_KEYS = (
     "hits", "misses", "stores", "snapshot_bytes",
     "resumed_phases", "corrupt", "io_errors",
 )
-_DISK: DiskCache | None = (
-    DiskCache() if os.environ.get("REPRO_DISK_CACHE", "").strip() not in ("", "0")
-    else None
+
+#: A session's counters (see :func:`cache_stats`).  ``store_errors``
+#: counts result-store writes that failed with OSError (disk full,
+#: read-only store): the result survives in memory and a later process
+#: recomputes it.  The ``memo_*`` counters are merged back from pool
+#: workers; the serial path's live on the session's PhaseMemo itself,
+#: so :func:`memo_stats` sums both (the sources are disjoint).
+_COUNTERS = (
+    "hits", "misses", "evictions", "run_retries", "pool_failures",
+    "store_errors", *("memo_" + key for key in _MEMO_DELTA_KEYS),
 )
-_JOBS = 1
-_TRACES: OrderedDict[tuple, object] = OrderedDict()
-_MEMO: PhaseMemo | None = None
-_MEMO_DIR: str | None = os.environ.get("REPRO_MEMO_DIR", "").strip() or None
-_MEMO_ENABLED: bool = _MEMO_DIR is not None or (
-    os.environ.get("REPRO_MEMO", "").strip() not in ("", "0")
-)
-#: Observability summary of the most recent :func:`run_sims_parallel`
-#: sweep (see :func:`last_sweep_summary`).
-_LAST_SWEEP: dict | None = None
 
 
-def _cache_capacity() -> int:
-    raw = os.environ.get("REPRO_RUNNER_CACHE_SIZE", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_CACHE_SIZE
+@dataclass(frozen=True)
+class Settings:
+    """What :func:`configure` sets; pool workers receive it with each run."""
+
+    #: Default worker processes for :func:`run_sims_parallel` (1 = serial).
+    jobs: int = 1
+    #: Directory of the persistent result store, or None when it is off.
+    disk_root: str | None = None
+    #: Whether runs resume from phase-prefix snapshots (repro.sim.sweep).
+    memo: bool = False
+    #: Directory of a persistent snapshot tier; None shares the result
+    #: store's directory (or keeps snapshots in memory without one).
+    memo_dir: str | None = None
+
+
+class Session:
+    """The runner's state: settings, the stores they open, the result
+    LRU, one counter dict and the last sweep's summary."""
+
+    def __init__(self) -> None:
+        self.settings = Settings()
+        #: Cap on :attr:`results`.
+        self.capacity = DEFAULT_CACHE_SIZE
+        self.results: OrderedDict[tuple, SimulationResult] = OrderedDict()
+        #: Summary of the most recent :func:`run_sims_parallel` sweep.
+        self.last_sweep: dict | None = None
+        self.clear()
+
+    def configure(self, settings: Settings) -> None:
+        """Adopt ``settings``, reopening the stores only if they differ."""
+        if settings != self.settings:
+            self.settings = settings
+            self._open_stores()
+
+    def _open_stores(self) -> None:
+        settings = self.settings
+        self.disk = (
+            DiskCache(settings.disk_root)
+            if settings.disk_root is not None else None
+        )
+        self.memo = None
+        if settings.memo:
+            self.memo = PhaseMemo(
+                disk=DiskCache(settings.memo_dir) if settings.memo_dir
+                else self.disk
+            )
+
+    def clear(self) -> None:
+        """Drop every memoized result and snapshot; zero every counter."""
+        self.results.clear()
+        self.stats = dict.fromkeys(_COUNTERS, 0)
+        self._open_stores()
+
+    def remember(self, key: tuple, result: SimulationResult) -> None:
+        self.results[key] = result
+        self.results.move_to_end(key)
+        while len(self.results) > self.capacity:
+            self.results.popitem(last=False)
+            self.stats["evictions"] += 1
+
+
+_session = Session()
 
 
 def configure(
@@ -128,79 +159,40 @@ def configure(
         cache_dir: directory for the persistent store (implies enabling
             it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
         memo: enable/disable the sweep fast path (phase-prefix snapshot
-            memoization; see :mod:`repro.sim.sweep`).  Off by default
-            (``REPRO_MEMO=1`` enables it process-wide); the sweep CLI
-            turns it on for sweeps unless ``--no-memo`` is given.
+            memoization; see :mod:`repro.sim.sweep`).  Off by default;
+            the sweep CLI turns it on for sweeps unless ``--no-memo`` is
+            given.
         memo_dir: directory for a persistent snapshot tier (implies
             enabling the memo).  Without it, snapshots share the result
             store's directory when the disk cache is on, else stay
             purely in-memory.
     """
-    global _DISK, _JOBS, _MEMO, _MEMO_DIR, _MEMO_ENABLED
+    changes: dict = {}
     if jobs is not None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        _JOBS = jobs
+        changes["jobs"] = jobs
     if cache_dir is not None:
-        _DISK = DiskCache(cache_dir)
-        _MEMO = None  # a shared-disk memo tier must follow the move
+        changes["disk_root"] = str(cache_dir)
     elif disk_cache is not None:
-        _DISK = DiskCache() if disk_cache else None
-        _MEMO = None
+        changes["disk_root"] = str(DiskCache().root) if disk_cache else None
     if memo_dir is not None:
-        _MEMO_DIR = memo_dir or None
-        _MEMO = None
+        changes["memo_dir"] = memo_dir or None
         if memo is None:
             memo = True
     if memo is not None:
-        _MEMO_ENABLED = bool(memo)
-        if not _MEMO_ENABLED:
-            _MEMO = None
+        changes["memo"] = bool(memo)
+    _session.configure(replace(_session.settings, **changes))
 
 
 def disk_cache() -> DiskCache | None:
     """The runner's persistent result store, or None when disabled."""
-    return _DISK
-
-
-def _memo_store() -> PhaseMemo | None:
-    """The process-wide snapshot store, built lazily when enabled."""
-    global _MEMO
-    if not _MEMO_ENABLED:
-        return None
-    if _MEMO is None:
-        disk = DiskCache(_MEMO_DIR) if _MEMO_DIR else _DISK
-        _MEMO = PhaseMemo(disk=disk)
-    return _MEMO
-
-
-def _get_trace(config, app, footprint_mb, seed):
-    """Build-or-reuse one workload trace (shared across a cohort)."""
-    key = (config, app, footprint_mb, seed)
-    trace = _TRACES.get(key)
-    if trace is not None:
-        _TRACES.move_to_end(key)
-        return trace
-    trace = get_workload(app, config, footprint_mb=footprint_mb, seed=seed)
-    _TRACES[key] = trace
-    while len(_TRACES) > DEFAULT_TRACE_CACHE_SIZE:
-        _TRACES.popitem(last=False)
-    return trace
+    return _session.disk
 
 
 def clear_cache() -> None:
     """Drop all in-process memoized results and reset counters."""
-    _CACHE.clear()
-    _TRACES.clear()
-    _STATS.update({key: 0 for key in _STATS})
-    if _DISK is not None:
-        _DISK.hits = 0
-        _DISK.misses = 0
-        _DISK.quarantined = 0
-        _DISK.snap_hits = 0
-        _DISK.snap_misses = 0
-    if _MEMO is not None:
-        _MEMO.clear()
+    _session.clear()
 
 
 def last_sweep_summary() -> dict | None:
@@ -226,7 +218,7 @@ def last_sweep_summary() -> dict | None:
     so a sweep report and the individual run traces can never disagree
     on a total.
     """
-    return _LAST_SWEEP
+    return _session.last_sweep
 
 
 def _spec_label(spec: dict) -> str:
@@ -242,34 +234,34 @@ def _spec_label(spec: dict) -> str:
 def cache_stats() -> dict[str, int]:
     """Hit/miss/size counters for both cache levels."""
     stats = {
-        "size": len(_CACHE),
-        "capacity": _cache_capacity(),
-        **_STATS,
+        "size": len(_session.results),
+        "capacity": _session.capacity,
+        **_session.stats,
         "disk_hits": 0,
         "disk_misses": 0,
         "disk_quarantined": 0,
         "snap_hits": 0,
         "snap_misses": 0,
     }
-    if _DISK is not None:
-        stats.update(_DISK.stats())
+    if _session.disk is not None:
+        stats.update(_session.disk.stats())
     return stats
 
 
 def memo_stats() -> dict:
-    """Process-lifetime sweep-fast-path counters, all sources combined.
+    """Session sweep-fast-path counters, all sources combined.
 
-    Serial runs count on the in-process :class:`PhaseMemo`; pool runs
-    ship per-run deltas back from their workers into ``_STATS`` — the
-    two sources are disjoint, so their sum is the process total.
+    Serial runs count on the session's :class:`PhaseMemo`; pool runs
+    ship per-run deltas back from their workers into the session's
+    counters — the two sources are disjoint, so their sum is the total.
     """
     totals: dict = {
-        key: _STATS["memo_" + key] for key in _MEMO_DELTA_KEYS
+        key: _session.stats["memo_" + key] for key in _MEMO_DELTA_KEYS
     }
     totals.update(
         {"prefix_forks": 0, "mem_entries": 0, "mem_bytes": 0}
     )
-    memo = _MEMO
+    memo = _session.memo
     if memo is not None:
         live = memo.stats()
         for key in _MEMO_DELTA_KEYS:
@@ -277,17 +269,8 @@ def memo_stats() -> dict:
         totals["prefix_forks"] = live["prefix_forks"]
         totals["mem_entries"] = live["mem_entries"]
         totals["mem_bytes"] = live["mem_bytes"]
-    totals["enabled"] = _MEMO_ENABLED
+    totals["enabled"] = _session.settings.memo
     return totals
-
-
-def _remember(key: tuple, result: SimulationResult) -> None:
-    _CACHE[key] = result
-    _CACHE.move_to_end(key)
-    capacity = _cache_capacity()
-    while len(_CACHE) > capacity:
-        _CACHE.popitem(last=False)
-        _STATS["evictions"] += 1
 
 
 def run_sim(
@@ -300,41 +283,49 @@ def run_sim(
     **policy_kwargs,
 ) -> SimulationResult:
     """Simulate one (config, app, policy) combination, memoized."""
+    return _run_spec({
+        "config": config,
+        "app": app,
+        "policy": policy,
+        "footprint_mb": footprint_mb,
+        "seed": seed,
+        "policy_kwargs": policy_kwargs,
+    })
+
+
+def _run_spec(spec: dict) -> SimulationResult:
+    config, app, policy = spec["config"], spec["app"], spec["policy"]
+    footprint_mb, seed = spec["footprint_mb"], spec["seed"]
+    policy_kwargs = spec["policy_kwargs"]
     if policy not in POLICY_FACTORIES:
         known = ", ".join(sorted(POLICY_FACTORIES))
         raise ValueError(f"unknown policy {policy!r}; known: {known}")
-    key = (
-        config,
-        app,
-        policy,
-        footprint_mb,
-        seed,
-        tuple(sorted(policy_kwargs.items())),
-    )
-    cached = _CACHE.get(key)
+    session = _session
+    key = _spec_key(spec)
+    cached = session.results.get(key)
     if cached is not None:
-        _CACHE.move_to_end(key)
-        _STATS["hits"] += 1
+        session.results.move_to_end(key)
+        session.stats["hits"] += 1
         return cached
-    _STATS["misses"] += 1
-    disk = _DISK
+    session.stats["misses"] += 1
+    disk = session.disk
     if disk is not None:
         digest = cache_key(config, app, policy, footprint_mb, seed, policy_kwargs)
         stored = disk.load(digest)
         if stored is not None:
-            _remember(key, stored)
+            session.remember(key, stored)
             return stored
-    trace = _get_trace(config, app, footprint_mb, seed)
-    memo = _memo_store()
-    session = None
-    if memo is not None:
-        session = memo.session(
+    trace = get_workload(app, config, footprint_mb=footprint_mb, seed=seed)
+    memo_session = None
+    if session.memo is not None:
+        memo_session = session.memo.session(
             config, app, policy,
             footprint_mb=footprint_mb, seed=seed,
             policy_kwargs=policy_kwargs,
         )
     result = simulate(
-        config, trace, make_policy(policy, **policy_kwargs), memo=session
+        config, trace, make_policy(policy, **policy_kwargs),
+        memo=memo_session,
     )
     if disk is not None:
         try:
@@ -343,8 +334,8 @@ def run_sim(
             # A result that cannot be persisted (disk full, read-only
             # store) is still a valid result; a later process simply
             # recomputes it.
-            _STATS["store_errors"] += 1
-    _remember(key, result)
+            session.stats["store_errors"] += 1
+    session.remember(key, result)
     return result
 
 
@@ -409,46 +400,6 @@ def _spec_key(spec: dict) -> tuple:
     )
 
 
-def _run_spec(spec: dict) -> SimulationResult:
-    return run_sim(
-        spec["config"],
-        spec["app"],
-        spec["policy"],
-        footprint_mb=spec["footprint_mb"],
-        seed=spec["seed"],
-        **spec["policy_kwargs"],
-    )
-
-
-def _runner_config() -> dict:
-    """Snapshot of the runner settings a worker process must inherit.
-
-    With the ``fork`` start method workers inherit parent state anyway,
-    but ``spawn`` (and a worker forked before a later ``configure()``
-    call) starts from module defaults — so the full configuration rides
-    in every payload.
-    """
-    return {
-        "jobs": _JOBS,
-        "disk_enabled": _DISK is not None,
-        "disk_root": str(_DISK.root) if _DISK is not None else None,
-        "cache_size": _cache_capacity(),
-        "memo_enabled": _MEMO_ENABLED,
-        "memo_dir": _MEMO_DIR,
-    }
-
-
-def _apply_runner_config(cfg: dict) -> None:
-    os.environ["REPRO_RUNNER_CACHE_SIZE"] = str(cfg["cache_size"])
-    configure(
-        jobs=cfg["jobs"],
-        disk_cache=cfg["disk_enabled"],
-        cache_dir=cfg["disk_root"] if cfg["disk_enabled"] else None,
-        memo=cfg.get("memo_enabled", False),
-        memo_dir=cfg.get("memo_dir"),
-    )
-
-
 def _maybe_fault_hook(spec: dict) -> None:
     """Honor the harness's own fault hooks (for resilience self-tests).
 
@@ -487,17 +438,23 @@ def _maybe_fault_hook(spec: dict) -> None:
 def _worker(payload: tuple) -> tuple:
     """Pool entry point: run one spec, ship back (result, memo delta).
 
-    Workers are long-lived, so memo counters accumulate across the runs
-    one worker computes; the delta (this run's counter movement plus the
-    lane records drained since the last run) is what the parent merges,
-    keeping the sweep's global accounting double-count-free.
+    The payload carries the parent's :class:`Settings`.  A forked worker
+    already holds them and keeps its session across the runs it
+    computes; a spawned one starts from the defaults and opens the
+    parent's stores on its first run.  Memo counters accumulate across
+    those runs, so the delta (this run's counter movement plus its lane
+    records) is what the parent merges, keeping the sweep's accounting
+    double-count-free.
     """
-    spec, runner_cfg = payload
-    if runner_cfg is not None:
-        _apply_runner_config(runner_cfg)
-        _maybe_fault_hook(spec)
-    memo = _memo_store()
-    before = memo.stats() if memo is not None else None
+    spec, settings = payload
+    _session.configure(settings)
+    _maybe_fault_hook(spec)
+    memo = _session.memo
+    if memo is not None:
+        # A forked worker inherits the parent's pending lane records,
+        # which the parent has already counted.
+        memo.lanes.drain()
+        before = memo.stats()
     result = _run_spec(spec)
     delta = None
     if memo is not None:
@@ -516,8 +473,8 @@ def _merge_memo_delta(delta: dict | None) -> None:
     if not delta:
         return
     for key, value in delta["counters"].items():
-        _STATS["memo_" + key] += value
-    memo = _memo_store()
+        _session.stats["memo_" + key] += value
+    memo = _session.memo
     if memo is not None and delta["lanes"]:
         # Replaying through the parent's lanes recomputes shared-prefix
         # and fork accounting against the sweep-global cohort state.
@@ -550,28 +507,20 @@ def _failure_from(spec: dict, attempts: int, exc: BaseException | None,
 #: Exception classes worth retrying: environmental, not deterministic.
 _RETRYABLE = (OSError, EOFError, MemoryError)
 
-#: Ceiling on one retry-backoff sleep (override with
-#: ``REPRO_RETRY_BACKOFF_MAX_S``).  Without it the exponential grows
-#: unboundedly — at the default 50 ms base, attempt 12 would already
-#: sleep 102 s, stalling a sweep for minutes on a flaky run.
-DEFAULT_RETRY_BACKOFF_MAX_S = 5.0
+#: Backoff before the first retry of a run; each later retry doubles it.
+RETRY_BACKOFF_S = 0.05
 
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return default
+#: Ceiling on one retry-backoff sleep.  Without it the exponential grows
+#: unboundedly — at the 50 ms base, attempt 12 would already sleep
+#: 102 s, stalling a sweep for minutes on a flaky run.
+RETRY_BACKOFF_MAX_S = 5.0
 
 
 def _backoff_delay(attempt: int) -> float:
     """Exponential backoff for retry ``attempt``, capped at a max delay."""
-    base = _env_float("REPRO_RETRY_BACKOFF_S", 0.05)
-    cap = _env_float("REPRO_RETRY_BACKOFF_MAX_S", DEFAULT_RETRY_BACKOFF_MAX_S)
-    return min(base * (2.0 ** max(0, attempt - 1)), cap)
+    return min(
+        RETRY_BACKOFF_S * (2.0 ** max(0, attempt - 1)), RETRY_BACKOFF_MAX_S
+    )
 
 
 def _retry_backoff(attempt: int) -> None:
@@ -600,21 +549,22 @@ def _drain_pool(
     max_attempts: int,
     pool_failure_limit: int,
     fresh: dict,
-    precounted: set,
     failures: dict,
-    timings: dict | None = None,
-) -> None:
-    """Compute every ``pending`` run with crash/timeout isolation.
+    timings: dict,
+) -> dict:
+    """Compute ``pending`` runs in worker processes with crash/timeout
+    isolation.
 
-    Fills ``fresh`` (key → result) and ``failures`` (key → RunFailure).
-    Keys computed in-process after a pool degradation land in
-    ``precounted`` (their cache miss is already accounted).  When a
-    ``timings`` dict is given, each completed run records its wall-clock
-    seconds (including queueing on a busy pool) under its key.
+    Fills ``fresh`` (key → result), ``failures`` (key → RunFailure) and
+    ``timings`` (key → wall-clock seconds, queueing on a busy pool
+    included).  When the pool keeps dying, the remaining runs are left
+    for the caller to finish serially; the returned dict maps each of
+    them to the attempts it has already been charged.
     """
-    runner_cfg = _runner_config()
+    settings = _session.settings
+    stats = _session.stats
     queue: deque = deque(pending.items())
-    attempts = {key: 0 for key in pending}
+    attempts = dict.fromkeys(pending, 0)
     pool: ProcessPoolExecutor | None = ProcessPoolExecutor(max_workers=n_jobs)
     pool_failures = 0
     inflight: dict = {}
@@ -625,7 +575,7 @@ def _drain_pool(
                 key, spec = queue.popleft()
                 attempts[key] += 1
                 try:
-                    future = pool.submit(_worker, (spec, runner_cfg))
+                    future = pool.submit(_worker, (spec, settings))
                 except Exception:
                     attempts[key] -= 1
                     queue.appendleft((key, spec))
@@ -667,7 +617,7 @@ def _drain_pool(
                             isinstance(exc, _RETRYABLE)
                             and attempts[key] < max_attempts
                         ):
-                            _STATS["run_retries"] += 1
+                            stats["run_retries"] += 1
                             _retry_backoff(attempts[key])
                             queue.append((key, spec))
                         else:
@@ -677,9 +627,8 @@ def _drain_pool(
                         continue
                     _merge_memo_delta(memo_delta)
                     fresh[key] = result
-                    _remember(key, result)
-                    if timings is not None:
-                        timings[key] = time.monotonic() - started
+                    _session.remember(key, result)
+                    timings[key] = time.monotonic() - started
                 now = time.monotonic()
                 expired = [
                     f
@@ -692,7 +641,7 @@ def _drain_pool(
                     broken = True
                     key, spec, _deadline, _started = inflight.pop(future)
                     if attempts[key] < max_attempts:
-                        _STATS["run_retries"] += 1
+                        stats["run_retries"] += 1
                         queue.append((key, spec))
                     else:
                         failures[key] = _failure_from(
@@ -709,38 +658,18 @@ def _drain_pool(
                     queue.append((key, spec))
                 inflight.clear()
                 _teardown_pool(pool)
-                _STATS["pool_failures"] += 1
+                stats["pool_failures"] += 1
                 pool_failures += 1
                 if pool_failures > pool_failure_limit:
+                    # The pool keeps dying: the caller finishes the
+                    # remaining work in-process.
                     pool = None
                     break
                 pool = ProcessPoolExecutor(max_workers=n_jobs)
     finally:
         if pool is not None:
             _teardown_pool(pool)
-    if pool is None and (queue or inflight):
-        # The pool keeps dying: finish the remaining work in-process.
-        # (Timeouts cannot be enforced without process isolation.)
-        for key, spec, *_rest in list(inflight.values()):
-            queue.append((key, spec))
-        while queue:
-            key, spec = queue.popleft()
-            attempts[key] += 1
-            started = time.monotonic()
-            try:
-                result = _run_spec(spec)
-            except Exception as exc:
-                if isinstance(exc, _RETRYABLE) and attempts[key] < max_attempts:
-                    _STATS["run_retries"] += 1
-                    _retry_backoff(attempts[key])
-                    queue.append((key, spec))
-                else:
-                    failures[key] = _failure_from(spec, attempts[key], exc)
-                continue
-            fresh[key] = result
-            precounted.add(key)
-            if timings is not None:
-                timings[key] = time.monotonic() - started
+    return {key: attempts[key] for key, _spec in queue}
 
 
 def run_sims_parallel(
@@ -748,7 +677,7 @@ def run_sims_parallel(
     jobs: int | None = None,
     *,
     timeout_s: float | None = None,
-    max_attempts: int | None = None,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     pool_failure_limit: int = DEFAULT_POOL_FAILURE_LIMIT,
 ) -> list:
     """Run many independent simulations across worker processes.
@@ -760,11 +689,10 @@ def run_sims_parallel(
             ``policy_kwargs`` extras) or dicts with those keys.
         jobs: worker processes; defaults to the :func:`configure` value.
             With ``jobs=1`` everything runs serially in-process.
-        timeout_s: per-run wall-clock limit (pool mode only); defaults
-            to ``REPRO_RUN_TIMEOUT_S`` (unset = no limit).  A run that
-            exceeds it is killed with its pool and retried.
-        max_attempts: attempts per run before recording a failure;
-            defaults to ``REPRO_RUN_MAX_ATTEMPTS`` (fallback 2).
+        timeout_s: per-run wall-clock limit (pool mode only; None = no
+            limit).  A run that exceeds it is killed with its pool and
+            retried.
+        max_attempts: attempts per run before recording a failure.
         pool_failure_limit: pool rebuilds tolerated before the remaining
             work degrades to in-process serial execution.
 
@@ -776,53 +704,37 @@ def run_sims_parallel(
         the in-process cache (and, when enabled, the disk cache —
         workers write it, so a crashed sweep keeps its finished runs).
     """
-    global _LAST_SWEEP
+    session = _session
     sweep_started = time.monotonic()
-    stats_before = dict(_STATS)
+    stats_before = dict(session.stats)
     memo_before = memo_stats()
-    timings: dict[tuple, float] = {}
     specs = [_normalize_request(r) for r in requests]
-    n_jobs = jobs if jobs is not None else _JOBS
+    keys = [_spec_key(spec) for spec in specs]
+    n_jobs = jobs if jobs is not None else session.settings.jobs
     if n_jobs < 1:
         raise ValueError("jobs must be >= 1")
     n_jobs = min(n_jobs, max(1, len(specs)))
-    if timeout_s is None:
-        raw = os.environ.get("REPRO_RUN_TIMEOUT_S", "").strip()
-        if raw:
-            try:
-                timeout_s = float(raw)
-            except ValueError:
-                timeout_s = None
-    if max_attempts is None:
-        raw = os.environ.get("REPRO_RUN_MAX_ATTEMPTS", "").strip()
-        max_attempts = DEFAULT_MAX_ATTEMPTS
-        if raw:
-            try:
-                max_attempts = max(1, int(raw))
-            except ValueError:
-                pass
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
 
     # Only ship cache misses to the pool, and each distinct run once.
     pending: dict[tuple, dict] = {}
-    for spec in specs:
-        key = _spec_key(spec)
-        if key not in _CACHE and key not in pending:
-            pending[key] = spec
+    for key, spec in zip(keys, specs):
+        if key not in session.results:
+            pending.setdefault(key, spec)
 
     fresh: dict[tuple, SimulationResult] = {}
-    precounted: set[tuple] = set()
     failures: dict[tuple, RunFailure] = {}
+    timings: dict[tuple, float] = {}
+    charged: dict[tuple, int] = {}
     if pending and n_jobs > 1:
-        _drain_pool(
+        charged = _drain_pool(
             pending,
             n_jobs,
             timeout_s,
             max_attempts,
             pool_failure_limit,
             fresh,
-            precounted,
             failures,
             timings,
         )
@@ -830,66 +742,59 @@ def run_sims_parallel(
     # Assemble results in request order.  Cache accounting reconciles:
     # every request slot is exactly one hit or one miss (failures are
     # neither — they were never computed).  Work computed in the pool is
-    # counted as a miss at its first request slot; duplicates and
-    # already-cached specs go through run_sim (a hit).
+    # counted as a miss at its first request slot; everything else goes
+    # through _run_spec, which counts its own hit or miss.
     out: list = []
-    counted: set[tuple] = set()
-    for spec in specs:
-        key = _spec_key(spec)
+    for key, spec in zip(keys, specs):
         if key in failures:
             out.append(failures[key])
             continue
-        if key in fresh and key not in counted:
-            counted.add(key)
-            if key not in precounted:
-                _STATS["misses"] += 1
-            if key in _CACHE:
-                _CACHE.move_to_end(key)
-            out.append(fresh[key])
+        if key in fresh:
+            session.stats["misses"] += 1
+            if key in session.results:
+                session.results.move_to_end(key)
+            out.append(fresh.pop(key))
             continue
+        # Serial path (jobs=1, a duplicate, or a run a degraded pool left
+        # over): retry the environmental failures the pool retries,
+        # counting the attempts the pool already charged, then diagnose
+        # instead of aborting.  Timeouts need process isolation, so none
+        # applies here.
         started = time.monotonic()
-        attempt = 0
+        attempt = charged.pop(key, 0)
         while True:
             attempt += 1
             try:
                 result = _run_spec(spec)
-                break
             except Exception as exc:
-                # Serial path (jobs=1, or a spec that failed only here):
-                # retry the environmental failures the pool path would
-                # retry, then diagnose instead of aborting.
                 if isinstance(exc, _RETRYABLE) and attempt < max_attempts:
-                    _STATS["run_retries"] += 1
+                    session.stats["run_retries"] += 1
                     _retry_backoff(attempt)
                     continue
-                result = _failure_from(spec, attempt, exc)
-                break
-        if isinstance(result, RunFailure):
-            out.append(result)
-            continue
-        timings.setdefault(key, time.monotonic() - started)
+                result = failures[key] = _failure_from(spec, attempt, exc)
+            else:
+                timings.setdefault(key, time.monotonic() - started)
+            break
         out.append(result)
 
     # Sweep-level observability summary: per-run metric snapshots are
     # merged into one counter view, and cache/retry accounting is the
-    # delta over this sweep only (not process lifetime).
-    merged: dict[tuple, dict[str, float]] = {}
+    # delta over this sweep only (not the session's lifetime).
+    merged: set[tuple] = set()
     counters: dict[str, float] = {}
-    for spec, result in zip(specs, out):
-        key = _spec_key(spec)
+    for key, result in zip(keys, out):
         if isinstance(result, SimulationResult) and key not in merged:
-            snap_counters = result.metrics_snapshot().counters
-            merged[key] = snap_counters
-            for name, value in snap_counters.items():
+            merged.add(key)
+            for name, value in result.metrics_snapshot().counters.items():
                 counters[name] = counters.get(name, 0.0) + value
     n_failed = sum(1 for r in out if isinstance(r, RunFailure))
     memo_after = memo_stats()
-    _LAST_SWEEP = {
+    session.last_sweep = {
         "runs": len(specs),
         "ok": len(specs) - n_failed,
         "failed": n_failed,
         "cache": {
-            name: _STATS[name] - stats_before[name]
+            name: session.stats[name] - stats_before[name]
             for name in ("hits", "misses", "run_retries", "pool_failures")
         },
         # Sweep fast path accounting, as a delta over this sweep only.
@@ -897,19 +802,15 @@ def run_sims_parallel(
             "enabled": memo_after["enabled"],
             **{
                 name: memo_after[name] - memo_before[name]
-                for name in (
-                    "hits", "misses", "stores", "snapshot_bytes",
-                    "resumed_phases", "corrupt", "io_errors",
-                    "prefix_forks",
-                )
+                for name in (*_MEMO_DELTA_KEYS, "prefix_forks")
             },
         },
         "wall_clock_s": {
             "total": time.monotonic() - sweep_started,
             "per_run": {
                 _spec_label(spec): timings[key]
-                for spec in specs
-                if (key := _spec_key(spec)) in timings
+                for key, spec in zip(keys, specs)
+                if key in timings
             },
         },
         "counters": {name: counters[name] for name in sorted(counters)},
@@ -949,7 +850,7 @@ def speedup_table(
         to its geometric-mean speedup.
     """
     base_cfg = baseline_config or config
-    n_jobs = jobs if jobs is not None else _JOBS
+    n_jobs = jobs if jobs is not None else _session.settings.jobs
     if n_jobs > 1:
         requests = []
         for app in apps:

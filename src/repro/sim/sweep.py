@@ -5,8 +5,8 @@ benchmark) executes many runs that differ only in policy over the same
 (config, app, footprint, seed) **cohort**.  Three kinds of work are
 shared across a cohort instead of being paid per run:
 
-* the **trace** itself — generated once and reused (the runner keeps a
-  small LRU of built traces), which also shares
+* the **trace** itself — generated once and reused (``get_workload``
+  memoizes built traces), which also shares
 * the **per-phase SoA replay arrays** — the vectorized replayer's
   derived arrays (int64 gpu lane, page offsets, write mask, gpu bit,
   counter-group key) are computed once per phase and cached *on the

@@ -10,7 +10,8 @@ import pytest
 from repro import baseline_config
 from repro.harness import cache_stats, configure, run_sim, run_sims_parallel
 from repro.harness.diskcache import DiskCache, cache_key
-from repro.harness.runner import _CACHE, clear_cache
+from repro.harness import runner
+from repro.harness.runner import clear_cache
 from repro.sim.results import SimulationResult
 
 
@@ -196,23 +197,23 @@ class TestCacheKeyCanonicalization:
 
 class TestBoundedMemoryCache:
     def test_lru_cap_evicts_oldest(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
+        monkeypatch.setattr(runner._session, "capacity", 2)
         for app in ("mm", "st", "i2c"):
             run_sim(config, app, "on_touch", **SMALL)
         stats = cache_stats()
         assert stats["size"] == 2
         assert stats["capacity"] == 2
         assert stats["evictions"] == 1
-        keys = list(_CACHE)
+        keys = list(runner._session.results)
         assert [k[1] for k in keys] == ["st", "i2c"]
 
     def test_hit_refreshes_recency(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "2")
+        monkeypatch.setattr(runner._session, "capacity", 2)
         run_sim(config, "mm", "on_touch", **SMALL)
         run_sim(config, "st", "on_touch", **SMALL)
         run_sim(config, "mm", "on_touch", **SMALL)  # refresh mm
         run_sim(config, "i2c", "on_touch", **SMALL)  # evicts st
-        assert [k[1] for k in _CACHE] == ["mm", "i2c"]
+        assert [k[1] for k in runner._session.results] == ["mm", "i2c"]
 
     def test_cache_stats_counts(self, config):
         run_sim(config, "mm", "on_touch", **SMALL)

@@ -67,7 +67,7 @@ def test_serial_sweep_memo_summary(config):
 
     # Dropping only the result tier forces re-simulation that resumes
     # from the snapshots populated by the first sweep.
-    runner._CACHE.clear()
+    runner._session.results.clear()
     run_sims_parallel(_requests(config), jobs=1)
     warm = last_sweep_summary()["memo"]
     assert warm["hits"] == len(POLICIES)
@@ -125,7 +125,7 @@ def test_memoized_results_identical_to_cold(config):
     configure(memo=True)
     clear_cache()
     run_sims_parallel(_requests(config, ("oasis",)), jobs=1)  # populate
-    runner._CACHE.clear()
+    runner._session.results.clear()
     warm = run_sim(config, MEMO_APP, "oasis")
     assert memo_stats()["hits"] >= 1
     assert core_digest(warm) == cold_digest

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import baseline_config
-from repro.harness import clear_cache, run_sim, speedup_table
-from repro.harness.runner import _CACHE
+from repro.harness import clear_cache, run_sim, runner, speedup_table
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +21,7 @@ class TestRunSim:
         a = run_sim(config, "mm", "on_touch", **SMALL)
         b = run_sim(config, "mm", "on_touch", **SMALL)
         assert a is b
-        assert len(_CACHE) == 1
+        assert len(runner._session.results) == 1
 
     def test_distinct_configs_not_shared(self, config):
         a = run_sim(config, "mm", "on_touch", **SMALL)

@@ -17,12 +17,14 @@ from repro.harness import (
     last_sweep_summary,
     run_sims_parallel,
 )
+from repro.harness import runner
 from repro.harness.runner import (
-    DEFAULT_RETRY_BACKOFF_MAX_S,
-    _apply_runner_config,
+    RETRY_BACKOFF_MAX_S,
+    Session,
+    Settings,
     _backoff_delay,
-    _runner_config,
     _spec_key,
+    _worker,
 )
 from repro.sim.results import SimulationResult
 
@@ -32,11 +34,11 @@ def isolated_runner(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_HARNESS_CRASH", raising=False)
     monkeypatch.delenv("REPRO_HARNESS_HANG", raising=False)
     monkeypatch.delenv("REPRO_HARNESS_RAISE", raising=False)
-    monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0")
+    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.0)
     clear_cache()
     configure(jobs=1, cache_dir=str(tmp_path / "cache"))
     yield
-    configure(jobs=1, disk_cache=False)
+    configure(jobs=1, disk_cache=False, memo=False)
     clear_cache()
 
 
@@ -207,30 +209,17 @@ class TestPoolRebuildDegradation:
 
 class TestRetryBackoff:
     def test_exponential_growth_capped_at_default_max(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "1.0")
-        monkeypatch.delenv("REPRO_RETRY_BACKOFF_MAX_S", raising=False)
+        monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 1.0)
         assert _backoff_delay(1) == 1.0
         assert _backoff_delay(2) == 2.0
         assert _backoff_delay(3) == 4.0
-        assert _backoff_delay(4) == DEFAULT_RETRY_BACKOFF_MAX_S
-        assert _backoff_delay(30) == DEFAULT_RETRY_BACKOFF_MAX_S
-
-    def test_cap_is_env_overridable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "1.0")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MAX_S", "0.5")
-        assert _backoff_delay(1) == 0.5
-        assert _backoff_delay(10) == 0.5
+        assert _backoff_delay(4) == RETRY_BACKOFF_MAX_S
+        assert _backoff_delay(30) == RETRY_BACKOFF_MAX_S
 
     def test_zero_base_disables_backoff(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "0")
+        monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.0)
         assert _backoff_delay(1) == 0.0
         assert _backoff_delay(8) == 0.0
-
-    def test_garbage_env_falls_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_S", "not-a-number")
-        monkeypatch.setenv("REPRO_RETRY_BACKOFF_MAX_S", "")
-        assert _backoff_delay(1) == 0.05
-        assert _backoff_delay(30) == DEFAULT_RETRY_BACKOFF_MAX_S
 
 
 class TestFailureRendering:
@@ -247,33 +236,30 @@ class TestFailureRendering:
 
 
 class TestWorkerConfigPassthrough:
-    def test_snapshot_round_trips(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "17")
+    def test_snapshot_round_trips(self, tmp_path):
         configure(jobs=3, cache_dir=str(tmp_path / "elsewhere"))
-        snapshot = _runner_config()
-        assert snapshot == {
-            "jobs": 3,
-            "disk_enabled": True,
-            "disk_root": str(tmp_path / "elsewhere"),
-            "cache_size": 17,
-            "memo_enabled": False,
-            "memo_dir": None,
-        }
-        # A spawned worker starts from defaults; applying the snapshot
-        # must reproduce the parent's runner state exactly.
-        monkeypatch.setenv("REPRO_RUNNER_CACHE_SIZE", "1")
-        configure(jobs=1, disk_cache=False)
-        _apply_runner_config(snapshot)
-        assert _runner_config() == snapshot
+        settings = runner._session.settings
+        assert settings == Settings(
+            jobs=3, disk_root=str(tmp_path / "elsewhere"),
+            memo=False, memo_dir=None,
+        )
+        # A spawned worker starts from defaults; adopting the parent's
+        # settings must open the parent's store.
+        worker = Session()
+        assert worker.settings != settings
+        worker.configure(settings)
+        assert worker.settings == settings
+        assert worker.disk.root == tmp_path / "elsewhere"
+        assert worker.memo is None
 
-    def test_disk_cache_disabled_round_trips(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RUNNER_CACHE_SIZE", raising=False)
+    def test_disk_cache_disabled_round_trips(self):
         configure(jobs=2, disk_cache=False)
-        snapshot = _runner_config()
-        assert snapshot["disk_enabled"] is False
-        assert snapshot["disk_root"] is None
-        _apply_runner_config(snapshot)
-        assert _runner_config() == snapshot
+        settings = runner._session.settings
+        assert settings.disk_root is None
+        worker = Session()
+        worker.configure(settings)
+        assert worker.settings == settings
+        assert worker.disk is None
 
     def test_workers_see_parent_disk_cache(self, config, tmp_path):
         # The workers must write results into the parent's configured
@@ -285,6 +271,23 @@ class TestWorkerConfigPassthrough:
             p for p in store.rglob("*.json") if p.parent.name != "quarantine"
         ]
         assert entries, "worker did not write to the configured disk cache"
+
+    def test_worker_session_serves_consecutive_runs(self, config, tmp_path):
+        # A worker given the settings it already holds keeps its session:
+        # one DiskCache and one PhaseMemo serve every run it computes.
+        configure(jobs=2, cache_dir=str(tmp_path / "cache"), memo=True)
+        session = runner._session
+        settings, disk, memo = session.settings, session.disk, session.memo
+        assert disk is not None and memo is not None
+        for policy in ("on_touch", "oasis"):  # c2d: a multi-phase trace
+            spec = {"config": config, "app": "c2d", "policy": policy,
+                    "footprint_mb": 4.0, "seed": 0, "policy_kwargs": {}}
+            result, delta = _worker((spec, settings))
+            assert isinstance(result, SimulationResult)
+            assert delta is not None
+        assert session.disk is disk and session.memo is memo
+        assert disk.misses == 2  # both runs read through the one store
+        assert memo.lanes.runs == 2  # and recorded into the one memo
 
 
 class TestSerialFailureIsolation:

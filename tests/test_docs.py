@@ -83,3 +83,29 @@ class TestReadmeArchitecture:
             if not re.search(rf"^\s+{name}/", tree, re.MULTILINE)
         ]
         assert not missing, f"README Architecture tree omits {missing}"
+
+
+#: An environment knob's name.
+KNOB = r"REPRO_[A-Z][A-Z0-9_]*"
+
+
+def _knobs_read(*dirs: str) -> set[str]:
+    """Knob names quoted as whole string literals in Python files."""
+    names: set[str] = set()
+    for name in dirs:
+        for path in (ROOT / name).rglob("*.py"):
+            names.update(re.findall(rf"[\"']({KNOB})[\"']", path.read_text()))
+    return names
+
+
+class TestKnobInventory:
+    def test_model_documents_exactly_the_knobs_read(self):
+        documented = set(re.findall(KNOB, (ROOT / "docs" / "MODEL.md")
+                                    .read_text()))
+        undocumented = sorted(_knobs_read("src") - documented)
+        assert not undocumented, f"docs/MODEL.md omits {undocumented}"
+        unread = sorted(
+            documented
+            - _knobs_read("src", "scripts", "benchmarks", "perfbench")
+        )
+        assert not unread, f"docs/MODEL.md names knobs nothing reads: {unread}"
