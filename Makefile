@@ -38,10 +38,12 @@ golden-update:
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
 
-# Repo benchmark smoke: one short traced perfbench run (policy_sweep,
-# seed 1) that must be correct, fail nothing, and show nonzero self
-# time in the SoA-build, fault-lane, per-record and memo layers (a
-# layer reads 0 when the method the benchmark wraps has gone).
+# Repo benchmark smoke: two short traced perfbench runs (seed 1) that
+# must be correct and fail nothing.  policy_sweep must show nonzero
+# self time in the SoA-build, fault-lane, per-record and memo layers (a
+# layer reads 0 when the method the benchmark wraps has gone);
+# oversub_sweep must replay no record per record (its capacity runs
+# stay in the fused loops).
 perfbench-smoke:
 	$(PYTHON) scripts/perfbench_smoke.py
 

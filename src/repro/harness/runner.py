@@ -451,9 +451,8 @@ def _worker(payload: tuple) -> tuple:
     _maybe_fault_hook(spec)
     memo = _session.memo
     if memo is not None:
-        # A forked worker inherits the parent's pending lane records,
-        # which the parent has already counted.
-        memo.lanes.drain()
+        # Keep this run's lane records to ship; the parent keeps none.
+        memo.lanes.collect()
         before = memo.stats()
     result = _run_spec(spec)
     delta = None

@@ -7,7 +7,11 @@ host memory (Fig. 25 studies OASIS under 150% oversubscription).
 :class:`CapacityManager` tracks which pages are resident on each GPU in
 recency order.  Python dicts preserve insertion order, so an LRU list is a
 dict whose entries are re-inserted on touch; the LRU victim is the first
-key.
+key.  The fast path's fused loops (:mod:`repro.sim.fastpath`) advance
+these dicts in place, repeating :meth:`~CapacityManager.note_access`,
+:meth:`~CapacityManager.note_resident` and the victim choice of
+:meth:`~CapacityManager.pick_victim`, so a change here must be mirrored
+there.
 """
 
 from __future__ import annotations

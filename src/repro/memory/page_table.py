@@ -35,9 +35,9 @@ bit operations.  The *fine-grained* mutators (``map_local``,
 aspect at a time; the driver's ``map_remote``, ``map_local`` and
 ``ideal_copy`` use them, and every transition equals a fixed sequence of
 them.  The fast path's fused loops read the columns directly and write
-back through two batch transitions: :meth:`bulk_install_exclusive` for
-plain on-touch's migrations, and :meth:`store_entries` for the entries
-(policy bits included) the other policies' loop changed.
+back through one batch transition, :meth:`store_entries`: the final
+entries (policy bits included) of the pages a loop installed, evicted
+or re-mapped.
 
 The same columns are also available as numpy arrays
 (:meth:`bulk_views`), which the phase-snapshot tier hashes into its
@@ -186,37 +186,6 @@ class PageTables:
             dirty.append(idx)
             if len(dirty) > self._n_pages:
                 self._views = self._dirty = None
-
-    def bulk_install_exclusive(
-        self, idxs: np.ndarray, gpus: np.ndarray
-    ) -> None:
-        """Batch of :meth:`install_exclusive` for plain on-touch's fused loop.
-
-        The resulting columns do not depend on a page's prior state, so
-        for distinct ``idxs`` the batch equals per-page transitions from
-        any state.  The caller must have applied the rest of each
-        transition itself — the shootdowns, capacity releases and
-        transfers the prior state implied: the loop installs virgin
-        first touches, cross-GPU bounces and pulls of exclusively held
-        pages, and holders re-mapping their own pages.
-        """
-        owner = self._owner
-        copies = self._copy_mask
-        mapped = self._mapped_mask
-        writable = self._writable_mask
-        for idx, gpu in zip(idxs.tolist(), gpus.tolist()):
-            bit = 1 << gpu
-            owner[idx] = gpu
-            copies[idx] = bit
-            mapped[idx] = bit
-            writable[idx] = bit
-        views = self._views
-        if views is not None and len(idxs):
-            bits = np.left_shift(np.int64(1), gpus)
-            views["owner"][idxs] = gpus
-            views["copies"][idxs] = bits
-            views["mapped"][idxs] = bits
-            views["writable"][idxs] = bits
 
     def store_entries(self, entries: dict[int, list[int]]) -> None:
         """Write back the entries a fused replay loop kept locally.

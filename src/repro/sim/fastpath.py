@@ -20,10 +20,10 @@ O-Table controller and metadata lookup) and applies the resolution with
 the driver arithmetic inlined.
 
 Plain on-touch keeps a leaner loop of its own
-(:meth:`FastReplay._run_bulk_fault`).  With coherent tables and no
-capacity manager migration is its only resolution, so every page is
-virgin or held by one GPU, and each record resolves with one of five
-fixed driver service times.
+(:meth:`FastReplay._run_bulk_fault`).  With coherent tables migration is
+its only resolution, so every page is virgin or held by one GPU, and
+each fault resolves with one of four fixed driver service times, plus
+the write-backs of the pages an oversubscribed GPU evicts.
 
 In both loops the sequential state — TLB LRU dicts, the driver FIFO,
 per-GPU clocks, residency LRU order — advances in place; stats and link
@@ -34,10 +34,13 @@ primitives in their order, and stat counters and traffic bytes are
 integer-valued and far below 2**53, so summing them in bulk is exact
 under any grouping.
 
-A run replays per record when the capacity manager is active
-(oversubscription runs touch eviction state on every access), when
-``REPRO_FORCE_SLOW_PATH`` is set, or when its policy has no loop — a
-subclass that overrides a handler, for example.
+Oversubscribed runs (the capacity manager on, Fig. 25) replay in the
+same loops.  Each record first refreshes its GPU's LRU entry, as
+``CapacityManager.note_access`` does, and each install that overfills a
+GPU evicts its LRU pages as ``UVMDriver._maybe_evict`` and ``evict_from``
+do, adding their cost to the fault's resolution.  A run replays per
+record only when ``REPRO_FORCE_SLOW_PATH`` is set or when its policy has
+no loop — a subclass that overrides a handler, for example.
 """
 
 from __future__ import annotations
@@ -164,22 +167,17 @@ class FastReplay:
         self._occ_ns = lat.fault_driver_occupancy_ns
         self._fault_service_ns = lat.fault_service_ns
         self._fault_par = lat.fault_parallelism
-        # The driver service time of each on-touch migration: a virgin
-        # first touch pulls the page over PCIe; the empty shootdown and
-        # the disabled capacity manager add exactly 0.0.  A bounce shoots
-        # down the holder's PTE and pulls over NVLink, a pull from an
-        # unmapped holder only pulls, and a holder re-mapping its own
-        # page only updates the PTE.
-        self._service_virgin = self._occ_ns + (
-            self._pcie_ns + lat.pte_update_ns
-        )
-        self._service_bounce = self._occ_ns + (
+        # The resolution of each on-touch migration before any eviction:
+        # a virgin first touch pulls the page over PCIe (the empty
+        # shootdown adds exactly 0.0), a bounce shoots down the holder's
+        # PTE and pulls over NVLink, a pull from an unmapped holder only
+        # pulls, and a holder re-mapping its own page only updates the
+        # PTE.
+        self._resolve_virgin = self._pcie_ns + lat.pte_update_ns
+        self._resolve_bounce = (
             (lat.pte_invalidate_ns + nvlink_ns) + lat.pte_update_ns
         )
-        self._service_pull = self._occ_ns + (
-            nvlink_ns + lat.pte_update_ns
-        )
-        self._service_remap = self._occ_ns + lat.pte_update_ns
+        self._resolve_pull = nvlink_ns + lat.pte_update_ns
         # Per-phase record arrays (set by run_phase).
         self._gpu: np.ndarray | None = None
         self._page: np.ndarray | None = None
@@ -191,12 +189,11 @@ class FastReplay:
     def for_machine(cls, machine: "Machine") -> "FastReplay | None":
         """A replayer for ``machine``, or None when it must run slow.
 
-        Capacity-managed (oversubscribed) runs touch eviction state on
-        every access, so they always take the per-record path, as does
-        a policy with no fused loop and anything under
-        ``REPRO_FORCE_SLOW_PATH=1``.
+        Every registry policy has a loop, with or without the capacity
+        manager; a policy with no fused loop and anything under
+        ``REPRO_FORCE_SLOW_PATH=1`` take the per-record path.
         """
-        if machine.capacity.enabled or force_slow_path():
+        if force_slow_path():
             return None
         mode = _mode_of(machine.policy)
         return None if mode is None else cls(machine, mode)
@@ -227,22 +224,30 @@ class FastReplay:
         """Replay records ``[i, j)`` in one fused loop.
 
         Every policy but plain on-touch replays in :meth:`_run_uniform`.
-        Plain on-touch, with coherent tables and no capacity manager,
-        resolves every fault with a migration, so each page is virgin
-        (host owner, no copy) or held by one GPU, which maps it writable
-        or leaves it unmapped.  Each record is then one of: a local
-        access by the holder, a virgin first touch (host->GPU pull over
-        PCIe), a cross-GPU bounce (holder PTE shootdown + NVLink pull),
-        an NVLink pull from an unmapped holder, or the holder re-mapping
-        its own page — each with a fixed driver service time.
+        Plain on-touch, with coherent tables, resolves every fault with a
+        migration, so each page is virgin (host owner, no copy) or held
+        by one GPU, which maps it writable or leaves it unmapped.  Each
+        record is then one of: a local access by the holder, a virgin
+        first touch (host->GPU pull over PCIe), a cross-GPU bounce
+        (holder PTE shootdown + NVLink pull), an NVLink pull from an
+        unmapped holder, or the holder re-mapping its own page — each
+        fault with a fixed driver service time.
+
+        Under the capacity manager each record first refreshes its GPU's
+        LRU entry, and a migration that overfills the GPU evicts its LRU
+        pages.  A victim is always the GPU's only copy: the loop shoots
+        down its TLB entry if it is mapped, writes it back over PCIe and
+        makes the host its holder, so a later record on it takes the
+        virgin path.  The write-backs add to the fault's resolution
+        before the driver occupancy, as ``UVMDriver._maybe_evict`` does.
 
         On a page's first record the loop reads its owner and mapped
         bits from the live page-table columns, then tracks its holder as
-        the run migrates it.  Nothing is written back until the loop
-        ends: the installs go in one batch
-        (:meth:`PageTables.bulk_install_exclusive`), and stats, faults
-        and link bytes are summed.  On-touch counts no remote access, so
-        the counter file stays empty and a migration's group reset has
+        the run migrates and evicts it.  Nothing is written back until
+        the loop ends: the installs and releases go in one batch
+        (:meth:`PageTables.store_entries`), and stats, faults and link
+        bytes are summed.  On-touch counts no remote access, so the
+        counter file stays empty and a migration's group reset has
         nothing to clear.  The arithmetic mirrors ``Machine.access`` +
         ``Machine._fault`` + ``UVMDriver.migrate`` operation for
         operation.
@@ -263,12 +268,17 @@ class FastReplay:
         compute_ns = self._compute_ns
         local_ns = self._local_ns
         mem_par = self._mem_par
+        occ_ns = self._occ_ns
         fault_service = self._fault_service_ns
         fault_par = self._fault_par
-        service_virgin = self._service_virgin
-        service_bounce = self._service_bounce
-        service_pull = self._service_pull
-        service_remap = self._service_remap
+        resolve_virgin = self._resolve_virgin
+        resolve_bounce = self._resolve_bounce
+        resolve_pull = self._resolve_pull
+        resolve_remap = self._pte_update_ns
+        # An eviction's cost: the write-back, after the shootdown of a
+        # mapped victim.
+        evict_mapped = self._pte_invalidate_ns + self._pcie_ns
+        evict_unmapped = self._pcie_ns
         n_gpus = self._n_gpus
         tlb0 = machine.tlbs[0]
         l1_cost = tlb0._l1_cost
@@ -287,6 +297,8 @@ class FastReplay:
         inval_l2 = [0] * n_gpus
         fault_counts = [0] * n_gpus
         pcie_counts = [0] * n_gpus
+        #: Pages each GPU wrote back to the host.
+        evict_counts = [0] * n_gpus
         nv_pairs: dict[tuple[int, int], int] = {}
         clocks = machine.clocks
         queue = machine.driver.queue
@@ -295,16 +307,25 @@ class FastReplay:
         # Residency lists are maintained even with capacity modelling
         # disabled (note_resident is unconditional in the driver).
         lrus = machine.capacity._lru
+        cap = machine.capacity.capacity_pages
+        capped = cap is not None
         walk_hist: dict[int, int] = {}
         local_extra = 0
         shoot_total = 0
         #: page -> current holder, once the run has touched the page.
         holder: dict[int, int] = {}
-        #: page -> final holder, for pages this run migrated.
+        #: page -> final holder (HOST once evicted), for pages this run
+        #: migrated or evicted.
         install: dict[int, int] = {}
         fault_pages: list[int] = []
 
         for g, page, w in zip(gpu_l, page_l, weight_l):
+            if capped:
+                # CapacityManager.note_access: refresh a resident page.
+                lru = lrus[g]
+                if page in lru:
+                    del lru[page]
+                    lru[page] = None
             o = holder.get(page, -2)
             if o == -2:
                 idx = page - first_page
@@ -357,11 +378,11 @@ class FastReplay:
             # Fault path.
             c = clocks[g] + w * compute_ns + cost / mem_par
             if o == HOST:
-                service = service_virgin
+                resolution = resolve_virgin
                 pcie_counts[g] += 1
             elif o == g:
                 # Holder faulting on its own unmapped page: remap only.
-                service = service_remap
+                resolution = resolve_remap
             else:
                 # Cross-GPU migration of an exclusively-held page.
                 lrus[o].pop(page, None)  # note_released(o, page)
@@ -376,15 +397,47 @@ class FastReplay:
                         del ev[page]
                         inval_l2[o] += 1
                     shoot_total += 1
-                    service = service_bounce
+                    resolution = resolve_bounce
                 else:
-                    service = service_pull
+                    resolution = resolve_pull
                 pair = (o, g) if o < g else (g, o)
                 nv_pairs[pair] = nv_pairs.get(pair, 0) + 1
             fault_counts[g] += 1
             fault_pages.append(page)
             holder[page] = g
             install[page] = g
+            lru = lrus[g]
+            lru.pop(page, None)
+            lru[page] = None
+            if capped and len(lru) > cap:
+                # UVMDriver._maybe_evict: the page is now the MRU entry,
+                # so the LRU head is never the protected page.
+                evictions = 0.0
+                while len(lru) > cap:
+                    victim = next(iter(lru))
+                    del lru[victim]
+                    if holder.get(victim, -2) == -2:
+                        mapped = mapped_col[victim - first_page] != 0
+                    else:
+                        mapped = True
+                    if mapped:
+                        ev = l1_sets[victim % l1_n]
+                        if victim in ev:
+                            del ev[victim]
+                            inval_l1[g] += 1
+                        ev = l2_sets[victim % l2_n]
+                        if victim in ev:
+                            del ev[victim]
+                            inval_l2[g] += 1
+                        shoot_total += 1
+                        evictions += evict_mapped
+                    else:
+                        evictions += evict_unmapped
+                    evict_counts[g] += 1
+                    holder[victim] = HOST
+                    install[victim] = HOST
+                resolution += evictions
+            service = occ_ns + resolution
             start = free_at if free_at > c else c
             done = start + service
             busy += service
@@ -397,9 +450,6 @@ class FastReplay:
                 l1_hits[g] += 1
                 local_extra += w - 1
             clocks[g] = c
-            lru = lrus[g]
-            lru.pop(page, None)
-            lru[page] = None
 
         n_faults = len(fault_pages)
         queue.advance_to(free_at, busy, n_faults)
@@ -418,19 +468,23 @@ class FastReplay:
             stats.add("fault.page", n_faults)
             stats.add("migration.count", n_faults)
             stats.add("migration.bytes", n_faults * page_size)
-            pages_arr = np.fromiter(
-                install.keys(), dtype=np.int64, count=len(install)
-            )
-            gpus_arr = np.fromiter(
-                install.values(), dtype=np.int64, count=len(install)
-            )
-            pt.bulk_install_exclusive(pages_arr - first_page, gpus_arr)
+            entries = {}
+            for page, h in install.items():
+                bit = 0 if h == HOST else 1 << h
+                entries[page] = [
+                    h, bit, bit, bit, policy_col[page - first_page]
+                ]
+            pt.store_entries(entries)
             if shoot_total:
                 stats.add("shootdown.count", shoot_total)
-            n_pcie = sum(pcie_counts)
+            n_evict = sum(evict_counts)
+            if n_evict:
+                stats.add("eviction.count", n_evict)
+            n_pcie = sum(pcie_counts) + n_evict
             if n_pcie:
                 stats.add("traffic.pcie_bytes", n_pcie * page_size)
-                for g, count in enumerate(pcie_counts):
+                for g in range(n_gpus):
+                    count = pcie_counts[g] + evict_counts[g]
                     if count:
                         topology.record_transfer_bulk(
                             HOST, g, count * page_size, count
@@ -473,6 +527,15 @@ class FastReplay:
         protection fault under access-counter or Ideal, a remote mapping
         under any policy that counts no remote access) is handed to the
         policy, which raises as it does on the per-record path.
+
+        Under the capacity manager each record first refreshes its GPU's
+        LRU entry (``CapacityManager.note_access``).  Migrate, collapse,
+        duplicate and the Ideal copy end as the driver's do, evicting
+        the GPU's LRU pages while it is over capacity: a page another GPU
+        also holds loses only this GPU's copy, and a sole copy is written
+        back to the host (``UVMDriver.evict_from``).  OASIS' capacity
+        guard maps a read of a shared page remotely when the GPU is full
+        and holds no copy.
         """
         from repro.sim.machine import REMOTE_ACCESS_BYTES
 
@@ -546,6 +609,8 @@ class FastReplay:
         # Residency lists are maintained even with capacity modelling
         # disabled (note_resident is unconditional in the driver).
         lrus = machine.capacity._lru
+        cap = machine.capacity.capacity_pages
+        capped = cap is not None
         #: page -> [owner, copies, mapped, writable, policy bits].
         ent: dict[int, list[int]] = {}
         #: The entries of the pages this run changed.
@@ -610,16 +675,53 @@ class FastReplay:
                 lrus[low.bit_length() - 1].pop(page, None)
                 holders ^= low
 
-        def transfer(src: int, g: int) -> float:
-            """UVMDriver._transfer of one page to GPU ``g``."""
-            moves[src, g] = moves.get((src, g), 0) + 1
-            return pcie_ns if src == HOST else nvlink_ns
+        def transfer(src: int, dst: int) -> float:
+            """UVMDriver._transfer of one page."""
+            moves[src, dst] = moves.get((src, dst), 0) + 1
+            return pcie_ns if src == HOST or dst == HOST else nvlink_ns
 
         def make_resident(g: int, page: int) -> None:
             """CapacityManager.note_resident."""
             lru = lrus[g]
             lru.pop(page, None)
             lru[page] = None
+
+        def make_room(g: int, page: int) -> float:
+            """UVMDriver._maybe_evict: evict LRU pages, sparing ``page``."""
+            lru = lrus[g]
+            cost = 0.0
+            while len(lru) > cap:
+                for victim in lru:
+                    if victim != page:
+                        break
+                cost += evict_from(g, victim)
+            return cost
+
+        def evict_from(g: int, page: int) -> float:
+            """UVMDriver.evict_from, and UVMDriver.evict for a sole copy."""
+            st = state(page)
+            changed[page] = st
+            owner, copies, mapped = st[0], st[1], st[2]
+            bit = 1 << g
+            others = copies & ~bit
+            if not others:
+                cost = shootdown(page, mapped)
+                release(page, copies)
+                if owner != HOST:
+                    cost += transfer(owner, HOST)
+                tally["eviction.count"] += 1
+                st[0] = HOST
+                st[1] = st[2] = st[3] = 0
+                return cost
+            cost = shootdown(page, bit) if mapped & bit else 0.0
+            lrus[g].pop(page, None)
+            tally["eviction.copy_dropped"] += 1
+            if owner == g:
+                st[0] = (others & -others).bit_length() - 1
+            st[1] = others
+            st[2] = mapped & ~bit
+            st[3] &= ~bit
+            return cost + pte_ns
 
         def migrate(g: int, page: int, st: list[int]) -> float:
             """UVMDriver.migrate, the counter-group reset included."""
@@ -641,7 +743,10 @@ class FastReplay:
             tally["migration.bytes"] += page_size
             st[0] = g
             st[1] = st[2] = st[3] = bit
-            return cost + pte_ns
+            cost += pte_ns
+            if capped:
+                cost += make_room(g, page)
+            return cost
 
         def collapse(g: int, page: int, st: list[int]) -> float:
             """UVMDriver.collapse."""
@@ -665,7 +770,10 @@ class FastReplay:
             tally["collapse.invalidated_copies"] += victims.bit_count()
             st[0] = g
             st[1] = st[2] = st[3] = bit
-            return cost + pte_ns
+            cost += pte_ns
+            if capped:
+                cost += make_room(g, page)
+            return cost
 
         def duplicate(g: int, page: int, st: list[int]) -> float:
             """UVMDriver.duplicate on coherent tables (no writer survives)."""
@@ -689,7 +797,10 @@ class FastReplay:
             make_resident(g, page)
             tally["duplication.count"] += 1
             tally["duplication.bytes"] += page_size
-            return cost + pte_ns
+            cost += pte_ns
+            if capped:
+                cost += make_room(g, page)
+            return cost
 
         def map_local(g: int, st: list[int], writable: bool) -> float:
             """UVMDriver.map_local."""
@@ -752,7 +863,10 @@ class FastReplay:
                     tally["duplication.count"] += 1
                 st[2] |= bit
                 st[3] |= bit
-                return cost + pte_ns
+                cost += pte_ns
+                if capped:
+                    cost += make_room(g, page)
+                return cost
 
         elif mode == "advise":
 
@@ -836,6 +950,7 @@ class FastReplay:
             lookup_cost = policy._metadata_lookup_cost
             on_shared_fault = policy.controller.on_shared_fault
             private_filter = policy.private_filter
+            guarded = capped and policy.capacity_guard
 
             def shared(g, page, is_w, st):
                 """OasisPolicy._shared_fault and _resolve_counter."""
@@ -855,6 +970,10 @@ class FastReplay:
                 # Duplication, the controller's only other answer.
                 if is_w:
                     return cost + collapse(g, page, st)
+                if guarded and len(lrus[g]) >= cap and not copies >> g & 1:
+                    # The capacity guard: a full GPU reads remotely.
+                    tally["oasis.duplication_degraded"] += 1
+                    return cost + map_remote(g, st)
                 return cost + duplicate(g, page, st)
 
             def on_fault(g, page, is_w, st):
@@ -878,6 +997,12 @@ class FastReplay:
         for g, page, is_w, w, key in zip(
             gpu_l, page_l, write_l, weight_l, key_l
         ):
+            if capped:
+                # CapacityManager.note_access: refresh a resident page.
+                lru = lrus[g]
+                if page in lru:
+                    del lru[page]
+                    lru[page] = None
             st = ent.get(page)
             if st is None:
                 st = ent[page] = list(entry(page))
@@ -1016,7 +1141,7 @@ class FastReplay:
             topology.record_transfer_bulk(
                 src, dst, count * page_size, count
             )
-            if src == HOST:
+            if src == HOST or dst == HOST:
                 n_pcie += count
             else:
                 n_nvlink += count

@@ -166,11 +166,11 @@ class Machine:
         self.l2_miss_policy_counts: dict[str, int] = {}
         self._allocated: set[int] = set()
         policy.attach(self)
-        # Whole-chunk fused-loop replayer; None when the run must stay on
-        # the per-record path (capacity manager, REPRO_FORCE_SLOW_PATH, a
-        # policy with no fused loop, or an attached tracer/metrics
-        # registry — per-event observation needs the exact per-record
-        # path, which is bit-identical anyway).
+        # Whole-chunk fused-loop replayer, oversubscribed runs included;
+        # None when the run must stay on the per-record path
+        # (REPRO_FORCE_SLOW_PATH, a policy with no fused loop, or an
+        # attached tracer/metrics registry — per-event observation needs
+        # the exact per-record path, which is bit-identical anyway).
         self._fast = None if self._obs_on else FastReplay.for_machine(self)
         # Phase-prefix memoization (a MemoSession from
         # repro.sim.sweep.PhaseMemo): only unobserved, multi-phase runs

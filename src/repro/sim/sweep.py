@@ -63,15 +63,20 @@ class SweepLanes:
     the lane before its own chain ends — i.e. its first divergent
     placement decision.  Fork counts are observability, not correctness:
     they tell a sweep report where policy variants stopped sharing work.
+
+    A pool worker ships its runs' records to the parent sweep for global
+    accounting: it calls :meth:`collect` before a run and :meth:`drain`
+    after it.  Outside that window nothing is kept, so a process that
+    records runs but never ships them does not accumulate their chains.
     """
 
     def __init__(self) -> None:
         self._cohorts: dict[str, dict] = {}
         self.runs = 0
         self.forks = 0
-        #: Records accumulated since the last :meth:`drain` — worker
-        #: processes ship these to the parent sweep for global accounting.
-        self._pending: list[tuple] = []
+        #: Records kept since :meth:`collect` for the next :meth:`drain`;
+        #: None while no worker is collecting.
+        self._pending: list[tuple] | None = None
 
     def record(self, cohort: str, label: str, chain,
                resumed_phases: int = 0) -> None:
@@ -96,18 +101,22 @@ class SweepLanes:
             "forked": forked,
             "resumed_phases": resumed_phases,
         }
-        self._pending.append((cohort, label, chain, resumed_phases))
+        if self._pending is not None:
+            self._pending.append((cohort, label, chain, resumed_phases))
+
+    def collect(self) -> None:
+        """Start keeping records for :meth:`drain`, dropping older ones."""
+        self._pending = []
 
     def drain(self) -> list[tuple]:
-        """Pop the records accumulated since the last drain."""
-        pending, self._pending = self._pending, []
+        """Pop the records kept since :meth:`collect` and stop keeping."""
+        pending, self._pending = self._pending or [], None
         return pending
 
     def replay(self, records) -> None:
         """Merge records drained from another process's lanes."""
         for cohort, label, chain, resumed in records:
             self.record(cohort, label, chain, resumed_phases=resumed)
-        self._pending.clear()
 
     def report(self) -> dict:
         return {
@@ -125,7 +134,7 @@ class SweepLanes:
 
     def clear(self) -> None:
         self._cohorts.clear()
-        self._pending.clear()
+        self._pending = None
         self.runs = 0
         self.forks = 0
 

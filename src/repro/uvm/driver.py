@@ -18,9 +18,10 @@ bound once per driver.
 
 The fast path's fused loops (``FastReplay._run_uniform`` and
 ``FastReplay._run_bulk_fault`` in :mod:`repro.sim.fastpath`) inline
-migrate, collapse, duplicate, ``map_local``, ``map_remote`` and
-``ideal_copy``, so a change to one of them must be mirrored there;
-``tests/sim/test_fastpath.py`` compares both paths.
+migrate, collapse, duplicate, ``map_local``, ``map_remote``,
+``ideal_copy`` and the capacity evictions (``_maybe_evict``,
+``evict_from`` and ``evict``), so a change to one of them must be
+mirrored there; ``tests/sim/test_fastpath.py`` compares both paths.
 
 Primitives:
 

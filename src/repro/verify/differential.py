@@ -149,7 +149,10 @@ def check_fast_vs_slow(config, app: str, policy: str,
     fast = _simulate(config, app, policy, seed)
     with forced_slow_path():
         slow = _simulate(config, app, policy, seed)
-    return _compare("fast_slow", f"{app}/{policy}", fast, slow)
+    label = f"{app}/{policy}"
+    if config.oversubscription is not None:
+        label += f"@x{config.oversubscription:g}"
+    return _compare("fast_slow", label, fast, slow)
 
 
 def check_cached_vs_recomputed(config, app: str, policy: str,
@@ -275,6 +278,10 @@ def run_differential(
 ) -> dict:
     """Run every requested oracle lane over the (app, policy) matrix.
 
+    The ``fast_slow`` lane also replays each app's Fig. 25 cells (the
+    requested :data:`~repro.verify.golden.OVERSUB_POLICIES` at
+    :data:`~repro.verify.golden.OVERSUB_FACTOR`), the runs that evict.
+
     Returns ``{"pairs": int, "comparisons": int, "lanes": [...],
     "mismatches": [str, ...]}`` — empty ``mismatches`` means every
     execution mode agreed bit-for-bit on every pair.
@@ -312,6 +319,17 @@ def run_differential(
                 continue
             mismatches.extend(check(config, app, policy, seed))
             comparisons += 1
+    if "fast_slow" in lanes:
+        from repro.verify.golden import OVERSUB_FACTOR, OVERSUB_POLICIES
+
+        oversub = baseline_config(oversubscription=OVERSUB_FACTOR)
+        for app in apps:
+            for policy in OVERSUB_POLICIES:
+                if policy in policies:
+                    mismatches.extend(
+                        check_fast_vs_slow(oversub, app, policy, seed)
+                    )
+                    comparisons += 1
     for app, policy in memo_extra:
         mismatches.extend(check_memoized_vs_cold(config, app, policy, seed))
         comparisons += 1

@@ -78,6 +78,24 @@ def test_serial_sweep_memo_summary(config):
     assert all(isinstance(r, SimulationResult) for r in results)
 
 
+def test_serial_sweeps_keep_no_lane_records(config):
+    """Only a pool worker keeps lane records, to ship them; the parent
+    folds its own runs into the lanes and keeps nothing more."""
+    configure(memo=True)
+    lanes = runner._session.memo.lanes
+    requests = [
+        (config, MEMO_APP, policy, {"footprint_mb": 4.0})
+        for policy in POLICIES
+    ]
+    for sweep in range(1, 4):
+        runner._session.results.clear()
+        run_sims_parallel(requests, jobs=1)
+        assert lanes.runs == sweep * len(POLICIES)
+        assert lanes.drain() == []
+    assert last_sweep_summary()["memo"]["prefix_forks"] == 0
+    assert lanes.forks == 2
+
+
 def test_pool_sweep_ships_memo_deltas(config, tmp_path):
     """Workers return per-run deltas; the parent folds them into stats."""
     configure(memo=True, memo_dir=str(tmp_path / "memo"))

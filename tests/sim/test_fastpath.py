@@ -4,8 +4,8 @@ The fused-loop replayer (:mod:`repro.sim.fastpath`) promises that every
 observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
 tests hold it to that across every application and every registry
-policy, plus the supporting primitives (the page-table numpy mirrors,
-the lexsort interleaver).
+policy, with and without memory oversubscription, plus the supporting
+primitives (the page-table numpy mirrors, the lexsort interleaver).
 """
 
 from __future__ import annotations
@@ -44,9 +44,32 @@ POLICIES = ["on_touch", "duplication", "access_counter", "oasis", "grit",
 
 #: Every application under every policy, plus one OASIS ablation: with
 #: the private filter off, first touches take the shared-fault path.
-CASES = [(policy, app) for app in ALL_APPS for policy in POLICIES] + [
-    pytest.param(("oasis", {"private_filter": False}), "st",
+#: Each case is ``(policy, app, config overrides)``.
+CASES = [
+    pytest.param(policy, app, {}, id=f"{policy}-{app}")
+    for app in ALL_APPS for policy in POLICIES
+] + [
+    pytest.param(("oasis", {"private_filter": False}), "st", {},
                  id="oasis_no_private_filter-st"),
+]
+
+#: Oversubscribed runs, which evict: Fig. 25's cells on every app, and
+#: every policy on mm at a tighter factor and with distributed placement.
+CAPACITY_CASES = [
+    pytest.param(policy, app, {"oversubscription": 1.5},
+                 id=f"{policy}@x1.5-{app}")
+    for app in ALL_APPS for policy in ("on_touch", "oasis")
+] + [
+    pytest.param(policy, "mm", {"oversubscription": 2.0},
+                 id=f"{policy}@x2-mm")
+    for policy in POLICIES
+] + [
+    pytest.param(
+        policy, "mm",
+        {"oversubscription": 1.5, "initial_placement": "distributed"},
+        id=f"{policy}@x1.5-distributed-mm",
+    )
+    for policy in POLICIES
 ]
 
 #: Small but fault-rich footprint; keeps 89 paired runs affordable.
@@ -70,9 +93,9 @@ def run_pair(app: str, policy, monkeypatch, config=None):
     return fast, slow
 
 
-def run_machine_pair(app: str, policy, monkeypatch):
+def run_machine_pair(app: str, policy, monkeypatch, config=None):
     """One run on each path; returns the (fast, slow) machines."""
-    config = baseline_config()
+    config = config or baseline_config()
     trace = get_workload(app, config, footprint_mb=FOOTPRINT_MB)
     machines = []
     for slow in (False, True):
@@ -157,12 +180,14 @@ class TestForceSlowPath:
         machine = Machine(config, trace, make_policy("on_touch"))
         assert machine._fast is None
 
-    def test_capacity_manager_disables_replayer(self, monkeypatch):
+    def test_capacity_runs_get_a_replayer(self, monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
         config = baseline_config(oversubscription=1.5)
         trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
-        machine = Machine(config, trace, make_policy("on_touch"))
-        assert machine._fast is None
+        for policy in ("on_touch", "oasis"):
+            machine = Machine(config, trace, make_policy(policy))
+            assert machine.capacity.enabled
+            assert machine._fast is not None, policy
 
     def test_policy_without_a_loop_replays_per_record(self, config,
                                                       monkeypatch):
@@ -181,9 +206,11 @@ class TestForceSlowPath:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("policy,app", CASES)
-    def test_fast_path_is_bit_identical(self, app, policy, monkeypatch):
-        fast, slow = run_pair(app, policy, monkeypatch)
+    @pytest.mark.parametrize("policy,app,overrides", CASES + CAPACITY_CASES)
+    def test_fast_path_is_bit_identical(self, app, policy, overrides,
+                                        monkeypatch):
+        config = baseline_config(**overrides)
+        fast, slow = run_pair(app, policy, monkeypatch, config=config)
         assert fast.total_time_ns == slow.total_time_ns
         assert fast.stats == slow.stats
         assert fast.traffic == slow.traffic
@@ -191,17 +218,38 @@ class TestDeterminism:
         assert fast.l2_miss_policy_counts == slow.l2_miss_policy_counts
         assert fast.to_dict() == slow.to_dict()
 
-    @pytest.mark.parametrize("policy,app", CASES)
-    def test_fast_path_leaves_identical_state(self, app, policy, monkeypatch):
-        fast, slow = run_machine_pair(app, policy, monkeypatch)
+    @pytest.mark.parametrize("policy,app,overrides", CASES + CAPACITY_CASES)
+    def test_fast_path_leaves_identical_state(self, app, policy, overrides,
+                                              monkeypatch):
+        config = baseline_config(**overrides)
+        fast, slow = run_machine_pair(app, policy, monkeypatch, config=config)
         # The counter file never keeps a tripped or reset counter.
         assert 0 not in fast.access_counters._counts.values()
         assert replay_state(fast) == replay_state(slow)
 
-    @pytest.mark.parametrize("policy", list(POLICY_FACTORIES))
-    def test_uniform_policies_never_fall_back(self, policy, monkeypatch):
+    def test_fast_path_takes_every_eviction_branch(self, monkeypatch):
+        # Under OASIS at x1.5 the loop writes sole copies back, drops
+        # duplicates and degrades duplication at a full GPU.
+        config = baseline_config(oversubscription=1.5)
+        fast, slow = run_machine_pair("mm", "oasis", monkeypatch,
+                                      config=config)
+        stats = fast.stats.as_dict()
+        assert stats == slow.stats.as_dict()
+        for name in ("eviction.count", "eviction.copy_dropped",
+                     "oasis.duplication_degraded"):
+            assert stats.get(name, 0) > 0, name
+
+    @pytest.mark.parametrize("policy,factor", [
+        pytest.param(
+            policy, factor,
+            id=policy if factor is None else f"{policy}@x{factor:g}",
+        )
+        for factor in (None, 1.5) for policy in POLICY_FACTORIES
+    ])
+    def test_uniform_policies_never_fall_back(self, policy, factor,
+                                              monkeypatch):
         monkeypatch.delenv("REPRO_FORCE_SLOW_PATH", raising=False)
-        config = baseline_config()
+        config = baseline_config(oversubscription=factor)
         trace = get_workload("st", config, footprint_mb=FOOTPRINT_MB)
         machine = Machine(config, trace, make_policy(policy))
 
@@ -271,10 +319,9 @@ class TestPageTableMirrors:
             lambda: pt.unmap_all_except(101, keep=2),
             lambda: pt.set_policy(102, POLICY_COUNTER),
             lambda: pt.set_policy_range(104, 4, POLICY_DUPLICATION),
-            lambda: pt.bulk_install_exclusive(
-                np.array([5, 6]), np.array([0, 3])
-            ),
             lambda: pt.store_entries({
+                105: [0, 0b0001, 0b0001, 0b0001, POLICY_DUPLICATION],
+                106: [3, 0b1000, 0b1000, 0b1000, POLICY_DUPLICATION],
                 108: [HOST, 0b0110, 0b0110, 0, POLICY_ON_TOUCH],
                 109: [2, 0b0100, 0b0101, 0b0100, POLICY_ON_TOUCH],
             }),

@@ -94,7 +94,8 @@ def test_runner_covers_requested_lanes():
         lanes=("fast_slow", "cache"),
     )
     assert report["pairs"] == 1
-    assert report["comparisons"] == 2
+    # Both lanes on the pair, and fast_slow on its Fig. 25 cell.
+    assert report["comparisons"] == 3
     assert report["mismatches"] == []
 
 
@@ -137,3 +138,23 @@ def test_mutation_smoke_counter_drop_breaks_digest(config, monkeypatch):
     assert core_digest(healthy) != core_digest(broken)
     diffs = diff_payloads(result_payload(healthy), result_payload(broken))
     assert any("migration.bytes" in d for d in diffs)
+
+
+def test_fast_slow_lane_covers_the_oversubscribed_cells(monkeypatch):
+    # Mutation smoke: the per-record path skips the LRU refresh, which
+    # only a capacity run reads.  The baseline pair still agrees; the
+    # lane must name the Fig. 25 cell that diverged.
+    from repro.memory import CapacityManager
+
+    monkeypatch.setattr(
+        CapacityManager, "note_access", lambda self, gpu, page: None
+    )
+    report = run_differential(
+        apps=("i2c",), policies=("oasis",), lanes=("fast_slow",)
+    )
+    assert report["comparisons"] == 2
+    assert report["mismatches"]
+    assert all(
+        m.startswith("fast_slow i2c/oasis@x1.5: ")
+        for m in report["mismatches"]
+    )
