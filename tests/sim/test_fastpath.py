@@ -72,7 +72,7 @@ CAPACITY_CASES = [
     for policy in POLICIES
 ]
 
-#: Small but fault-rich footprint; keeps 89 paired runs affordable.
+#: Small but fault-rich footprint; keeps 127 paired runs affordable.
 FOOTPRINT_MB = 3.0
 
 
