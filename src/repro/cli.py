@@ -511,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--metrics-out", default=None, dest="metrics_out",
                      metavar="FILE",
                      help="write the sweep observability summary "
-                          "(runs, cache hits, retries, wall clock, "
-                          "merged counters) as JSON")
+                          "(runs, cache hits, wall clock, merged "
+                          "counters) as JSON")
     swp.set_defaults(func=cmd_sweep)
 
     lst = sub.add_parser("list", help="list apps, policies, experiments")

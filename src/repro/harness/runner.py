@@ -23,24 +23,18 @@ clears it; :func:`cache_stats`, :func:`memo_stats`,
 
 Independent runs can also be computed in parallel across worker
 processes with :func:`run_sims_parallel`; :func:`speedup_table` uses it
-to pre-warm the caches when ``jobs > 1``.
-
-The parallel path is crash-tolerant: each run has a bounded number of
-attempts with exponential backoff, a per-run wall-clock timeout, and a
-dying worker process takes down only its own run — the pool is rebuilt,
-innocent in-flight runs are re-dispatched without penalty, and after
-repeated pool failures the remaining work degrades to in-process serial
-execution.  A run that still cannot complete yields a structured
-:class:`RunFailure` in its result slot instead of aborting the sweep.
+to pre-warm the caches when ``jobs > 1``.  Each sweep uses one pool.  A
+run that raises yields a :class:`RunFailure` in its result slot instead
+of aborting the sweep; if a worker dies, the pool is torn down and the
+runs it did not return finish in-process.
 """
 
 from __future__ import annotations
 
-import os
 import time
 import traceback as _traceback
-from collections import OrderedDict, deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
@@ -55,12 +49,6 @@ from repro.workloads import get_workload
 #: In-process memoized results kept, least recently used dropped first.
 DEFAULT_CACHE_SIZE = 256
 
-#: Default attempts per run in :func:`run_sims_parallel` (1 = no retry).
-DEFAULT_MAX_ATTEMPTS = 2
-
-#: Pool rebuilds tolerated before degrading to in-process execution.
-DEFAULT_POOL_FAILURE_LIMIT = 2
-
 #: Scalar memo counters shipped as per-run deltas from pool workers.
 _MEMO_DELTA_KEYS = (
     "hits", "misses", "stores", "snapshot_bytes",
@@ -74,7 +62,7 @@ _MEMO_DELTA_KEYS = (
 #: workers; the serial path's live on the session's PhaseMemo itself,
 #: so :func:`memo_stats` sums both (the sources are disjoint).
 _COUNTERS = (
-    "hits", "misses", "evictions", "run_retries", "pool_failures",
+    "hits", "misses", "evictions", "pool_failures",
     "store_errors", *("memo_" + key for key in _MEMO_DELTA_KEYS),
 )
 
@@ -203,12 +191,8 @@ def last_sweep_summary() -> dict | None:
 
         {
           "runs": 12, "ok": 11, "failed": 1,
-          "cache": {"hits": 4, "misses": 8,
-                    "run_retries": 1, "pool_failures": 0},
-          "memo": {"enabled": True, "hits": 6, "misses": 2,
-                   "stores": 14, "snapshot_bytes": 5242880,
-                   "resumed_phases": 38, "corrupt": 0,
-                   "prefix_forks": 3},
+          "cache": {"hits": 4, "misses": 8, "pool_failures": 0},
+          "memo": {"enabled": True, "hits": 6, "misses": 2, ...},
           "wall_clock_s": {"total": 3.2,
                            "per_run": {"st/oasis": 0.41, ...}},
           "counters": {"fault.page": ..., "migration.count": ..., ...},
@@ -356,11 +340,9 @@ class RunFailure:
     footprint_mb: float | None = None
     seed: int = 0
     policy_kwargs: dict = field(default_factory=dict)
-    #: Exception class name (``"TimeoutError"``, ``"WorkerCrash"``, ...).
+    #: Exception class name (``"ValueError"``, ...).
     error_type: str = ""
     message: str = ""
-    #: Attempts consumed before giving up.
-    attempts: int = 0
     traceback: str = ""
 
     @property
@@ -370,8 +352,7 @@ class RunFailure:
     def __str__(self) -> str:
         return (
             f"FAILED {self.app}/{self.policy} (seed={self.seed}): "
-            f"{self.error_type}: {self.message} "
-            f"[{self.attempts} attempt(s)]"
+            f"{self.error_type}: {self.message}"
         )
 
 
@@ -400,43 +381,9 @@ def _spec_key(spec: dict) -> tuple:
     )
 
 
-def _maybe_fault_hook(spec: dict) -> None:
-    """Honor the harness's own fault hooks (for resilience self-tests).
-
-    ``REPRO_HARNESS_CRASH="app:policy@/path/sentinel"`` hard-kills the
-    worker (``os._exit``) the first time it runs that spec; the sentinel
-    file makes the crash one-shot so the retry can succeed.  Omitting
-    ``@sentinel`` crashes every attempt (a deterministically poisoned
-    run).  ``REPRO_HARNESS_HANG`` sleeps instead, exercising the per-run
-    timeout path, and ``REPRO_HARNESS_RAISE`` raises a retryable
-    ``OSError`` in-process, exercising the retry/backoff path without
-    killing the worker.
-    """
-    for env, action in (
-        ("REPRO_HARNESS_CRASH", "crash"),
-        ("REPRO_HARNESS_HANG", "hang"),
-        ("REPRO_HARNESS_RAISE", "raise"),
-    ):
-        raw = os.environ.get(env, "").strip()
-        if not raw:
-            continue
-        target, _, sentinel = raw.partition("@")
-        if target != f"{spec['app']}:{spec['policy']}":
-            continue
-        if sentinel:
-            if os.path.exists(sentinel):
-                continue
-            with open(sentinel, "w"):
-                pass
-        if action == "crash":
-            os._exit(13)
-        if action == "raise":
-            raise OSError(f"injected transient failure for {target}")
-        time.sleep(3600.0)
-
-
 def _worker(payload: tuple) -> tuple:
-    """Pool entry point: run one spec, ship back (result, memo delta).
+    """Pool entry point: run one spec, ship back (result, memo delta,
+    the run's wall-clock seconds).
 
     The payload carries the parent's :class:`Settings`.  A forked worker
     already holds them and keeps its session across the runs it
@@ -448,13 +395,14 @@ def _worker(payload: tuple) -> tuple:
     """
     spec, settings = payload
     _session.configure(settings)
-    _maybe_fault_hook(spec)
     memo = _session.memo
     if memo is not None:
         # Keep this run's lane records to ship; the parent keeps none.
         memo.lanes.collect()
         before = memo.stats()
+    started = time.monotonic()
     result = _run_spec(spec)
+    elapsed = time.monotonic() - started
     delta = None
     if memo is not None:
         after = memo.stats()
@@ -464,7 +412,7 @@ def _worker(payload: tuple) -> tuple:
             },
             "lanes": memo.lanes.drain(),
         }
-    return result, delta
+    return result, delta, elapsed
 
 
 def _merge_memo_delta(delta: dict | None) -> None:
@@ -480,52 +428,19 @@ def _merge_memo_delta(delta: dict | None) -> None:
         memo.lanes.replay(delta["lanes"])
 
 
-def _failure_from(spec: dict, attempts: int, exc: BaseException | None,
-                  error_type: str = "", message: str = "") -> RunFailure:
-    if exc is not None:
-        error_type = type(exc).__name__
-        message = str(exc)
-        tb = "".join(
-            _traceback.format_exception(type(exc), exc, exc.__traceback__)
-        )
-    else:
-        tb = ""
+def _failure_from(spec: dict, exc: Exception) -> RunFailure:
     return RunFailure(
         app=spec["app"],
         policy=spec["policy"],
         footprint_mb=spec["footprint_mb"],
         seed=spec["seed"],
         policy_kwargs=dict(spec["policy_kwargs"]),
-        error_type=error_type,
-        message=message,
-        attempts=attempts,
-        traceback=tb,
+        error_type=type(exc).__name__,
+        message=str(exc),
+        traceback="".join(
+            _traceback.format_exception(type(exc), exc, exc.__traceback__)
+        ),
     )
-
-
-#: Exception classes worth retrying: environmental, not deterministic.
-_RETRYABLE = (OSError, EOFError, MemoryError)
-
-#: Backoff before the first retry of a run; each later retry doubles it.
-RETRY_BACKOFF_S = 0.05
-
-#: Ceiling on one retry-backoff sleep.  Without it the exponential grows
-#: unboundedly — at the 50 ms base, attempt 12 would already sleep
-#: 102 s, stalling a sweep for minutes on a flaky run.
-RETRY_BACKOFF_MAX_S = 5.0
-
-
-def _backoff_delay(attempt: int) -> float:
-    """Exponential backoff for retry ``attempt``, capped at a max delay."""
-    return min(
-        RETRY_BACKOFF_S * (2.0 ** max(0, attempt - 1)), RETRY_BACKOFF_MAX_S
-    )
-
-
-def _retry_backoff(attempt: int) -> None:
-    delay = _backoff_delay(attempt)
-    if delay:
-        time.sleep(delay)
 
 
 def _teardown_pool(pool: ProcessPoolExecutor) -> None:
@@ -542,143 +457,47 @@ def _teardown_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _drain_pool(
-    pending: dict,
-    n_jobs: int,
-    timeout_s: float | None,
-    max_attempts: int,
-    pool_failure_limit: int,
-    fresh: dict,
-    failures: dict,
-    timings: dict,
-) -> dict:
-    """Compute ``pending`` runs in worker processes with crash/timeout
-    isolation.
+    pending: dict, n_jobs: int, fresh: dict, failures: dict, timings: dict
+) -> None:
+    """Compute ``pending`` runs in one pool of ``n_jobs`` workers.
 
-    Fills ``fresh`` (key → result), ``failures`` (key → RunFailure) and
-    ``timings`` (key → wall-clock seconds, queueing on a busy pool
-    included).  When the pool keeps dying, the remaining runs are left
-    for the caller to finish serially; the returned dict maps each of
-    them to the attempts it has already been charged.
+    Fills ``fresh`` (key → result), ``failures`` (key → RunFailure for a
+    run that raised in its worker) and ``timings`` (key → the run's own
+    wall-clock seconds, timed in the worker).  A dying worker breaks the
+    pool: it is torn down once, and the runs it did not return are in
+    none of the three, for the caller to finish in-process.
     """
     settings = _session.settings
-    stats = _session.stats
-    queue: deque = deque(pending.items())
-    attempts = dict.fromkeys(pending, 0)
-    pool: ProcessPoolExecutor | None = ProcessPoolExecutor(max_workers=n_jobs)
-    pool_failures = 0
-    inflight: dict = {}
+    pool = ProcessPoolExecutor(max_workers=n_jobs)
+    futures: dict = {}
+    broken = False
     try:
-        while queue or inflight:
-            broken = False
-            while not broken and queue and len(inflight) < n_jobs:
-                key, spec = queue.popleft()
-                attempts[key] += 1
-                try:
-                    future = pool.submit(_worker, (spec, settings))
-                except Exception:
-                    attempts[key] -= 1
-                    queue.appendleft((key, spec))
-                    broken = True
-                    break
-                deadline = (
-                    time.monotonic() + timeout_s if timeout_s else None
-                )
-                inflight[future] = (key, spec, deadline, time.monotonic())
-            if not broken and inflight:
-                wait_timeout = None
-                deadlines = [
-                    d for (_, _, d, _) in inflight.values() if d is not None
-                ]
-                if deadlines:
-                    wait_timeout = max(
-                        0.01, min(deadlines) - time.monotonic()
-                    )
-                done, _ = wait(
-                    set(inflight),
-                    timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    key, spec, _deadline, started = inflight.pop(future)
-                    try:
-                        result, memo_delta = future.result()
-                    except BrokenProcessPool:
-                        # The dead worker poisoned every in-flight future;
-                        # the culprit cannot be attributed, so nobody is
-                        # charged an attempt — termination is bounded by
-                        # the pool-failure limit instead.
-                        broken = True
-                        attempts[key] -= 1
-                        queue.append((key, spec))
-                        continue
-                    except Exception as exc:
-                        if (
-                            isinstance(exc, _RETRYABLE)
-                            and attempts[key] < max_attempts
-                        ):
-                            stats["run_retries"] += 1
-                            _retry_backoff(attempts[key])
-                            queue.append((key, spec))
-                        else:
-                            failures[key] = _failure_from(
-                                spec, attempts[key], exc
-                            )
-                        continue
-                    _merge_memo_delta(memo_delta)
-                    fresh[key] = result
-                    _session.remember(key, result)
-                    timings[key] = time.monotonic() - started
-                now = time.monotonic()
-                expired = [
-                    f
-                    for f, (_, _, d, _) in inflight.items()
-                    if d is not None and d <= now
-                ]
-                for future in expired:
-                    # A hung run: the only way to reclaim its worker is
-                    # to tear the whole pool down.
-                    broken = True
-                    key, spec, _deadline, _started = inflight.pop(future)
-                    if attempts[key] < max_attempts:
-                        stats["run_retries"] += 1
-                        queue.append((key, spec))
-                    else:
-                        failures[key] = _failure_from(
-                            spec,
-                            attempts[key],
-                            None,
-                            error_type="TimeoutError",
-                            message=f"run exceeded {timeout_s}s wall clock",
-                        )
-            if broken:
-                for future, (key, spec, _deadline, _started) in inflight.items():
-                    # Innocent victims of the rebuild: no attempt charged.
-                    attempts[key] -= 1
-                    queue.append((key, spec))
-                inflight.clear()
-                _teardown_pool(pool)
-                stats["pool_failures"] += 1
-                pool_failures += 1
-                if pool_failures > pool_failure_limit:
-                    # The pool keeps dying: the caller finishes the
-                    # remaining work in-process.
-                    pool = None
-                    break
-                pool = ProcessPoolExecutor(max_workers=n_jobs)
+        for key, spec in pending.items():
+            try:
+                futures[pool.submit(_worker, (spec, settings))] = key, spec
+            except BrokenProcessPool:
+                broken = True
+                break
+        for future in as_completed(futures):
+            key, spec = futures[future]
+            try:
+                result, memo_delta, elapsed = future.result()
+            except BrokenProcessPool:
+                broken = True
+            except Exception as exc:
+                failures[key] = _failure_from(spec, exc)
+            else:
+                _merge_memo_delta(memo_delta)
+                fresh[key] = result
+                _session.remember(key, result)
+                timings[key] = elapsed
     finally:
-        if pool is not None:
-            _teardown_pool(pool)
-    return {key: attempts[key] for key, _spec in queue}
+        _teardown_pool(pool)
+    if broken:
+        _session.stats["pool_failures"] += 1
 
 
-def run_sims_parallel(
-    requests,
-    jobs: int | None = None,
-    *,
-    timeout_s: float | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    pool_failure_limit: int = DEFAULT_POOL_FAILURE_LIMIT,
-) -> list:
+def run_sims_parallel(requests, jobs: int | None = None) -> list:
     """Run many independent simulations across worker processes.
 
     Args:
@@ -688,20 +507,14 @@ def run_sims_parallel(
             ``policy_kwargs`` extras) or dicts with those keys.
         jobs: worker processes; defaults to the :func:`configure` value.
             With ``jobs=1`` everything runs serially in-process.
-        timeout_s: per-run wall-clock limit (pool mode only; None = no
-            limit).  A run that exceeds it is killed with its pool and
-            retried.
-        max_attempts: attempts per run before recording a failure.
-        pool_failure_limit: pool rebuilds tolerated before the remaining
-            work degrades to in-process serial execution.
 
     Returns:
         One entry per request, in request order: a
         :class:`~repro.sim.SimulationResult`, or a :class:`RunFailure`
-        for a run that exhausted its attempts.  The sweep itself never
-        raises for a failing run.  Each successful result also lands in
-        the in-process cache (and, when enabled, the disk cache —
-        workers write it, so a crashed sweep keeps its finished runs).
+        for a run that raised.  The sweep itself never raises for a
+        failing run.  Each successful result also lands in the
+        in-process cache (and, when enabled, the disk cache — workers
+        write it, so a crashed sweep keeps its finished runs).
     """
     session = _session
     sweep_started = time.monotonic()
@@ -713,8 +526,6 @@ def run_sims_parallel(
     if n_jobs < 1:
         raise ValueError("jobs must be >= 1")
     n_jobs = min(n_jobs, max(1, len(specs)))
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
 
     # Only ship cache misses to the pool, and each distinct run once.
     pending: dict[tuple, dict] = {}
@@ -725,18 +536,8 @@ def run_sims_parallel(
     fresh: dict[tuple, SimulationResult] = {}
     failures: dict[tuple, RunFailure] = {}
     timings: dict[tuple, float] = {}
-    charged: dict[tuple, int] = {}
     if pending and n_jobs > 1:
-        charged = _drain_pool(
-            pending,
-            n_jobs,
-            timeout_s,
-            max_attempts,
-            pool_failure_limit,
-            fresh,
-            failures,
-            timings,
-        )
+        _drain_pool(pending, n_jobs, fresh, failures, timings)
 
     # Assemble results in request order.  Cache accounting reconciles:
     # every request slot is exactly one hit or one miss (failures are
@@ -754,31 +555,20 @@ def run_sims_parallel(
                 session.results.move_to_end(key)
             out.append(fresh.pop(key))
             continue
-        # Serial path (jobs=1, a duplicate, or a run a degraded pool left
-        # over): retry the environmental failures the pool retries,
-        # counting the attempts the pool already charged, then diagnose
-        # instead of aborting.  Timeouts need process isolation, so none
-        # applies here.
+        # Serial path (jobs=1, a duplicate, or a run a broken pool left
+        # over): diagnose a failing run instead of aborting the sweep.
         started = time.monotonic()
-        attempt = charged.pop(key, 0)
-        while True:
-            attempt += 1
-            try:
-                result = _run_spec(spec)
-            except Exception as exc:
-                if isinstance(exc, _RETRYABLE) and attempt < max_attempts:
-                    session.stats["run_retries"] += 1
-                    _retry_backoff(attempt)
-                    continue
-                result = failures[key] = _failure_from(spec, attempt, exc)
-            else:
-                timings.setdefault(key, time.monotonic() - started)
-            break
+        try:
+            result = _run_spec(spec)
+        except Exception as exc:
+            result = failures[key] = _failure_from(spec, exc)
+        else:
+            timings.setdefault(key, time.monotonic() - started)
         out.append(result)
 
     # Sweep-level observability summary: per-run metric snapshots are
-    # merged into one counter view, and cache/retry accounting is the
-    # delta over this sweep only (not the session's lifetime).
+    # merged into one counter view, and cache accounting is the delta
+    # over this sweep only (not the session's lifetime).
     merged: set[tuple] = set()
     counters: dict[str, float] = {}
     for key, result in zip(keys, out):
@@ -794,7 +584,7 @@ def run_sims_parallel(
         "failed": n_failed,
         "cache": {
             name: session.stats[name] - stats_before[name]
-            for name in ("hits", "misses", "run_retries", "pool_failures")
+            for name in ("hits", "misses", "pool_failures")
         },
         # Sweep fast path accounting, as a delta over this sweep only.
         "memo": {

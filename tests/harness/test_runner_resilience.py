@@ -1,14 +1,18 @@
-"""Crash/timeout tolerance of the parallel runner.
+"""Failure handling of the parallel runner.
 
-These tests exercise the harness's own fault hooks
-(``REPRO_HARNESS_CRASH`` / ``REPRO_HARNESS_HANG``): a worker process
-hard-dies or hangs on a chosen run, and the sweep must still return one
-entry per request — retried results or structured RunFailures, never an
-exception.
+A run that raises becomes a RunFailure in its slot, and a worker that
+dies breaks the sweep's one pool: the runs it did not return finish
+in-process.  Either way the sweep returns one entry per request, never
+an exception.  The crash tests patch ``runner._run_spec`` so that a
+forked pool worker, and only a worker, calls ``os._exit`` on one run.
 """
+
+import multiprocessing
+import os
 
 import pytest
 
+from repro import make_policy
 from repro.harness import (
     RunFailure,
     cache_stats,
@@ -18,23 +22,14 @@ from repro.harness import (
     run_sims_parallel,
 )
 from repro.harness import runner
-from repro.harness.runner import (
-    RETRY_BACKOFF_MAX_S,
-    Session,
-    Settings,
-    _backoff_delay,
-    _spec_key,
-    _worker,
-)
+from repro.harness.runner import Session, Settings, _spec_key, _worker
+from repro.sim import simulate
 from repro.sim.results import SimulationResult
+from repro.workloads import get_workload
 
 
 @pytest.fixture(autouse=True)
-def isolated_runner(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_HARNESS_CRASH", raising=False)
-    monkeypatch.delenv("REPRO_HARNESS_HANG", raising=False)
-    monkeypatch.delenv("REPRO_HARNESS_RAISE", raising=False)
-    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.0)
+def isolated_runner(tmp_path):
     clear_cache()
     configure(jobs=1, cache_dir=str(tmp_path / "cache"))
     yield
@@ -43,6 +38,29 @@ def isolated_runner(tmp_path, monkeypatch):
 
 
 SMALL = {"footprint_mb": 4.0}
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a patched _run_spec reaches pool workers only by fork",
+)
+
+
+def _crash_in_workers(monkeypatch, app, policy, marker=None):
+    """Make any forked worker that runs ``app``/``policy`` die at once,
+    touching ``marker`` first; this process still runs it normally."""
+    parent = os.getpid()
+    run_spec = runner._run_spec
+
+    def crashing(spec):
+        if os.getpid() != parent and (spec["app"], spec["policy"]) == (
+            app, policy
+        ):
+            if marker is not None:
+                marker.touch()
+            os._exit(13)
+        return run_spec(spec)
+
+    monkeypatch.setattr(runner, "_run_spec", crashing)
 
 
 class TestStatsReconciliation:
@@ -69,129 +87,55 @@ class TestStatsReconciliation:
         assert after["hits"] == before["hits"] + 1
 
 
+@fork_only
 class TestWorkerCrash:
     def test_crashed_worker_is_retried(self, config, tmp_path, monkeypatch):
-        sentinel = tmp_path / "crashed-once"
-        monkeypatch.setenv(
-            "REPRO_HARNESS_CRASH", f"mm:on_touch@{sentinel}"
-        )
+        # The run whose worker died is rerun in-process, and its result
+        # matches a clean run's bit for bit.
+        marker = tmp_path / "crashed"
+        _crash_in_workers(monkeypatch, "mm", "on_touch", marker)
         requests = [
             (config, "mm", "on_touch", SMALL),
             (config, "i2c", "on_touch", SMALL),
         ]
-        results = run_sims_parallel(requests, jobs=2)
-        assert sentinel.exists()  # the crash really happened
-        assert all(isinstance(r, SimulationResult) for r in results)
-        stats = cache_stats()
-        assert stats["pool_failures"] >= 1
-        assert stats["hits"] + stats["misses"] == len(requests)
+        crashed, other = run_sims_parallel(requests, jobs=2)
+        assert marker.exists()  # the crash really happened
+        assert isinstance(other, SimulationResult)
+        clean = simulate(
+            config, get_workload("mm", config, footprint_mb=4.0),
+            make_policy("on_touch"),
+        )
+        assert crashed.to_dict() == clean.to_dict()
 
     def test_poisoned_run_degrades_to_serial(self, config, monkeypatch):
-        # No sentinel: the run crashes its worker on *every* pool attempt.
-        # Each crash is unattributable (no attempt is charged), so the
-        # sweep survives by degrading to in-process serial execution,
-        # where the hook is inert.
-        monkeypatch.setenv("REPRO_HARNESS_CRASH", "mm:on_touch")
+        # The run kills every worker that picks it up.  The sweep's one
+        # pool breaks once, and the serial loop finishes what it left.
+        _crash_in_workers(monkeypatch, "mm", "on_touch")
         requests = [
             (config, "mm", "on_touch", SMALL),
             (config, "i2c", "on_touch", SMALL),
+            (config, "mm", "oasis", SMALL),
         ]
-        results = run_sims_parallel(
-            requests, jobs=2, pool_failure_limit=1
-        )
-        assert all(isinstance(r, SimulationResult) for r in results)
-        assert cache_stats()["pool_failures"] == 2  # limit + the last straw
-        assert cache_stats()["hits"] + cache_stats()["misses"] == 2
-
-
-class TestHangTimeout:
-    def test_hung_run_times_out_into_failure(self, config, monkeypatch):
-        monkeypatch.setenv("REPRO_HARNESS_HANG", "mm:on_touch")
-        requests = [
-            (config, "mm", "on_touch", SMALL),
-            (config, "i2c", "on_touch", SMALL),
-        ]
-        # pool_failure_limit high enough that the sweep never leaves pool
-        # mode (serial fallback would ignore the hang hook and succeed).
-        results = run_sims_parallel(
-            requests,
-            jobs=2,
-            timeout_s=3.0,
-            max_attempts=1,
-            pool_failure_limit=5,
-        )
-        failure, success = results
-        assert isinstance(failure, RunFailure)
-        assert failure.error_type == "TimeoutError"
-        assert failure.app == "mm"
-        assert failure.attempts == 1
-        assert not failure.ok
-        assert isinstance(success, SimulationResult)
-        # Accounting reconciles: the failed slot is neither hit nor miss.
-        stats = cache_stats()
-        assert stats["hits"] + stats["misses"] == 1
-        summary = last_sweep_summary()
-        assert summary["ok"] == 1 and summary["failed"] == 1
-
-class TestTransientRaise:
-    def test_retryable_failure_then_success(self, config, tmp_path,
-                                            monkeypatch):
-        # One-shot transient OSError: the first attempt raises in the
-        # worker (retryable), the retry finds the sentinel and succeeds.
-        sentinel = tmp_path / "raised-once"
-        monkeypatch.setenv("REPRO_HARNESS_RAISE", f"mm:on_touch@{sentinel}")
-        requests = [
-            (config, "mm", "on_touch", SMALL),
-            (config, "i2c", "on_touch", SMALL),
-        ]
-        results = run_sims_parallel(requests, jobs=2, pool_failure_limit=5)
-        assert sentinel.exists()  # the injected raise really happened
+        results = run_sims_parallel(requests, jobs=2)
         assert all(isinstance(r, SimulationResult) for r in results)
         stats = cache_stats()
-        assert stats["run_retries"] >= 1
-        assert stats["pool_failures"] == 0  # worker survived the raise
+        assert stats["pool_failures"] == 1
         assert stats["hits"] + stats["misses"] == len(requests)
+        assert last_sweep_summary()["cache"]["pool_failures"] == 1
 
-    def test_retries_exhausted_is_a_structured_failure(self, config,
-                                                       monkeypatch):
-        # No sentinel: every attempt raises, so the run burns through
-        # max_attempts and lands as a RunFailure slot.
-        monkeypatch.setenv("REPRO_HARNESS_RAISE", "mm:on_touch")
-        requests = [
-            (config, "mm", "on_touch", SMALL),
-            (config, "i2c", "on_touch", SMALL),
-        ]
-        failure, success = run_sims_parallel(
-            requests, jobs=2, max_attempts=2, pool_failure_limit=5
-        )
-        assert isinstance(failure, RunFailure)
-        assert failure.error_type == "OSError"
-        assert "injected transient failure" in failure.message
-        assert failure.attempts == 2  # exhausted, not abandoned early
-        assert isinstance(success, SimulationResult)
-        stats = cache_stats()
-        assert stats["run_retries"] == 1  # one retry before giving up
-        assert stats["hits"] + stats["misses"] == 1  # the ok slot only
-        summary = last_sweep_summary()
-        assert summary["ok"] == 1 and summary["failed"] == 1
-
-
-class TestPoolRebuildDegradation:
     def test_degraded_sweep_keeps_failure_slots_and_accounting(
         self, config, monkeypatch
     ):
-        # A poisoned run crashes its worker on every pool attempt; after
-        # pool_failure_limit rebuilds the sweep degrades to in-process
-        # serial execution (where the crash hook is inert).  A second,
-        # deterministically bad spec must still come back as its own
-        # structured failure slot, not take the sweep down.
-        monkeypatch.setenv("REPRO_HARNESS_CRASH", "mm:on_touch")
+        # A deterministically bad spec must still come back as its own
+        # structured failure slot when a worker death sends the rest of
+        # the sweep to the serial loop.
+        _crash_in_workers(monkeypatch, "mm", "on_touch")
         requests = [
             (config, "mm", "on_touch", SMALL),
             (config, "mm", "bogus_policy", SMALL),
             (config, "i2c", "on_touch", SMALL),
         ]
-        results = run_sims_parallel(requests, jobs=2, pool_failure_limit=1)
+        results = run_sims_parallel(requests, jobs=2)
         by_policy = {spec[2]: result
                      for spec, result in zip(requests, results)}
         assert isinstance(by_policy["on_touch"], SimulationResult)
@@ -199,7 +143,7 @@ class TestPoolRebuildDegradation:
         assert by_policy["bogus_policy"].error_type == "ValueError"
         assert isinstance(results[2], SimulationResult)
         stats = cache_stats()
-        assert stats["pool_failures"] >= 2  # limit + the last straw
+        assert stats["pool_failures"] == 1
         # Two ok slots, one failure: hits+misses covers exactly the oks.
         assert stats["hits"] + stats["misses"] == 2
         summary = last_sweep_summary()
@@ -207,32 +151,39 @@ class TestPoolRebuildDegradation:
         assert summary["ok"] == 2 and summary["failed"] == 1
 
 
-class TestRetryBackoff:
-    def test_exponential_growth_capped_at_default_max(self, monkeypatch):
-        monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 1.0)
-        assert _backoff_delay(1) == 1.0
-        assert _backoff_delay(2) == 2.0
-        assert _backoff_delay(3) == 4.0
-        assert _backoff_delay(4) == RETRY_BACKOFF_MAX_S
-        assert _backoff_delay(30) == RETRY_BACKOFF_MAX_S
-
-    def test_zero_base_disables_backoff(self, monkeypatch):
-        monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.0)
-        assert _backoff_delay(1) == 0.0
-        assert _backoff_delay(8) == 0.0
+class TestWorkerRaise:
+    def test_worker_raise_is_a_structured_failure(self, config):
+        # The pool path keeps a failure loud: the slot carries the
+        # worker's own traceback, down to the frame that raised.
+        requests = [
+            (config, "mm", "bogus_policy", SMALL),
+            (config, "i2c", "on_touch", SMALL),
+        ]
+        failure, success = run_sims_parallel(requests, jobs=2)
+        assert isinstance(failure, RunFailure)
+        assert not failure.ok
+        assert failure.error_type == "ValueError"
+        assert "unknown policy 'bogus_policy'" in failure.message
+        assert "in _worker" in failure.traceback
+        assert "in _run_spec" in failure.traceback
+        assert isinstance(success, SimulationResult)
+        stats = cache_stats()
+        assert stats["pool_failures"] == 0  # the worker survived
+        assert stats["hits"] + stats["misses"] == 1  # the ok slot only
+        summary = last_sweep_summary()
+        assert summary["ok"] == 1 and summary["failed"] == 1
 
 
 class TestFailureRendering:
     def test_failure_renders_diagnosably(self, config):
         failure = RunFailure(
             app="mm", policy="oasis", seed=3,
-            error_type="TimeoutError", message="run exceeded 3.0s",
-            attempts=2,
+            error_type="ValueError", message="unknown policy 'x'",
         )
         text = str(failure)
         assert "mm/oasis" in text
-        assert "TimeoutError" in text
-        assert "2 attempt(s)" in text
+        assert "seed=3" in text
+        assert "ValueError: unknown policy 'x'" in text
 
 
 class TestWorkerConfigPassthrough:
@@ -282,9 +233,10 @@ class TestWorkerConfigPassthrough:
         for policy in ("on_touch", "oasis"):  # c2d: a multi-phase trace
             spec = {"config": config, "app": "c2d", "policy": policy,
                     "footprint_mb": 4.0, "seed": 0, "policy_kwargs": {}}
-            result, delta = _worker((spec, settings))
+            result, delta, elapsed = _worker((spec, settings))
             assert isinstance(result, SimulationResult)
             assert delta is not None
+            assert elapsed >= 0.0
         assert session.disk is disk and session.memo is memo
         assert disk.misses == 2  # both runs read through the one store
         assert memo.lanes.runs == 2  # and recorded into the one memo
@@ -300,6 +252,23 @@ class TestSerialFailureIsolation:
         assert isinstance(good, SimulationResult)
         assert isinstance(bad, RunFailure)
         assert bad.error_type == "ValueError"
+
+    def test_serial_raise_is_not_retried(self, config, monkeypatch):
+        # The simulator is deterministic: a run that raised once would
+        # raise again, so the serial loop records it after one call.
+        calls = []
+
+        def flaky(spec):
+            calls.append(spec["app"])
+            raise OSError("store unavailable")
+
+        monkeypatch.setattr(runner, "_run_spec", flaky)
+        (failure,) = run_sims_parallel(
+            [(config, "mm", "on_touch", SMALL)], jobs=1
+        )
+        assert calls == ["mm"]
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "OSError"
 
     def test_spec_key_distinguishes_kwargs(self, config):
         a = {"config": config, "app": "mm", "policy": "grit",
