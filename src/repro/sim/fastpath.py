@@ -235,11 +235,13 @@ class FastReplay:
 
         Under the capacity manager each record first refreshes its GPU's
         LRU entry, and a migration that overfills the GPU evicts its LRU
-        pages.  A victim is always the GPU's only copy: the loop shoots
-        down its TLB entry if it is mapped, writes it back over PCIe and
-        makes the host its holder, so a later record on it takes the
-        virgin path.  The write-backs add to the fault's resolution
-        before the driver occupancy, as ``UVMDriver._maybe_evict`` does.
+        pages.  A victim is always the GPU's only copy and always mapped
+        (a page enters the LRU only through an install that maps it and
+        leaves on a bounce or an eviction): the loop shoots down its TLB
+        entry, writes it back over PCIe and makes the host its holder, so
+        a later record on it takes the virgin path.  The write-backs add
+        to the fault's resolution before the driver occupancy, as
+        ``UVMDriver._maybe_evict`` does.
 
         On a page's first record the loop reads its owner and mapped
         bits from the live page-table columns, then tracks its holder as
@@ -275,10 +277,8 @@ class FastReplay:
         resolve_bounce = self._resolve_bounce
         resolve_pull = self._resolve_pull
         resolve_remap = self._pte_update_ns
-        # An eviction's cost: the write-back, after the shootdown of a
-        # mapped victim.
-        evict_mapped = self._pte_invalidate_ns + self._pcie_ns
-        evict_unmapped = self._pcie_ns
+        # An eviction's cost: the victim's shootdown, then its write-back.
+        evict_ns = self._pte_invalidate_ns + self._pcie_ns
         n_gpus = self._n_gpus
         tlb0 = machine.tlbs[0]
         l1_cost = tlb0._l1_cost
@@ -416,23 +416,16 @@ class FastReplay:
                 while len(lru) > cap:
                     victim = next(iter(lru))
                     del lru[victim]
-                    if holder.get(victim, -2) == -2:
-                        mapped = mapped_col[victim - first_page] != 0
-                    else:
-                        mapped = True
-                    if mapped:
-                        ev = l1_sets[victim % l1_n]
-                        if victim in ev:
-                            del ev[victim]
-                            inval_l1[g] += 1
-                        ev = l2_sets[victim % l2_n]
-                        if victim in ev:
-                            del ev[victim]
-                            inval_l2[g] += 1
-                        shoot_total += 1
-                        evictions += evict_mapped
-                    else:
-                        evictions += evict_unmapped
+                    ev = l1_sets[victim % l1_n]
+                    if victim in ev:
+                        del ev[victim]
+                        inval_l1[g] += 1
+                    ev = l2_sets[victim % l2_n]
+                    if victim in ev:
+                        del ev[victim]
+                        inval_l2[g] += 1
+                    shoot_total += 1
+                    evictions += evict_ns
                     evict_counts[g] += 1
                     holder[victim] = HOST
                     install[victim] = HOST
