@@ -59,10 +59,6 @@ class ShadowMap:
         """Dynamically-allocated second-level storage."""
         return self.level2_tables * (1 << LEVEL2_BITS) * (ENTRY_BITS // 8)
 
-    @property
-    def total_bytes(self) -> int:
-        return self.first_level_bytes + self.second_level_bytes
-
     def _table_for(self, l1_index: int, create: bool) -> np.ndarray | None:
         table = self._tables.get(l1_index)
         if table is None and create:

@@ -88,11 +88,6 @@ class VirtualAllocator:
         """Total pages across all allocations."""
         return sum(a.n_pages for a in self._allocations)
 
-    @property
-    def highest_page(self) -> int:
-        """One past the highest allocated page index (array sizing)."""
-        return self._next // self._page_size
-
     def alloc(self, size: int) -> Allocation:
         """Allocate ``size`` bytes, rounded up to whole pages."""
         if size <= 0:

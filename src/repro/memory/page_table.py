@@ -241,10 +241,6 @@ class PageTables:
         """Device holding the authoritative copy (the host PT lookup)."""
         return self._owner[self._idx(page)]
 
-    def is_host_resident(self, page: int) -> bool:
-        """True if the authoritative copy lives in host CPU memory."""
-        return self._owner[self._idx(page)] == HOST
-
     def copy_holders(self, page: int) -> list[int]:
         """GPUs currently holding a copy of the page's data."""
         mask = self._copy_mask[self._idx(page)]

@@ -291,8 +291,3 @@ class PhaseMemo:
         self.corrupt = 0
         self.io_errors = 0
         self.lanes.clear()
-
-
-def sweep_report(memo: PhaseMemo) -> dict:
-    """One JSON-serializable view of a memoized sweep's sharing."""
-    return {"memo": memo.stats(), "lanes": memo.lanes.report()}
