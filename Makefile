@@ -7,8 +7,8 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -q
 
-# Observability verification: trace determinism, stat/event agreement
-# and exporter round-trips.
+# Observability verification: trace determinism, stat/event agreement,
+# the per-phase trace samples and the Chrome export's schema check.
 verify-obs:
 	$(PYTHON) -m pytest tests/obs -q
 

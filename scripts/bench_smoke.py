@@ -117,7 +117,7 @@ def bench_obs_overhead(config, pairs: int = 9) -> dict:
     """
     from statistics import median
 
-    from repro.obs import NULL_TRACER, MetricsRegistry, RecordingTracer
+    from repro.obs import NULL_TRACER, RecordingTracer
     from repro.sim import simulate
 
     app = "pr"
@@ -132,8 +132,7 @@ def bench_obs_overhead(config, pairs: int = 9) -> dict:
 
     def time_observed() -> float:
         machine = Machine(
-            config, trace, make_policy(POLICY),
-            tracer=RecordingTracer(), metrics=MetricsRegistry(),
+            config, trace, make_policy(POLICY), tracer=RecordingTracer()
         )
         t0 = time.perf_counter()
         machine.run()

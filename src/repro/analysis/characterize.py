@@ -25,7 +25,7 @@ def object_size_distribution(trace: Trace) -> dict[str, int]:
 def size_histogram(
     traces: list[Trace], buckets: tuple[int, ...] = (1, 4, 16, 64, 256, 1024)
 ) -> dict[str, int]:
-    """Histogram of object sizes (pages) across many traces (Fig. 3).
+    """Object-size counts (pages) across many traces (Fig. 3).
 
     Bucket labels are ``<=N`` for each bound plus a final ``>last``.
     """

@@ -12,7 +12,6 @@ per-run artifact directory::
         summary.json      roll-up of the whole run
         reports/          rendered per-experiment reports (.txt + .json)
         trace.json        Chrome trace of the pipeline timeline
-        metrics.prom      pipeline counters (Prometheus text format)
 
 The run id is deterministic over (git SHA, profile), so re-invoking the
 same pipeline resumes: experiments already recorded in
@@ -195,8 +194,7 @@ def run_pipeline(
             after a clean full-profile run (every experiment, all apps).
         log: progress sink (``print``); pass a no-op to silence.
     """
-    from repro.obs import MetricsRegistry, RecordingTracer
-    from repro.obs.export import write_chrome_trace, write_prometheus
+    from repro.obs import RecordingTracer, write_chrome_trace
 
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
@@ -264,7 +262,6 @@ def run_pipeline(
     )
 
     tracer = RecordingTracer()
-    metrics = MetricsRegistry()
     started = time.monotonic()
 
     def now_ns() -> float:
@@ -288,7 +285,6 @@ def run_pipeline(
                 if (exp_id, seed) in completed:
                     entry["skipped"] += 1
                     n_skipped += 1
-                    metrics.inc("pipeline.experiments_skipped")
                     tracer.instant("pipeline", "pipeline_skip", now_ns(),
                                    {"exp": exp_id, "seed": seed})
                     log(f"  {exp_id} seed={seed}: already recorded, skipped")
@@ -343,10 +339,8 @@ def run_pipeline(
                 entry["wall_s"] = round(entry["wall_s"] + wall_s, 4)
                 entry["sims_new"] += sims_new
                 total_new += sims_new
-                metrics.inc("pipeline.sims_new", sims_new)
                 if error is None:
                     n_run += 1
-                    metrics.inc("pipeline.experiments_run")
                     tracer.instant(
                         "pipeline", "pipeline_experiment", now_ns(),
                         {"exp": exp_id, "seed": seed, "wall_s": wall_s,
@@ -361,7 +355,6 @@ def run_pipeline(
                 else:
                     n_failed += 1
                     entry["ok"] = False
-                    metrics.inc("pipeline.experiments_failed")
                     tracer.instant(
                         "pipeline", "pipeline_error", now_ns(),
                         {"exp": exp_id, "seed": seed, "error": error},
@@ -408,7 +401,6 @@ def run_pipeline(
     )
     write_chrome_trace(out_dir / "trace.json", tracer,
                        {"run_id": run_id, "profile": profile})
-    write_prometheus(out_dir / "metrics.prom", metrics.snapshot())
     log(f"reproduce: {n_run} run, {n_skipped} skipped, {n_failed} failed "
         f"in {wall_total:.1f}s ({total_new} new simulation(s)); "
         f"summary -> {out_dir / 'summary.json'}")

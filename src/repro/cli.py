@@ -17,14 +17,12 @@ Subcommands:
 * ``characterize APP`` — print the Section IV object characterization.
 * ``trace APP [--policy P] [--out FILE]`` — record one run with the
   observability tracer and export a Chrome ``trace_event`` JSON timeline
-  (open in Perfetto / ``chrome://tracing``).
+  (open in Perfetto / ``chrome://tracing``); the only command that
+  records a run.
 * ``verify`` — simulator-wide verification: phase-boundary invariants,
   differential oracles across every execution mode, golden-digest
   regression (``--update-golden`` re-pins), and a seeded trace fuzzer
   with delta-debugging shrinking (``--fuzz``).
-
-``simulate`` and ``sweep`` also accept ``--trace`` / ``--metrics-out``
-to export timelines and metric dumps alongside their normal output.
 """
 
 from __future__ import annotations
@@ -66,51 +64,13 @@ def _build_config(args):
     return baseline_config(**kwargs)
 
 
-def _observed_path(base: str, policy: str, many: bool) -> Path:
-    """Output path for one policy's export (suffixed when several run)."""
-    path = Path(base)
-    if not many:
-        return path
-    return path.with_name(f"{path.stem}.{policy}{path.suffix}")
-
-
-def _export_run(args, policy: str, tracer, metrics, workload: str,
-                many: bool) -> None:
-    """Write the requested trace/metrics exports for one observed run."""
-    from repro.obs import write_chrome_trace, write_prometheus
-
-    if getattr(args, "trace_out", None):
-        path = _observed_path(args.trace_out, policy, many)
-        write_chrome_trace(
-            path, tracer, {"workload": workload, "policy": policy}
-        )
-        print(f"trace written to {path}")
-    if getattr(args, "metrics_out", None):
-        path = _observed_path(args.metrics_out, policy, many)
-        write_prometheus(path, metrics.snapshot())
-        print(f"metrics written to {path}")
-
-
 def cmd_simulate(args) -> int:
     config = _build_config(args)
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
-    observed = bool(args.trace_out or args.metrics_out)
-    results = {}
-    for name in args.policy:
-        if observed:
-            from repro.obs import MetricsRegistry, RecordingTracer
-
-            tracer, metrics = RecordingTracer(), MetricsRegistry()
-            results[name] = simulate(
-                config, trace, make_policy(name),
-                tracer=tracer, metrics=metrics,
-            )
-            _export_run(
-                args, name, tracer, metrics, args.app,
-                many=len(args.policy) > 1,
-            )
-        else:
-            results[name] = simulate(config, trace, make_policy(name))
+    results = {
+        name: simulate(config, trace, make_policy(name))
+        for name in args.policy
+    }
     baseline = results[args.policy[0]]
     print(f"{'policy':<16s} {'time(ms)':>10s} {'speedup':>8s} "
           f"{'faults':>9s} {'migr':>8s} {'dup':>8s} {'collapse':>8s}")
@@ -202,9 +162,9 @@ def cmd_sweep(args) -> int:
     summary = None
     if args.metrics_out:
         # Drive every cell through run_sims_parallel so the sweep-level
-        # observability summary covers the whole table (the speedup_table
-        # call below then hits the warm cache — capture the summary now,
-        # before that warm pass overwrites it).
+        # summary covers the whole table (the speedup_table call below
+        # then hits the warm cache — capture the summary now, before
+        # that warm pass overwrites it).
         requests = []
         for app in apps:
             mb = footprints.get(app) if footprints else None
@@ -237,45 +197,18 @@ def cmd_sweep(args) -> int:
         print(f"\nsweep summary written to {path} "
               f"({summary['runs']} runs, {summary['failed']} failed, "
               f"{summary['wall_clock_s']['total']:.2f}s)")
-    if args.trace_out:
-        from repro.obs import MetricsRegistry, RecordingTracer, write_chrome_trace
-
-        out_dir = Path(args.trace_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for app in apps:
-            mb = footprints.get(app) if footprints else None
-            workload = get_workload(app, config, footprint_mb=mb)
-            for policy in policies:
-                tracer = RecordingTracer()
-                simulate(
-                    config, workload, make_policy(policy),
-                    tracer=tracer, metrics=MetricsRegistry(),
-                )
-                path = out_dir / f"{app}.{policy}.trace.json"
-                write_chrome_trace(
-                    path, tracer, {"workload": app, "policy": policy}
-                )
-        print(f"per-run traces written to {out_dir}/ "
-              f"({len(apps) * len(policies)} files)")
     return 0
 
 
 def cmd_trace(args) -> int:
     """Record one observed run and export its timeline."""
-    from repro.obs import (
-        MetricsRegistry,
-        RecordingTracer,
-        write_chrome_trace,
-        write_jsonl,
-        write_prometheus,
-    )
+    from repro.obs import RecordingTracer, write_chrome_trace
 
     config = _build_config(args)
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
-    tracer, metrics = RecordingTracer(), MetricsRegistry()
+    tracer = RecordingTracer()
     result = simulate(
-        config, trace, make_policy(args.policy),
-        tracer=tracer, metrics=metrics,
+        config, trace, make_policy(args.policy), tracer=tracer
     )
     out = Path(args.out or f"{args.app}.{args.policy}.trace.json")
     write_chrome_trace(out, tracer, {
@@ -290,12 +223,6 @@ def cmd_trace(args) -> int:
           f"{len(tracer)} trace events on {len(tracer.tracks())} tracks")
     print(f"  instants: {rendered}")
     print(f"  trace written to {out} (load in Perfetto or chrome://tracing)")
-    if args.jsonl:
-        write_jsonl(args.jsonl, tracer)
-        print(f"  event log written to {args.jsonl}")
-    if args.metrics_out:
-        write_prometheus(args.metrics_out, metrics.snapshot())
-        print(f"  metrics written to {args.metrics_out}")
     return 0
 
 
@@ -448,13 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--distributed", action="store_true")
     sim.add_argument("--oversubscription", type=float, default=None)
     sim.add_argument("--reset-threshold", type=int, default=None)
-    sim.add_argument("--trace", default=None, dest="trace_out",
-                     metavar="FILE",
-                     help="export a Chrome trace_event timeline per "
-                          "policy (multi-policy runs get FILE.<policy>)")
-    sim.add_argument("--metrics-out", default=None, dest="metrics_out",
-                     metavar="FILE",
-                     help="export Prometheus-style metrics per policy")
     sim.set_defaults(func=cmd_simulate)
 
     exp = sub.add_parser("experiment", help="regenerate a table/figure")
@@ -504,15 +424,10 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="DIR",
                      help="persist phase snapshots under DIR so later "
                           "sweeps resume across processes")
-    swp.add_argument("--trace", default=None, dest="trace_out",
-                     metavar="DIR",
-                     help="re-run each app x policy cell under the "
-                          "tracer and write DIR/<app>.<policy>.trace.json")
     swp.add_argument("--metrics-out", default=None, dest="metrics_out",
                      metavar="FILE",
-                     help="write the sweep observability summary "
-                          "(runs, cache hits, wall clock, merged "
-                          "counters) as JSON")
+                     help="write the sweep summary (runs, cache "
+                          "hits, wall clock, summed counters) as JSON")
     swp.set_defaults(func=cmd_sweep)
 
     lst = sub.add_parser("list", help="list apps, policies, experiments")
@@ -528,11 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     trc.add_argument("--out", default=None, metavar="FILE",
                      help="Chrome trace_event JSON path "
                           "(default: <app>.<policy>.trace.json)")
-    trc.add_argument("--jsonl", default=None, metavar="FILE",
-                     help="also write a JSONL event log")
-    trc.add_argument("--metrics-out", default=None, dest="metrics_out",
-                     metavar="FILE",
-                     help="also write Prometheus-style metrics")
     trc.add_argument("--gpus", type=int, default=None)
     trc.add_argument("--footprint-mb", type=float, default=None,
                      dest="footprint_mb")

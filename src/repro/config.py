@@ -162,7 +162,8 @@ class SystemConfig:
     #: L2 TLB: 512 entries, 16-way, shared by the GPU's CUs.
     l2_tlb: TLBConfig = field(default_factory=lambda: TLBConfig(512, 16))
     #: Where pages live before first touch: ``"host"`` (baseline) or
-    #: ``"distributed"`` round-robin across GPUs (Fig. 21).
+    #: ``"distributed"`` round-robin across GPUs (Fig. 21; not with an
+    #: oversubscription factor).
     initial_placement: str = "host"
     #: Memory oversubscription factor: 1.0 means the working set exactly
     #: fits; 1.5 means the working set is 150% of available GPU memory
@@ -195,6 +196,18 @@ class SystemConfig:
             )
         if self.oversubscription is not None and self.oversubscription <= 0:
             raise ValueError("oversubscription factor must be positive")
+        if (
+            self.oversubscription is not None
+            and self.initial_placement == "distributed"
+        ):
+            # Distributed placement seeds every GPU with its round-robin
+            # share as held copies the capacity manager never tracks, so
+            # the machine would start over capacity with nothing it can
+            # evict.
+            raise ValueError(
+                "initial_placement='distributed' cannot be combined with "
+                f"an oversubscription factor ({self.oversubscription!r})"
+            )
 
     @property
     def pages_per_counter_group(self) -> int:

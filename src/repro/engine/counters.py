@@ -2,8 +2,8 @@
 
 Every simulator component increments named counters (``"fault.shared"``,
 ``"migration.count"``, ...).  :class:`StatCounters` is a defaultdict-like
-accumulator with helpers for merging and prefix queries, used to build the
-per-experiment reports.
+accumulator with a prefix-sum query; a finished run hands its counts to
+:attr:`~repro.sim.SimulationResult.stats`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterator, Mapping
 
 
 class StatCounters:
-    """Named numeric counters with prefix grouping.
+    """Named numeric counters with prefix sums.
 
     Reads of unknown keys return ``0.0`` without creating an entry, and
     every exported view — :meth:`as_dict`, iteration, :meth:`items` — is
@@ -50,43 +50,6 @@ class StatCounters:
     def total(self, prefix: str) -> float:
         """Sum of every counter whose name starts with ``prefix``."""
         return sum(v for k, v in self._counts.items() if k.startswith(prefix))
-
-    def group(self, prefix: str) -> dict[str, float]:
-        """All counters under ``prefix`` with the prefix stripped."""
-        plen = len(prefix)
-        return {
-            k[plen:].lstrip("."): v
-            for k, v in self._counts.items()
-            if k.startswith(prefix)
-        }
-
-    def merge(self, other: "StatCounters",
-              allow_disjoint: bool = False) -> "StatCounters":
-        """Add another counter set into this one; returns self.
-
-        Two populated counter sets that share *no* top-level namespace
-        (the segment before the first ``.``) are almost certainly from
-        unrelated components — real run counters always overlap on the
-        core families (``fault.``, ``access.``, ...).  Silently summing
-        such sets is how a wrong aggregate survives unnoticed, and it is
-        exactly the hazard the differential counter digests key on, so
-        the mismatch raises unless ``allow_disjoint=True`` says the
-        caller really is composing unrelated namespaces.
-        """
-        counts = self._counts
-        if counts and other._counts and not allow_disjoint:
-            mine = {key.split(".", 1)[0] for key in counts}
-            theirs = {key.split(".", 1)[0] for key in other._counts}
-            if mine.isdisjoint(theirs):
-                raise ValueError(
-                    "refusing to merge counter sets with disjoint "
-                    f"namespaces ({sorted(mine)[:4]} vs "
-                    f"{sorted(theirs)[:4]}); pass allow_disjoint=True "
-                    "to combine unrelated counters deliberately"
-                )
-        for key, value in other._counts.items():
-            counts[key] = counts.get(key, 0.0) + value
-        return self
 
     def as_dict(self) -> dict[str, float]:
         """A plain-dict snapshot in sorted-name order."""

@@ -16,7 +16,6 @@ from repro.harness.experiments import (
 )
 from repro.harness.report import (
     ExperimentResult,
-    counter_table,
     format_table,
     geomean,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "cache_stats",
     "clear_cache",
     "configure",
-    "counter_table",
     "disk_cache",
     "format_table",
     "geomean",

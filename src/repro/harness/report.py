@@ -25,29 +25,6 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def counter_table(snapshot, prefix: str = "") -> str:
-    """Render a run's counters from its metrics snapshot.
-
-    Reports always read counts through a
-    :class:`~repro.obs.MetricsSnapshot` (see
-    :meth:`~repro.sim.SimulationResult.metrics_snapshot`) rather than
-    poking at raw stat dicts, so a rendered report and an exported trace
-    of the same run cannot disagree on a value.
-
-    Args:
-        snapshot: a :class:`~repro.obs.MetricsSnapshot`.
-        prefix: optional counter-name prefix filter (kept in the output).
-    """
-    rows = [
-        [name, value]
-        for name, value in snapshot.counters.items()
-        if name.startswith(prefix)
-    ]
-    if not rows:
-        return "(no counters)"
-    return format_table(["counter", "value"], rows)
-
-
 def format_table(headers: list[str], rows: list[list]) -> str:
     """Render an ASCII table with right-aligned numeric columns."""
     cells = [[_format_cell(v) for v in row] for row in rows]

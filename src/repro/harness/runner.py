@@ -198,9 +198,8 @@ def last_sweep_summary() -> dict | None:
           "counters": {"fault.page": ..., "migration.count": ..., ...},
         }
 
-    ``counters`` is the merge of every successful run's metric snapshot,
-    so a sweep report and the individual run traces can never disagree
-    on a total.
+    ``counters`` sums every successful run's ``stats``, so a sweep
+    report and the individual runs can never disagree on a total.
     """
     return _session.last_sweep
 
@@ -278,6 +277,11 @@ def run_sim(
 
 
 def _run_spec(spec: dict) -> SimulationResult:
+    """Serve one run from memory, the disk store or a fresh simulation.
+
+    A memory hit counts a hit; a run served from disk or computed counts
+    a miss once it returns, so a run that raises counts as neither.
+    """
     config, app, policy = spec["config"], spec["app"], spec["policy"]
     footprint_mb, seed = spec["footprint_mb"], spec["seed"]
     policy_kwargs = spec["policy_kwargs"]
@@ -291,12 +295,12 @@ def _run_spec(spec: dict) -> SimulationResult:
         session.results.move_to_end(key)
         session.stats["hits"] += 1
         return cached
-    session.stats["misses"] += 1
     disk = session.disk
     if disk is not None:
         digest = cache_key(config, app, policy, footprint_mb, seed, policy_kwargs)
         stored = disk.load(digest)
         if stored is not None:
+            session.stats["misses"] += 1
             session.remember(key, stored)
             return stored
     trace = get_workload(app, config, footprint_mb=footprint_mb, seed=seed)
@@ -319,6 +323,7 @@ def _run_spec(spec: dict) -> SimulationResult:
             # store) is still a valid result; a later process simply
             # recomputes it.
             session.stats["store_errors"] += 1
+    session.stats["misses"] += 1
     session.remember(key, result)
     return result
 
@@ -566,15 +571,15 @@ def run_sims_parallel(requests, jobs: int | None = None) -> list:
             timings.setdefault(key, time.monotonic() - started)
         out.append(result)
 
-    # Sweep-level observability summary: per-run metric snapshots are
-    # merged into one counter view, and cache accounting is the delta
-    # over this sweep only (not the session's lifetime).
+    # Sweep-level summary: per-run stats are summed into one counter
+    # view, and cache accounting is the delta over this sweep only (not
+    # the session's lifetime).
     merged: set[tuple] = set()
     counters: dict[str, float] = {}
     for key, result in zip(keys, out):
         if isinstance(result, SimulationResult) and key not in merged:
             merged.add(key)
-            for name, value in result.metrics_snapshot().counters.items():
+            for name, value in result.stats.items():
                 counters[name] = counters.get(name, 0.0) + value
     n_failed = sum(1 for r in out if isinstance(r, RunFailure))
     memo_after = memo_stats()

@@ -96,7 +96,7 @@ class CapacityManager:
         raise LookupError(f"GPU {gpu} has no evictable page")
 
     def pressure_snapshot(self) -> list[int]:
-        """Per-GPU resident-page counts (for metrics gauges)."""
+        """Per-GPU resident-page counts (for trace samples)."""
         return [len(lru) for lru in self._lru]
 
     def reset(self) -> None:

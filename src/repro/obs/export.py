@@ -1,20 +1,13 @@
-"""Exporters: Chrome ``trace_event`` JSON, JSONL event log, Prometheus text.
+"""Exporter: Chrome ``trace_event`` JSON.
 
-Three interchange formats for one recorded run:
-
-* :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
-  ``trace_event`` JSON-object format (loadable in Perfetto or
-  ``chrome://tracing``).  Each simulator track becomes one timeline row
-  (thread): GPUs first, then the driver, the fault-injection row, and
-  one row per interconnect link carrying its utilization counter.
-  Simulated nanoseconds map to trace microseconds (the format's native
-  unit), so a 1 ms phase renders as 1 ms.
-* :func:`jsonl_events` / :func:`write_jsonl` — one JSON object per line
-  per event, in deterministic (track, time) order, for ad-hoc ``jq``
-  style analysis.
-* :func:`prometheus_text` — a Prometheus text-format dump of a
-  :class:`~repro.obs.metrics.MetricsSnapshot` (counters as ``_total``,
-  gauges bare, histograms with cumulative ``_bucket{le=...}`` series).
+:func:`chrome_trace` / :func:`write_chrome_trace` build the Chrome
+``trace_event`` JSON-object format (loadable in Perfetto or
+``chrome://tracing``) from one recorded run.  Each simulator track
+becomes one timeline row (thread): GPUs first, then the driver, then
+one row per interconnect link; each sampled series renders as a
+counter on its track's row.  Simulated nanoseconds map to trace
+microseconds (the format's native unit), so a 1 ms phase renders as
+1 ms.
 
 :func:`validate_chrome_trace` is the minimal schema check the test
 suite and the ``repro-oasis trace`` subcommand run on every export.
@@ -25,9 +18,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Iterator
 
-from repro.obs.metrics import MetricsSnapshot
 from repro.obs.tracer import EVENT_KINDS, RecordingTracer
 
 #: Single simulated process in the exported trace.
@@ -205,115 +196,3 @@ def validate_chrome_trace(payload) -> list[str]:
                 "the typed vocabulary"
             )
     return problems
-
-
-def jsonl_events(tracer: RecordingTracer) -> Iterator[str]:
-    """One JSON line per recorded event, deterministically ordered."""
-    records: list[tuple] = []
-    for span in tracer.spans:
-        records.append(
-            (
-                span.track,
-                span.start_ns,
-                0,
-                {
-                    "type": "span",
-                    "track": span.track,
-                    "name": span.name,
-                    "start_ns": span.start_ns,
-                    "duration_ns": span.duration_ns,
-                    "depth": span.depth,
-                    "args": dict(span.args),
-                },
-            )
-        )
-    for event in tracer.instants:
-        records.append(
-            (
-                event.track,
-                event.ts_ns,
-                1,
-                {
-                    "type": "instant",
-                    "track": event.track,
-                    "kind": event.kind,
-                    "ts_ns": event.ts_ns,
-                    "args": dict(event.args),
-                },
-            )
-        )
-    for sample in tracer.samples:
-        records.append(
-            (
-                sample.track,
-                sample.ts_ns,
-                2,
-                {
-                    "type": "sample",
-                    "track": sample.track,
-                    "name": sample.name,
-                    "ts_ns": sample.ts_ns,
-                    "value": sample.value,
-                },
-            )
-        )
-    records.sort(key=lambda r: (_track_sort_key(r[0]), r[1], r[2]))
-    for _track, _ts, _rank, body in records:
-        yield json.dumps(body, sort_keys=True)
-
-
-def write_jsonl(path: str | Path, tracer: RecordingTracer) -> Path:
-    """Write the JSONL event log; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
-        for line in jsonl_events(tracer):
-            handle.write(line + "\n")
-    return path
-
-
-def _metric_name(name: str, prefix: str) -> str:
-    """Sanitize a dotted counter name into a Prometheus metric name."""
-    clean = re.sub(r"[^a-zA-Z0-9_]", "_", name)
-    return f"{prefix}_{clean}"
-
-
-def prometheus_text(snapshot: MetricsSnapshot,
-                    prefix: str = "repro") -> str:
-    """Prometheus text-format dump of a metrics snapshot.
-
-    Counters are exported as ``<prefix>_<name>_total``, gauges bare, and
-    histograms as cumulative ``_bucket{le="..."}`` series plus ``_sum``
-    and ``_count`` — all in sorted order so the dump is byte-stable.
-    """
-    lines: list[str] = []
-    for name, value in snapshot.counters.items():
-        metric = _metric_name(name, prefix) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value:g}")
-    for name, value in snapshot.gauges.items():
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {value:g}")
-    for name, payload in snapshot.histograms.items():
-        metric = _metric_name(name, prefix)
-        lines.append(f"# TYPE {metric} histogram")
-        running = 0
-        bounds = payload["bounds"]
-        counts = payload["counts"]
-        for bound, count in zip(bounds, counts):
-            running += count
-            lines.append(f'{metric}_bucket{{le="{bound:g}"}} {running}')
-        lines.append(f'{metric}_bucket{{le="+Inf"}} {payload["count"]}')
-        lines.append(f"{metric}_sum {payload['sum']:g}")
-        lines.append(f"{metric}_count {payload['count']}")
-    return "\n".join(lines) + "\n"
-
-
-def write_prometheus(path: str | Path, snapshot: MetricsSnapshot,
-                     prefix: str = "repro") -> Path:
-    """Write the Prometheus text dump; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(prometheus_text(snapshot, prefix=prefix))
-    return path

@@ -19,6 +19,9 @@ Tracks
 Events live on named *tracks* — one per timeline row in the exported
 Chrome trace: ``"gpu0" .. "gpuN-1"`` for the GPUs, ``"driver"`` for the
 UVM driver, and ``"link:<name>"`` for per-link utilization samples.
+At each phase end the machine also samples the driver's utilization
+on ``"driver"`` and, on capacity runs, each GPU's resident pages on
+its ``"gpuN"`` track.
 
 Span hierarchy
 --------------

@@ -29,11 +29,6 @@ from repro.engine import StatCounters
 from repro.interconnect import Topology
 from repro.memory import AccessCounterFile, CapacityManager, PageTables
 from repro.memory.page import policy_name
-from repro.obs.metrics import (
-    FAULT_LATENCY_BUCKETS_NS,
-    LINK_UTILIZATION_BUCKETS,
-    MetricsRegistry,
-)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.base import PolicyEngine
 from repro.sim.fastpath import FastReplay
@@ -56,7 +51,6 @@ class Machine:
         trace: Trace,
         policy: PolicyEngine,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
         verifier: Verifier | None = None,
         memo=None,
     ) -> None:
@@ -96,29 +90,15 @@ class Machine:
         # (unlike observation) a real verifier does NOT disable the
         # vectorized fast path — verified runs stay bit-identical.
         self.verifier = NULL_VERIFIER if verifier is None else verifier
-        self.metrics = metrics
-        if metrics is not None:
-            metrics.bind_stats(self.stats)
-        self._obs_on = self.tracer.enabled or metrics is not None
-        # Hot-path caches for observed runs: per-GPU track names and the
-        # fault-latency histogram, resolved once instead of per fault.
-        self._gpu_tracks = tuple(f"gpu{g}" for g in range(config.n_gpus))
-        self._fault_latencies = (
-            metrics.histogram(
-                "fault.latency_ns", FAULT_LATENCY_BUCKETS_NS
-            ).sink()
-            if metrics is not None
-            else None
-        )
         # Faults are the hottest event (one per serviced fault): emit
         # through per-GPU columnar sinks rather than per-event objects.
         self._fault_rows = (
             tuple(
                 self.tracer.sink(
-                    track, "fault",
+                    f"gpu{g}", "fault",
                     ("page", "protection", "write", "object", "stall_ns"),
                 )
-                for track in self._gpu_tracks
+                for g in range(config.n_gpus)
             )
             if self.tracer.enabled
             else None
@@ -153,7 +133,6 @@ class Machine:
             counters=self.access_counters,
             stats=self.stats,
             tracer=self.tracer,
-            metrics=self.metrics,
         )
         self.clocks = [0.0] * config.n_gpus
         self._fault_keys = [f"fault.by_gpu.{g}" for g in range(config.n_gpus)]
@@ -169,9 +148,11 @@ class Machine:
         # Whole-chunk fused-loop replayer, oversubscribed runs included;
         # None when the run must stay on the per-record path
         # (REPRO_FORCE_SLOW_PATH, a policy with no fused loop, or an
-        # attached tracer/metrics registry — per-event observation needs
-        # the exact per-record path, which is bit-identical anyway).
-        self._fast = None if self._obs_on else FastReplay.for_machine(self)
+        # attached tracer — per-event observation needs the exact
+        # per-record path, which is bit-identical anyway).
+        self._fast = (
+            None if self.tracer.enabled else FastReplay.for_machine(self)
+        )
         # Phase-prefix memoization (a MemoSession from
         # repro.sim.sweep.PhaseMemo): only unobserved, multi-phase runs
         # participate.  Observed runs would lose their per-event records
@@ -182,7 +163,7 @@ class Machine:
             memo
             if (
                 memo is not None
-                and not self._obs_on
+                and not self.tracer.enabled
                 and len(trace.phases) >= 2
             )
             else None
@@ -323,17 +304,10 @@ class Machine:
         done = self.driver.queue.submit(clocks[gpu], service)
         stall = (done - clocks[gpu]) + self._fault_service_ns
         charged = stall / self._fault_parallelism
-        if self._obs_on:
-            # The sink row carries the stall, so the latency histogram is
-            # derived from it at end of run (_flush_observations); only a
-            # registry without a tracer observes live.
-            if self._fault_rows is not None:
-                self._fault_rows[gpu].append(
-                    (clocks[gpu], page, protection, is_write, obj_id,
-                     charged)
-                )
-            elif self._fault_latencies is not None:
-                self._fault_latencies.append(charged)
+        if self._fault_rows is not None:
+            self._fault_rows[gpu].append(
+                (clocks[gpu], page, protection, is_write, obj_id, charged)
+            )
         clocks[gpu] += charged
 
     # -- run loop -------------------------------------------------------------
@@ -397,8 +371,6 @@ class Machine:
             memo.finish(self)
         if tracing:
             tracer.finish(now)
-        if self._obs_on:
-            self._flush_observations()
         result = SimulationResult(
             workload=self.trace.name,
             policy=self.policy.name,
@@ -410,35 +382,10 @@ class Machine:
             traffic=self.topology.traffic_snapshot(),
             policy_histogram=self.page_tables.policy_histogram(),
             l2_miss_policy_counts=dict(self.l2_miss_policy_counts),
-            metrics=self._metrics_extra(),
         )
         if verifier.enabled:
             verifier.after_run(self, result)
         return result
-
-    def _flush_observations(self) -> None:
-        """Fold deferred per-event observations into the histograms.
-
-        When both a tracer and a registry are attached the hot fault path
-        records each fault once (in the per-GPU columnar sinks); the
-        latency histogram is derived from those rows here — before the
-        sinks are drained for export — instead of being paid per fault.
-        """
-        if self._fault_rows is not None and self._fault_latencies is not None:
-            pend = self._fault_latencies
-            for rows in self._fault_rows:
-                pend.extend(row[5] for row in rows)
-        self.driver.flush_observations()
-
-    def _metrics_extra(self) -> dict | None:
-        """Gauges/histograms for the result (None on unobserved runs)."""
-        if self.metrics is None:
-            return None
-        snapshot = self.metrics.snapshot()
-        return {
-            "gauges": snapshot.gauges,
-            "histograms": snapshot.histograms,
-        }
 
     def _do_allocations(self, phase_index: int, now: float = 0.0) -> None:
         for obj in self.trace.objects:
@@ -484,7 +431,7 @@ class Machine:
         duration = max(gpu_busy, driver_busy, link_busy)
         if not math.isfinite(duration):
             raise RuntimeError(f"non-finite phase duration in {phase.name!r}")
-        if self._obs_on and duration > 0.0:
+        if self.tracer.enabled and duration > 0.0:
             self._sample_phase(
                 start_time, duration, link_busy_before, driver_busy
             )
@@ -504,42 +451,29 @@ class Machine:
         link_busy_before: list[float],
         driver_busy_ns: float,
     ) -> None:
-        """Per-phase utilization samples (tracing/metrics runs only).
+        """Per-phase utilization samples (traced runs only).
 
-        Each link's busy-time delta over the phase becomes a utilization
-        sample on its own trace track, a per-link gauge, and one
-        observation in the shared utilization histogram; the driver and
-        capacity manager get gauges too.  Pure reads — simulation state
-        is never touched, so observed runs stay bit-identical.
+        At the phase's end each link's busy-time delta over the phase
+        becomes a utilization sample on its own track, the driver's on
+        the driver track, and on capacity runs each GPU's resident-page
+        count a sample on its GPU track.  Pure reads — simulation state
+        is never touched, so traced runs stay bit-identical.
         """
         end_ns = start_ns + duration_ns
         tracer = self.tracer
-        metrics = self.metrics
         for link, before in zip(self.topology.links(), link_busy_before):
-            utilization = (link.busy_time_ns - before) / duration_ns
-            if tracer.enabled:
-                tracer.sample(
-                    f"link:{link.name}", "utilization", end_ns, utilization
-                )
-            if metrics is not None:
-                metrics.observe(
-                    "link.phase_utilization",
-                    utilization,
-                    LINK_UTILIZATION_BUCKETS,
-                )
-                metrics.set_gauge(
-                    f"link.{link.name}.utilization", utilization
-                )
-        if metrics is not None:
-            metrics.set_gauge(
-                "driver.phase_utilization", driver_busy_ns / duration_ns
+            tracer.sample(
+                f"link:{link.name}", "utilization", end_ns,
+                (link.busy_time_ns - before) / duration_ns,
             )
+        tracer.sample(
+            "driver", "utilization", end_ns, driver_busy_ns / duration_ns
+        )
+        if self.capacity.enabled:
             for gpu, resident in enumerate(
                 self.capacity.pressure_snapshot()
             ):
-                metrics.set_gauge(
-                    f"capacity.gpu{gpu}.resident_pages", resident
-                )
+                tracer.sample(f"gpu{gpu}", "resident_pages", end_ns, resident)
 
     def _sync_clocks(self, now: float) -> None:
         """Kernel boundaries are barriers: everyone meets at ``now``."""
@@ -554,16 +488,14 @@ def simulate(
     trace: Trace,
     policy: PolicyEngine,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
     verifier: Verifier | None = None,
     memo=None,
 ) -> SimulationResult:
     """Convenience wrapper: build a machine, run it, return the result.
 
-    Pass a :class:`~repro.obs.RecordingTracer` and/or a
-    :class:`~repro.obs.MetricsRegistry` to observe the run; both default
-    to off, which keeps the vectorized fast path engaged and the result
-    bit-identical to an unobserved run.  Pass a
+    Pass a :class:`~repro.obs.RecordingTracer` to observe the run; the
+    default null tracer keeps the vectorized fast path engaged, and a
+    traced run's result is bit-identical to an unobserved one.  Pass a
     :class:`~repro.verify.invariants.InvariantVerifier` to check
     machine-wide invariants at every phase boundary (quiescent-point
     checks: the fast path stays engaged and the result is unchanged).
@@ -573,6 +505,5 @@ def simulate(
     ones (the ``memo`` differential lane asserts exactly that).
     """
     return Machine(
-        config, trace, policy, tracer=tracer, metrics=metrics,
-        verifier=verifier, memo=memo,
+        config, trace, policy, tracer=tracer, verifier=verifier, memo=memo,
     ).run()

@@ -51,43 +51,16 @@ class SimulationResult:
     traffic: dict[str, int]
     policy_histogram: dict[int, int]
     l2_miss_policy_counts: dict[str, int] = field(default_factory=dict)
-    #: Gauges/histograms captured when the run was observed with a
-    #: :class:`~repro.obs.MetricsRegistry`; ``None`` on unobserved runs
-    #: (and omitted from :meth:`to_dict` so default results stay
-    #: bit-identical to pre-observability snapshots).
-    metrics: dict | None = None
-
-    # -- observability ---------------------------------------------------
-
-    def metrics_snapshot(self):
-        """The canonical counter view of this run.
-
-        Every consumer that reports a count (sweep tables, charts,
-        exporters) reads through this snapshot, so a report and a trace
-        of the same run can never disagree on a value.
-        """
-        from repro.obs.metrics import MetricsSnapshot
-
-        extra = self.metrics or {}
-        return MetricsSnapshot.from_counters(
-            self.stats,
-            gauges=extra.get("gauges", {}),
-            histograms=extra.get("histograms", {}),
-        )
 
     # -- fault accounting -----------------------------------------------
-    #
-    # Every count property reads through :meth:`metrics_snapshot` — the
-    # same view the exporters serialize — so reports, charts and traces
-    # of one run always agree.
 
     @property
     def page_faults(self) -> float:
-        return self.metrics_snapshot().counter("fault.page")
+        return self.stats.get("fault.page", 0.0)
 
     @property
     def protection_faults(self) -> float:
-        return self.metrics_snapshot().counter("fault.protection")
+        return self.stats.get("fault.protection", 0.0)
 
     @property
     def total_faults(self) -> float:
@@ -97,26 +70,23 @@ class SimulationResult:
         counters (``fault.by_gpu.*``, ``fault.by_object.*``) share the
         prefix and would triple-count.
         """
-        snapshot = self.metrics_snapshot()
-        return snapshot.counter("fault.page") + snapshot.counter(
-            "fault.protection"
-        )
+        return self.page_faults + self.protection_faults
 
     @property
     def migrations(self) -> float:
-        return self.metrics_snapshot().counter("migration.count")
+        return self.stats.get("migration.count", 0.0)
 
     @property
     def duplications(self) -> float:
-        return self.metrics_snapshot().counter("duplication.count")
+        return self.stats.get("duplication.count", 0.0)
 
     @property
     def collapses(self) -> float:
-        return self.metrics_snapshot().counter("collapse.count")
+        return self.stats.get("collapse.count", 0.0)
 
     @property
     def evictions(self) -> float:
-        return self.metrics_snapshot().counter("eviction.count")
+        return self.stats.get("eviction.count", 0.0)
 
     # -- comparisons -------------------------------------------------------
 
@@ -173,7 +143,6 @@ class SimulationResult:
                 for bits, count in self.policy_histogram.items()
             },
             "l2_miss_policy_counts": dict(self.l2_miss_policy_counts),
-            **({"metrics": dict(self.metrics)} if self.metrics else {}),
         }
 
     @classmethod
@@ -204,10 +173,6 @@ class SimulationResult:
             },
             l2_miss_policy_counts=dict(
                 payload.get("l2_miss_policy_counts", {})
-            ),
-            metrics=(
-                dict(payload["metrics"])
-                if payload.get("metrics") else None
             ),
         )
 

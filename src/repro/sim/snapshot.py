@@ -57,7 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: v5: the driver, capacity manager, links and topology drop their
 #: fault-injection and co-scheduling state.
 #: v6: the page tables drop their ``version`` counter.
-SNAPSHOT_VERSION = 6
+#: v7: the driver drops its metrics-registry fields.
+SNAPSHOT_VERSION = 7
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes

@@ -44,10 +44,6 @@ from repro.config import HOST, SystemConfig
 from repro.engine import SerialServer, StatCounters
 from repro.interconnect import Topology
 from repro.memory import AccessCounterFile, CapacityManager, PageTables
-from repro.obs.metrics import (
-    TRANSFER_BYTES_BUCKETS,
-    MetricsRegistry,
-)
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.tlb import TLBHierarchy
 
@@ -80,7 +76,6 @@ class UVMDriver:
         counters: AccessCounterFile,
         stats: StatCounters,
         tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.config = config
         self.page_tables = page_tables
@@ -90,21 +85,12 @@ class UVMDriver:
         self.counters = counters
         self.stats = stats
         self.tracer = tracer
-        self.metrics = metrics
-        #: Single hot-path guard: observability hooks cost one attribute
-        #: test per primitive when neither a tracer nor a registry is on.
-        self._obs = tracer.enabled or metrics is not None
-        self._transfer_bytes = (
-            metrics.histogram("transfer.bytes", TRANSFER_BYTES_BUCKETS).sink()
-            if metrics is not None
-            else None
-        )
         self._page_size = config.page_size
-        self._page_bytes = float(config.page_size)
         self._pte_update_ns = config.latency.pte_update_ns
         self._pte_invalidate_ns = config.latency.pte_invalidate_ns
         # Hot primitives (one event per serviced fault) emit through
-        # columnar sinks; cold events (evict) use _note below.
+        # columnar sinks, one attribute test each when tracing is off;
+        # cold events (evict) build one instant each.
         if tracer.enabled:
             self._migrate_rows = tracer.sink(
                 "driver", "migrate", ("gpu", "page", "src", "copied")
@@ -129,30 +115,6 @@ class UVMDriver:
             self._local_map_rows = None
         #: FIFO model of the driver CPU servicing faults one at a time.
         self.queue = SerialServer()
-
-    def _note(self, kind: str, n_bytes: float | None = None, **args) -> None:
-        """Emit one driver-track instant (and optional size observation)."""
-        if self.tracer.enabled:
-            self.tracer.instant("driver", kind, self.queue.free_at, args)
-        if self._transfer_bytes is not None and n_bytes is not None:
-            self._transfer_bytes.append(float(n_bytes))
-
-    def flush_observations(self) -> None:
-        """Derive deferred transfer-size observations from the sink rows.
-
-        With both a tracer and a registry attached, the hot primitives
-        record each event once (in the tracer's columnar sinks) and skip
-        the per-event histogram append; the machine calls this at end of
-        run — before the sinks are drained for export — to fold the
-        implied sizes into ``transfer.bytes`` in one pass.
-        """
-        pend = self._transfer_bytes
-        if pend is None or self._migrate_rows is None:
-            return
-        pb = self._page_bytes
-        pend.extend(pb if row[4] else 0.0 for row in self._migrate_rows)
-        pend.extend(pb for _ in self._duplicate_rows)
-        pend.extend(pb if row[4] else 0.0 for row in self._collapse_rows)
 
     # -- helpers -----------------------------------------------------------
 
@@ -231,18 +193,10 @@ class UVMDriver:
         self.counters.reset_group(page)
         self.stats.add("migration.count")
         self.stats.add("migration.bytes", self._page_size)
-        if self._obs:
-            # Sink rows subsume the size observation (derived by
-            # flush_observations at end of run); only a registry without
-            # a tracer observes live.
-            if self._migrate_rows is not None:
-                self._migrate_rows.append(
-                    (self.queue.free_at, gpu, page, src, not already_local)
-                )
-            elif self._transfer_bytes is not None:
-                self._transfer_bytes.append(
-                    0.0 if already_local else self._page_bytes
-                )
+        if self._migrate_rows is not None:
+            self._migrate_rows.append(
+                (self.queue.free_at, gpu, page, src, not already_local)
+            )
         cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
@@ -277,13 +231,8 @@ class UVMDriver:
         self.capacity.note_resident(gpu, page)
         self.stats.add("duplication.count")
         self.stats.add("duplication.bytes", self._page_size)
-        if self._obs:
-            if self._duplicate_rows is not None:
-                self._duplicate_rows.append(
-                    (self.queue.free_at, gpu, page, src)
-                )
-            elif self._transfer_bytes is not None:
-                self._transfer_bytes.append(self._page_bytes)
+        if self._duplicate_rows is not None:
+            self._duplicate_rows.append((self.queue.free_at, gpu, page, src))
         cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
@@ -315,16 +264,10 @@ class UVMDriver:
         self.capacity.note_resident(gpu, page)
         self.stats.add("collapse.count")
         self.stats.add("collapse.invalidated_copies", n_victims)
-        if self._obs:
-            if self._collapse_rows is not None:
-                self._collapse_rows.append(
-                    (self.queue.free_at, gpu, page, n_victims,
-                     not had_copy)
-                )
-            elif self._transfer_bytes is not None:
-                self._transfer_bytes.append(
-                    0.0 if had_copy else self._page_bytes
-                )
+        if self._collapse_rows is not None:
+            self._collapse_rows.append(
+                (self.queue.free_at, gpu, page, n_victims, not had_copy)
+            )
         cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
         return cost
@@ -364,13 +307,10 @@ class UVMDriver:
             pt.add_copy(gpu, page)
             self.capacity.note_resident(gpu, page)
             self.stats.add("duplication.count")
-            if self._obs:
-                if self._duplicate_rows is not None:
-                    self._duplicate_rows.append(
-                        (self.queue.free_at, gpu, page, src)
-                    )
-                elif self._transfer_bytes is not None:
-                    self._transfer_bytes.append(self._page_bytes)
+            if self._duplicate_rows is not None:
+                self._duplicate_rows.append(
+                    (self.queue.free_at, gpu, page, src)
+                )
         pt.map_local(gpu, page, writable=True)
         cost += self._pte_update_ns
         cost += self._maybe_evict(gpu, protect=page)
@@ -394,8 +334,11 @@ class UVMDriver:
             cost += self._shootdown(page, bit)
         self.capacity.note_released(gpu, page)
         self.stats.add("eviction.copy_dropped")
-        if self._obs:
-            self._note("evict", gpu=gpu, page=page, copy_dropped=True)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "driver", "evict", self.queue.free_at,
+                {"gpu": gpu, "page": page, "copy_dropped": True},
+            )
         return cost + self._pte_update_ns
 
     def evict(self, page: int) -> float:
@@ -412,12 +355,9 @@ class UVMDriver:
         if owner != HOST:
             cost += self._transfer(owner, HOST)
         self.stats.add("eviction.count")
-        if self._obs:
-            self._note(
-                "evict",
-                n_bytes=self._page_size if owner != HOST else 0.0,
-                page=page,
-                owner=owner,
-                copy_dropped=False,
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "driver", "evict", self.queue.free_at,
+                {"page": page, "owner": owner, "copy_dropped": False},
             )
         return cost

@@ -3,7 +3,7 @@
 The simulator computes the same run through several redundant machines —
 the vectorized fast path vs the per-record slow path, the parallel
 harness pool vs in-process serial execution, the two-level result cache
-vs a fresh computation, an observed (traced/metered) run vs an
+vs a fresh computation, a traced run vs an
 unobserved one, and a snapshot-resumed run vs a cold replay (the sweep
 fast path of :mod:`repro.sim.sweep`).  Each redundancy is documented as
 *bit-identical*, so each one is a free oracle: run both sides and
@@ -14,12 +14,11 @@ bug a single-path test suite can never see.
 Digests come in two granularities:
 
 * :func:`core_digest` — sha256 over the canonical JSON of
-  :meth:`~repro.sim.results.SimulationResult.to_dict` minus the
-  ``metrics`` key (gauges/histograms exist only on observed runs by
-  design, so the core digest is the cross-lane comparable identity);
-* :func:`counters_digest` — sha256 over the
-  :class:`~repro.obs.metrics.MetricsSnapshot` counter map alone, the
-  view every report reads through.
+  :meth:`~repro.sim.results.SimulationResult.to_dict`, the cross-lane
+  comparable identity of a run;
+* :func:`counters_digest` — sha256 over the run's
+  :attr:`~repro.sim.results.SimulationResult.stats` counters alone,
+  the map every report reads.
 
 When digests disagree, :func:`diff_payloads` names exactly which fields
 and counters moved.  Run everything with :func:`run_differential`
@@ -56,29 +55,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def result_payload(result) -> dict:
-    """The cross-lane comparable view of a result.
-
-    Drops the ``metrics`` key: gauges and histograms exist only when a
-    registry was attached, and the traced-vs-untraced oracle asserts
-    exactly that everything *else* is unaffected by observation.
-    """
-    payload = result.to_dict()
-    payload.pop("metrics", None)
-    return payload
-
-
 def core_digest(result) -> str:
-    """Content digest of everything a run produced (minus observation)."""
+    """Content digest of everything a run produced."""
     return hashlib.sha256(
-        canonical_json(result_payload(result)).encode()
+        canonical_json(result.to_dict()).encode()
     ).hexdigest()
 
 
 def counters_digest(result) -> str:
-    """Content digest of the canonical counter view alone."""
-    counters = result.metrics_snapshot().counters
-    return hashlib.sha256(canonical_json(counters).encode()).hexdigest()
+    """Content digest of the run's counters alone."""
+    return hashlib.sha256(
+        canonical_json(result.stats).encode()
+    ).hexdigest()
 
 
 def diff_payloads(a, b, prefix: str = "") -> list[str]:
@@ -134,7 +122,7 @@ def _compare(lane: str, label: str, a, b, limit: int = 6) -> list[str]:
         counters_digest(a) == counters_digest(b)
     ):
         return []
-    diffs = diff_payloads(result_payload(a), result_payload(b))
+    diffs = diff_payloads(a.to_dict(), b.to_dict())
     if not diffs:
         diffs = ["digests differ but payload diff is empty (?)"]
     shown = diffs[:limit]
@@ -174,20 +162,17 @@ def check_cached_vs_recomputed(config, app: str, policy: str,
 
 def check_traced_vs_untraced(config, app: str, policy: str,
                              seed: int = 0) -> list[str]:
-    """An observed run (tracer + metrics registry) vs an unobserved one.
+    """A traced run vs an unobserved one.
 
-    Observation forces the slow path, so this lane doubles as a second
+    Tracing forces the slow path, so this lane doubles as a second
     fast-vs-slow witness — but its real job is asserting the hooks are
     pure reads.
     """
-    from repro.obs import MetricsRegistry, RecordingTracer
+    from repro.obs import RecordingTracer
 
     plain = _simulate(config, app, policy, seed)
-    observed = _simulate(
-        config, app, policy, seed,
-        tracer=RecordingTracer(), metrics=MetricsRegistry(),
-    )
-    return _compare("traced", f"{app}/{policy}", plain, observed)
+    traced = _simulate(config, app, policy, seed, tracer=RecordingTracer())
+    return _compare("traced", f"{app}/{policy}", plain, traced)
 
 
 def check_serial_vs_parallel(config, pairs, seed: int = 0,

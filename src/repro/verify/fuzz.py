@@ -142,7 +142,6 @@ def run_case(case: FuzzCase) -> str | None:
         core_digest,
         diff_payloads,
         forced_slow_path,
-        result_payload,
     )
     from repro.verify.invariants import InvariantVerifier
 
@@ -167,9 +166,7 @@ def run_case(case: FuzzCase) -> str | None:
         except Exception as exc:  # noqa: BLE001
             return f"{policy}: slow-path replay raised {type(exc).__name__}: {exc}"
         if core_digest(result) != core_digest(slow):
-            diffs = diff_payloads(
-                result_payload(result), result_payload(slow)
-            )
+            diffs = diff_payloads(result.to_dict(), slow.to_dict())
             head = diffs[0] if diffs else "digest mismatch"
             return f"{policy}: fast/slow divergence: {head}"
     return None

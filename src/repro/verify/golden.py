@@ -32,7 +32,6 @@ from repro.verify.differential import (
     canonical_json,
     core_digest,
     diff_payloads,
-    result_payload,
 )
 
 #: Pinned digests live in the test tree so CI always has them.
@@ -79,7 +78,7 @@ def entry_for(result) -> dict:
     """The pinned view of one result."""
     import hashlib
 
-    payload = result_payload(result)
+    payload = result.to_dict()
     phases = [
         {
             "name": phase["name"],
@@ -93,7 +92,7 @@ def entry_for(result) -> dict:
         "core": core_digest(result),
         "total_time_ns": payload["total_time_ns"],
         "phases": phases,
-        "counters": result.metrics_snapshot().counters,
+        "counters": dict(result.stats),
     }
 
 

@@ -75,10 +75,9 @@ def test_smoke_run_writes_full_artifact_set(dirs):
                                  "disk_hits", "disk_misses"}
     assert rec["memo"]["enabled"] is True
 
-    # Rendered report, pipeline trace and counters ride along.
+    # Rendered report and pipeline trace ride along.
     assert (art / "reports" / "fig2.txt").exists()
     assert (art / "trace.json").exists()
-    assert (art / "metrics.prom").exists()
 
     # Consolidated perf trajectory under the results dir.
     bench_all = json.loads(

@@ -1,7 +1,5 @@
 """StatCounters tests."""
 
-import pytest
-
 from repro.engine import StatCounters
 
 
@@ -35,46 +33,6 @@ class TestStatCounters:
     def test_total_by_prefix(self):
         c = StatCounters({"fault.page": 3, "fault.protection": 2, "other": 9})
         assert c.total("fault.") == 5.0
-
-    def test_group_strips_prefix(self):
-        c = StatCounters({"tlb.hits": 1, "tlb.misses": 2, "x": 3})
-        assert c.group("tlb") == {"hits": 1.0, "misses": 2.0}
-
-    def test_merge_sums(self):
-        a = StatCounters({"x": 1, "y": 2})
-        b = StatCounters({"y": 3, "z": 4})
-        a.merge(b)
-        assert a.as_dict() == {"x": 1.0, "y": 5.0, "z": 4.0}
-
-    def test_merge_rejects_disjoint_namespaces(self):
-        a = StatCounters({"fault.page": 1, "fault.protection": 2})
-        b = StatCounters({"tlb.hits": 3})
-        with pytest.raises(ValueError, match="disjoint"):
-            a.merge(b)
-        # The refused merge must leave the receiver untouched.
-        assert a.as_dict() == {"fault.page": 1.0, "fault.protection": 2.0}
-
-    def test_merge_allow_disjoint_opts_in(self):
-        a = StatCounters({"fault.page": 1})
-        b = StatCounters({"tlb.hits": 3})
-        a.merge(b, allow_disjoint=True)
-        assert a.as_dict() == {"fault.page": 1.0, "tlb.hits": 3.0}
-
-    def test_merge_overlapping_namespace_is_enough(self):
-        # One shared top-level family legitimizes the whole merge.
-        a = StatCounters({"fault.page": 1, "migration.count": 2})
-        b = StatCounters({"fault.page": 4, "duplication.count": 8})
-        a.merge(b)
-        assert a.as_dict()["fault.page"] == 5.0
-        assert a.as_dict()["duplication.count"] == 8.0
-
-    def test_merge_with_empty_side_never_raises(self):
-        a = StatCounters({"fault.page": 1})
-        a.merge(StatCounters())
-        assert a.as_dict() == {"fault.page": 1.0}
-        empty = StatCounters()
-        empty.merge(StatCounters({"tlb.hits": 2}))
-        assert empty.as_dict() == {"tlb.hits": 2.0}
 
     def test_items_sorted(self):
         c = StatCounters({"b": 1, "a": 2})

@@ -86,6 +86,22 @@ class TestStatsReconciliation:
         assert after["misses"] == before["misses"]
         assert after["hits"] == before["hits"] + 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_is_neither_hit_nor_miss(self, config, jobs):
+        # The bad kwarg raises inside _run_spec, after the cache lookups:
+        # serial and pool sweeps must both leave it out of the counts.
+        requests = [
+            (config, "mm", "grit", dict(SMALL, policy_kwargs={"bogus": 1})),
+            (config, "i2c", "on_touch", SMALL),
+        ]
+        failure, success = run_sims_parallel(requests, jobs=jobs)
+        assert isinstance(failure, RunFailure)
+        assert failure.error_type == "TypeError"
+        assert isinstance(success, SimulationResult)
+        stats = cache_stats()
+        assert stats["misses"] == 1
+        assert stats["hits"] == 0
+
 
 @fork_only
 class TestWorkerCrash:

@@ -1,4 +1,4 @@
-"""Exporter unit tests: Chrome trace schema, JSONL, Prometheus text."""
+"""Exporter unit tests: the Chrome trace schema and its writer."""
 
 import json
 
@@ -6,15 +6,10 @@ import pytest
 
 from repro.obs import (
     InstantEvent,
-    MetricsRegistry,
     RecordingTracer,
     chrome_trace,
-    jsonl_events,
-    prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 
 
@@ -101,49 +96,3 @@ class TestChromeTrace:
         t.instants.append(InstantEvent(track="gpu0", kind="fault", ts_ns=-5.0))
         with pytest.raises(ValueError, match="invalid Chrome trace"):
             write_chrome_trace(tmp_path / "bad.json", t)
-
-
-class TestJsonl:
-    def test_lines_parse_and_order(self, tmp_path):
-        path = write_jsonl(tmp_path / "events.jsonl", small_tracer())
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(lines) == 5
-        # gpu0 events first, then driver, then the link sample.
-        assert [l["track"] for l in lines] == [
-            "gpu0", "gpu0", "gpu0", "driver", "link:nvlink:gpu0-gpu1"
-        ]
-
-    def test_deterministic(self):
-        a = "\n".join(jsonl_events(small_tracer()))
-        b = "\n".join(jsonl_events(small_tracer()))
-        assert a == b
-
-
-class TestPrometheus:
-    def snapshot(self):
-        reg = MetricsRegistry()
-        reg.inc("fault.page", 3.0)
-        reg.set_gauge("link.a.utilization", 0.25)
-        reg.observe("fault.latency_ns", 750.0, (500.0, 1000.0))
-        return reg.snapshot()
-
-    def test_counter_gauge_histogram_series(self):
-        text = prometheus_text(self.snapshot())
-        assert "# TYPE repro_fault_page_total counter" in text
-        assert "repro_fault_page_total 3" in text
-        assert "repro_link_a_utilization 0.25" in text
-        assert 'repro_fault_latency_ns_bucket{le="500"} 0' in text
-        assert 'repro_fault_latency_ns_bucket{le="1000"} 1' in text
-        assert 'repro_fault_latency_ns_bucket{le="+Inf"} 1' in text
-        assert "repro_fault_latency_ns_sum 750" in text
-        assert "repro_fault_latency_ns_count 1" in text
-
-    def test_byte_stable(self, tmp_path):
-        a = write_prometheus(tmp_path / "a.prom", self.snapshot())
-        b = write_prometheus(tmp_path / "b.prom", self.snapshot())
-        assert a.read_text() == b.read_text()
-
-    def test_custom_prefix(self):
-        text = prometheus_text(self.snapshot(), prefix="oasis")
-        assert "oasis_fault_page_total" in text
-        assert "repro_" not in text

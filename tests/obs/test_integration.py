@@ -10,14 +10,8 @@ import json
 
 import pytest
 
-from repro import make_policy, simulate
-from repro.obs import (
-    MetricsRegistry,
-    RecordingTracer,
-    chrome_trace,
-    jsonl_events,
-    validate_chrome_trace,
-)
+from repro import Machine, make_policy, simulate
+from repro.obs import RecordingTracer, chrome_trace, validate_chrome_trace
 from tests.conftest import make_trace, sweep_records
 
 
@@ -34,11 +28,9 @@ def two_phase_trace():
 
 def observed_run(config, policy="oasis", trace=None):
     trace = trace or two_phase_trace()
-    tracer, metrics = RecordingTracer(), MetricsRegistry()
-    result = simulate(
-        config, trace, make_policy(policy), tracer=tracer, metrics=metrics
-    )
-    return result, tracer, metrics
+    tracer = RecordingTracer()
+    result = simulate(config, trace, make_policy(policy), tracer=tracer)
+    return result, tracer
 
 
 class TestBitIdentity:
@@ -46,9 +38,7 @@ class TestBitIdentity:
     def test_observed_run_changes_nothing(self, config, policy):
         trace = two_phase_trace()
         plain = simulate(config, trace, make_policy(policy))
-        observed, tracer, _metrics = observed_run(
-            config, policy, two_phase_trace()
-        )
+        observed, tracer = observed_run(config, policy, two_phase_trace())
         assert observed.total_time_ns == plain.total_time_ns
         assert observed.stats == plain.stats
         assert observed.traffic == plain.traffic
@@ -56,17 +46,6 @@ class TestBitIdentity:
             p.duration_ns for p in plain.phases
         ]
         assert len(tracer) > 0
-
-    def test_unobserved_result_has_no_metrics_payload(self, config):
-        plain = simulate(config, two_phase_trace(), make_policy("oasis"))
-        assert plain.metrics is None
-        assert "metrics" not in plain.to_dict()
-
-    def test_observed_result_round_trips(self, config):
-        observed, _t, _m = observed_run(config)
-        assert observed.metrics is not None
-        restored = type(observed).from_dict(observed.to_dict())
-        assert restored.metrics == observed.metrics
 
 
 class TestStatAgreement:
@@ -85,7 +64,7 @@ class TestStatAgreement:
     @pytest.mark.parametrize("policy", ["on_touch", "access_counter",
                                         "duplication", "grit", "oasis"])
     def test_totals_match(self, config, policy):
-        result, tracer, _m = observed_run(config, policy)
+        result, tracer = observed_run(config, policy)
         totals = tracer.event_totals()
         for kind, stat_keys in self.EVENT_TO_STAT.items():
             expected = sum(result.stats.get(k, 0.0) for k in stat_keys)
@@ -93,7 +72,7 @@ class TestStatAgreement:
 
     def test_totals_match_under_capacity_pressure(self, config):
         config = config.replace(oversubscription=1.5)
-        result, tracer, _m = observed_run(config)
+        result, tracer = observed_run(config)
         totals = tracer.event_totals()
         evictions = result.stats.get("eviction.count", 0.0) + result.stats.get(
             "eviction.copy_dropped", 0.0
@@ -101,16 +80,54 @@ class TestStatAgreement:
         assert evictions > 0
         assert totals.get("evict", 0) == evictions
 
-    def test_fault_latency_histogram_counts_every_fault(self, config):
-        result, _t, metrics = observed_run(config)
-        hist = metrics.snapshot().histograms["fault.latency_ns"]
-        assert hist["count"] == result.total_faults
+
+class TestSamples:
+    """A trace carries each fault's stall and the per-phase series."""
+
+    @pytest.mark.parametrize("oversubscription", [None, 1.5])
+    def test_fault_stalls_and_phase_samples(self, config, oversubscription):
+        config = config.replace(oversubscription=oversubscription)
+        tracer = RecordingTracer()
+        machine = Machine(
+            config, two_phase_trace(), make_policy("oasis"), tracer=tracer
+        )
+        result = machine.run()
+        faults = [e for e in tracer.instants if e.kind == "fault"]
+        assert len(faults) == result.total_faults
+        assert all(e.args["stall_ns"] > 0 for e in faults)
+
+        phase_ends, now = [], 0.0
+        for phase in result.phases:
+            now += phase.duration_ns
+            phase_ends.append(now)
+
+        def series(track, name):
+            return [
+                s for s in tracer.samples
+                if s.track == track and s.name == name
+            ]
+
+        driver = series("driver", "utilization")
+        assert [s.ts_ns for s in driver] == phase_ends
+        assert all(0.0 <= s.value <= 1.0 for s in driver)
+        resident = [
+            series(f"gpu{gpu}", "resident_pages")
+            for gpu in range(config.n_gpus)
+        ]
+        if oversubscription is None:
+            assert resident == [[]] * config.n_gpus
+            return
+        capacity = machine.capacity.capacity_pages
+        for per_gpu in resident:
+            assert [s.ts_ns for s in per_gpu] == phase_ends
+            assert all(s.value <= capacity for s in per_gpu)
+        assert max(s.value for per_gpu in resident for s in per_gpu) > 0
 
 
 class TestSpans:
     def test_one_phase_span_per_phase_per_gpu(self, config):
         trace = two_phase_trace()
-        _result, tracer, _m = observed_run(config, trace=trace)
+        _result, tracer = observed_run(config, trace=trace)
         n_phases = len(trace.phases)
         for gpu in range(config.n_gpus):
             spans = tracer.spans_on(f"gpu{gpu}")
@@ -121,11 +138,11 @@ class TestSpans:
             assert root_spans[0].name == "run"
 
     def test_driver_track_has_phase_spans(self, config):
-        _result, tracer, _m = observed_run(config)
+        _result, tracer = observed_run(config)
         assert len([s for s in tracer.spans_on("driver") if s.depth == 1]) == 2
 
     def test_phase_spans_tile_the_run(self, config):
-        result, tracer, _m = observed_run(config)
+        result, tracer = observed_run(config)
         spans = sorted(
             (s for s in tracer.spans_on("gpu0") if s.depth == 1),
             key=lambda s: s.start_ns,
@@ -136,7 +153,7 @@ class TestSpans:
             assert right.start_ns == left.end_ns
 
     def test_no_spans_left_open(self, config):
-        _result, tracer, _m = observed_run(config)
+        _result, tracer = observed_run(config)
         assert tracer.open_span_count() == 0
 
 
@@ -144,22 +161,15 @@ class TestDeterminism:
     def test_trace_exports_are_identical_run_to_run(self, config):
         exports = []
         for _ in range(2):
-            _r, tracer, _m = observed_run(config)
+            _r, tracer = observed_run(config)
             payload = chrome_trace(tracer, {"workload": "t"})
             exports.append(json.dumps(payload, sort_keys=True))
         assert exports[0] == exports[1]
 
-    def test_jsonl_identical_run_to_run(self, config):
-        logs = []
-        for _ in range(2):
-            _r, tracer, _m = observed_run(config)
-            logs.append("\n".join(jsonl_events(tracer)))
-        assert logs[0] == logs[1]
-
 
 class TestChromeExportOfRealRun:
     def test_schema_and_contents(self, config):
-        result, tracer, _m = observed_run(config)
+        result, tracer = observed_run(config)
         payload = chrome_trace(tracer, {"workload": "test", "policy": "oasis"})
         assert validate_chrome_trace(payload) == []
         events = payload["traceEvents"]
@@ -173,7 +183,7 @@ class TestChromeExportOfRealRun:
         assert counters, "expected per-link utilization samples"
 
     def test_link_tracks_present(self, config):
-        _result, tracer, _m = observed_run(config)
+        _result, tracer = observed_run(config)
         link_tracks = [t for t in tracer.tracks() if t.startswith("link:")]
         # 4 GPUs: 6 NVLink pairs + 4 PCIe host links.
         assert len(link_tracks) == 10

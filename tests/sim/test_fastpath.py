@@ -54,7 +54,7 @@ CASES = [
 ]
 
 #: Oversubscribed runs, which evict: Fig. 25's cells on every app, and
-#: every policy on mm at a tighter factor and with distributed placement.
+#: every policy on mm at a tighter factor.
 CAPACITY_CASES = [
     pytest.param(policy, app, {"oversubscription": 1.5},
                  id=f"{policy}@x1.5-{app}")
@@ -62,13 +62,6 @@ CAPACITY_CASES = [
 ] + [
     pytest.param(policy, "mm", {"oversubscription": 2.0},
                  id=f"{policy}@x2-mm")
-    for policy in POLICIES
-] + [
-    pytest.param(
-        policy, "mm",
-        {"oversubscription": 1.5, "initial_placement": "distributed"},
-        id=f"{policy}@x1.5-distributed-mm",
-    )
     for policy in POLICIES
 ]
 

@@ -111,40 +111,20 @@ class TestTrace:
         printed = capsys.readouterr().out
         assert str(out_path) in printed
 
-    def test_trace_optional_sidecar_outputs(self, tmp_path):
-        import json
-
-        jsonl = tmp_path / "events.jsonl"
-        prom = tmp_path / "run.prom"
-        assert main([
-            "trace", "mm", "--policy", "on_touch", "--footprint-mb", "4",
-            "--out", str(tmp_path / "t.json"),
-            "--jsonl", str(jsonl), "--metrics-out", str(prom),
-        ]) == 0
-        lines = jsonl.read_text().splitlines()
-        assert lines and all(json.loads(l)["track"] for l in lines)
-        assert "repro_fault_page_total" in prom.read_text()
-
     def test_trace_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "mm", "--policy", "bogus"])
 
 
-class TestObservedSimulate:
-    def test_simulate_trace_flag_writes_per_policy_files(self, tmp_path):
-        base = tmp_path / "sim.trace.json"
-        assert main([
-            "simulate", "mm", "--footprint-mb", "4",
-            "--policy", "on_touch", "--policy", "oasis",
-            "--trace", str(base),
-        ]) == 0
-        assert (tmp_path / "sim.trace.on_touch.json").exists()
-        assert (tmp_path / "sim.trace.oasis.json").exists()
+class TestRecordingPath:
+    """``trace`` is the only subcommand that records a run."""
 
-    def test_simulate_metrics_out_single_policy(self, tmp_path):
-        prom = tmp_path / "run.prom"
-        assert main([
-            "simulate", "mm", "--footprint-mb", "4",
-            "--policy", "oasis", "--metrics-out", str(prom),
-        ]) == 0
-        assert "repro_migration_count_total" in prom.read_text()
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "mm", "--trace", "t.json"],
+        ["simulate", "mm", "--metrics-out", "m.txt"],
+        ["sweep", "--trace", "out"],
+        ["trace", "mm", "--metrics-out", "m.txt"],
+    ])
+    def test_other_recording_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)

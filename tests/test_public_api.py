@@ -57,6 +57,12 @@ class TestPublicAPI:
             repro.SystemConfig(initial_placement="moon")
         with pytest.raises(ValueError):
             repro.SystemConfig(oversubscription=-1.0)
+        with pytest.raises(
+            ValueError, match="distributed.*oversubscription"
+        ):
+            repro.SystemConfig(
+                initial_placement="distributed", oversubscription=1.5
+            )
 
     def test_counter_group_adjusts_to_large_pages(self):
         from repro.config import PAGE_SIZE_2M

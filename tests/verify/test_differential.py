@@ -16,7 +16,6 @@ from repro.verify.differential import (
     counters_digest,
     diff_payloads,
     forced_slow_path,
-    result_payload,
     run_differential,
 )
 
@@ -34,17 +33,6 @@ def test_core_digest_is_stable_and_content_addressed(config):
     assert core_digest(a) == core_digest(b)
     assert core_digest(a) != core_digest(c)
     assert counters_digest(a) == counters_digest(b)
-
-
-def test_result_payload_drops_metrics_key(config):
-    from repro.obs import MetricsRegistry
-
-    trace = get_workload("i2c", config)
-    observed = simulate(
-        config, trace, make_policy("on_touch"), metrics=MetricsRegistry()
-    )
-    assert observed.metrics is not None
-    assert "metrics" not in result_payload(observed)
 
 
 def test_diff_payloads_names_the_moved_counter():
@@ -136,7 +124,7 @@ def test_mutation_smoke_counter_drop_breaks_digest(config, monkeypatch):
     monkeypatch.setattr(StatCounters, "add", dropping)
     broken = simulate(config, trace, make_policy("on_touch"))
     assert core_digest(healthy) != core_digest(broken)
-    diffs = diff_payloads(result_payload(healthy), result_payload(broken))
+    diffs = diff_payloads(healthy.to_dict(), broken.to_dict())
     assert any("migration.bytes" in d for d in diffs)
 
 

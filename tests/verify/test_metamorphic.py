@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro import baseline_config, get_workload, make_policy, simulate
-from repro.verify.differential import diff_payloads, result_payload
+from repro.verify.differential import diff_payloads
 from repro.workloads.base import TraceBuilder
 
 REAL_POLICIES = (
@@ -78,10 +78,9 @@ def test_oasis_degenerates_to_on_touch_without_sharing(config):
     on_touch = simulate(config, trace, make_policy("on_touch"))
     oasis = simulate(config, trace, make_policy("oasis"))
     assert oasis.total_time_ns == on_touch.total_time_ns
-    diffs = diff_payloads(result_payload(on_touch), result_payload(oasis))
+    diffs = diff_payloads(on_touch.to_dict(), oasis.to_dict())
     assert diffs, "policy label alone should differ"
     for line in diffs:
         assert line.startswith(("policy:", "stats.oasis.")), line
-    snapshot = oasis.metrics_snapshot().counters
-    assert snapshot.get("access.remote", 0) == 0
-    assert snapshot.get("duplication.count", 0) == 0
+    assert oasis.stats.get("access.remote", 0) == 0
+    assert oasis.stats.get("duplication.count", 0) == 0
