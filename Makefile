@@ -19,9 +19,10 @@ verify-sim:
 	$(PYTHON) -m pytest tests/verify tests/workloads/test_table2_conformance.py -q
 	$(PYTHON) -m repro.cli verify --jobs 4
 
-# Sweep-fast-path verification: snapshot round-trip/corruption tests,
-# the memoized-vs-cold differential lane on multi-phase apps, and the
-# ~60s memoized-sweep smoke (speedup > 1.5x, zero golden-digest drift).
+# Phase-snapshot tier verification: snapshot round-trip/corruption
+# tests, the memoized-vs-cold differential lane on multi-phase apps, and
+# the ~60s memoized-sweep smoke (speedup > 1.5x, zero golden-digest
+# drift).  No command turns the tier on; each of these turns it on itself.
 # The memo lane also runs inside verify-sim's full differential pass.
 verify-memo:
 	$(PYTHON) -m pytest tests/sim/test_snapshot.py tests/harness/test_memo_runner.py -q
@@ -48,7 +49,8 @@ perfbench-smoke:
 	$(PYTHON) scripts/perfbench_smoke.py
 
 # One-command reproduce-all: every paper table/figure through the
-# parallel harness into results/artifacts/<run-id>/ (manifest.json,
+# parallel harness and its result cache (the phase-snapshot tier off)
+# into results/artifacts/<run-id>/ (manifest.json,
 # metrics.jsonl, summary.json), then results/BENCH_all.json and a
 # regenerated EXPERIMENTS.md.  Resumable — rerunning the same profile
 # skips recorded experiments and serves cells from the result cache.

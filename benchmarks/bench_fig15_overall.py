@@ -6,54 +6,11 @@ OASIS, and OASIS approaches the Ideal bound on private- and read-only-
 dominated applications.
 """
 
-import time
-
-from benchmarks.conftest import (
-    bench_apps,
-    column,
-    geomean_row,
-    write_bench_artifact,
-)
-
-
-def _write_trajectory(experiment, cache_before, memo_before):
-    """Append-style perf artifact: wall clock + cache/memo accounting.
-
-    Written before the shape asserts so the trajectory records a run
-    even when the qualitative check fails.
-    """
-    from repro.harness import cache_stats, memo_stats
-
-    cache_after, memo_after = cache_stats(), memo_stats()
-    payload = {
-        "benchmark": "fig15_overall",
-        "apps": bench_apps() or "all",
-        "wall_clock_s": round(experiment.elapsed_s, 3),
-        "cache": {
-            name: cache_after[name] - cache_before[name]
-            for name in ("hits", "misses", "disk_hits", "disk_misses")
-        },
-        "memo": {
-            "enabled": memo_after["enabled"],
-            **{
-                name: memo_after[name] - memo_before[name]
-                for name in (
-                    "hits", "misses", "stores", "snapshot_bytes",
-                    "resumed_phases", "prefix_forks",
-                )
-            },
-        },
-        "timestamp": time.time(),
-    }
-    write_bench_artifact("fig15", payload)
+from benchmarks.conftest import bench_apps, column, geomean_row
 
 
 def test_fig15_overall_performance(experiment):
-    from repro.harness import cache_stats, memo_stats
-
-    cache_before, memo_before = cache_stats(), memo_stats()
     result = experiment("fig15")
-    _write_trajectory(experiment, cache_before, memo_before)
     geo = geomean_row(result)
     oasis = geo[column(result, "oasis")]
     inmem = geo[column(result, "oasis_inmem")]

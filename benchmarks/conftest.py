@@ -9,9 +9,6 @@ Environment knobs:
 * ``REPRO_BENCH_APPS`` — comma-separated subset of applications (e.g.
   ``mm,st,bfs``) for quick smoke runs; default is all eleven.
 * ``REPRO_BENCH_NO_CACHE`` — set to disable the persistent result cache.
-* ``REPRO_BENCH_NO_MEMO`` — set to disable the sweep fast path
-  (phase-prefix snapshot memoization; on by default, see
-  :mod:`repro.sim.sweep`).
 
 Simulation results are memoized per process (see
 :mod:`repro.harness.runner`), so benchmarks that share runs — Fig. 2 is a
@@ -26,24 +23,13 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.artifacts.registry import (  # noqa: F401  (re-exported shim)
-    BenchExperiment,
-    discover_experiments,
-    experiment_order,
-    normalize_exp_id,
-)
-from repro.harness import cache_stats, configure, memo_stats, run_experiment
+from repro.harness import cache_stats, configure, run_experiment
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: Kept for path arithmetic; perf-trajectory artifacts (BENCH_*.json)
-#: land under ``results/`` via :func:`write_bench_artifact`, NOT here.
-REPO_ROOT = RESULTS_DIR.parent
 
 
 def write_bench_artifact(name: str, payload: dict, out=None) -> Path:
@@ -54,10 +40,6 @@ def write_bench_artifact(name: str, payload: dict, out=None) -> Path:
     format, and ``scripts/reproduce_all`` can consolidate them into
     ``results/BENCH_all.json``.  ``out`` overrides the full path (used
     by the ``--out`` flags of the standalone benchmark drivers).
-
-    Through 2026-08 these artifacts lived at the repo root
-    (``BENCH_fig15.json`` et al.); they moved under ``results/`` when
-    the artifact pipeline landed.
     """
     path = Path(out) if out else RESULTS_DIR / f"BENCH_{name}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,8 +51,7 @@ def write_bench_artifact(name: str, payload: dict, out=None) -> Path:
 def persistent_result_cache():
     """Route every benchmark's runs through the on-disk result store."""
     use_disk = not os.environ.get("REPRO_BENCH_NO_CACHE", "").strip()
-    use_memo = not os.environ.get("REPRO_BENCH_NO_MEMO", "").strip()
-    configure(disk_cache=use_disk, memo=use_memo)
+    configure(disk_cache=use_disk)
     yield
     stats = cache_stats()
     print(
@@ -78,13 +59,6 @@ def persistent_result_cache():
         f"{stats['misses']} misses, disk {stats['disk_hits']} hits / "
         f"{stats['disk_misses']} misses]"
     )
-    memo = memo_stats()
-    if memo["enabled"]:
-        print(
-            f"[sweep fast path: {memo['hits']} snapshot hits / "
-            f"{memo['misses']} misses, {memo['prefix_forks']} prefix "
-            f"forks, {memo['resumed_phases']} phases resumed]"
-        )
 
 
 def bench_apps() -> list[str] | None:
@@ -96,25 +70,17 @@ def bench_apps() -> list[str] | None:
 
 @pytest.fixture
 def experiment(benchmark):
-    """Run one experiment under the benchmark timer and save its report.
-
-    The returned runner records its wall clock on ``runner.elapsed_s``
-    so benchmarks can emit perf-trajectory artifacts (BENCH_*.json).
-    """
+    """Run one experiment under the benchmark timer and save its report."""
 
     def runner(exp_id: str):
-        apps = bench_apps()
-        t0 = time.perf_counter()
         result = benchmark.pedantic(
-            run_experiment, args=(exp_id,), kwargs={"apps": apps},
+            run_experiment, args=(exp_id,), kwargs={"apps": bench_apps()},
             rounds=1, iterations=1,
         )
-        runner.elapsed_s = time.perf_counter() - t0
         path = result.save(RESULTS_DIR)
         print(f"\n{result.render()}\n[saved to {path}]")
         return result
 
-    runner.elapsed_s = None
     return runner
 
 

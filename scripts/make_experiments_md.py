@@ -14,12 +14,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.artifacts.experiments_md import write_experiments_md  # noqa: E402
-from repro.artifacts.registry import experiment_order  # noqa: E402
+from repro.harness import EXPERIMENTS  # noqa: E402
 
 
 def main() -> None:
     missing = write_experiments_md()
-    total = len(experiment_order())
+    total = len(EXPERIMENTS)
     print(f"wrote EXPERIMENTS.md ({total - len(missing)} reports)")
     if missing:
         print("missing reports: " + ", ".join(missing)

@@ -21,13 +21,6 @@ from repro.analysis.classify import (
     object_pattern_by_phase,
     page_type_percentages,
 )
-from repro.analysis.sharing import (
-    access_concentration,
-    mean_sharing_degree,
-    object_sharing_degree,
-    phase_access_summary,
-    sharing_degree_histogram,
-)
 from repro.analysis.characterize import (
     access_share_by_object,
     object_size_distribution,
@@ -39,11 +32,6 @@ from repro.analysis.characterize import (
 
 __all__ = [
     "PageClassification",
-    "access_concentration",
-    "mean_sharing_degree",
-    "object_sharing_degree",
-    "phase_access_summary",
-    "sharing_degree_histogram",
     "access_share_by_object",
     "classify_object",
     "classify_pages",

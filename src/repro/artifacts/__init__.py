@@ -1,8 +1,8 @@
 """Reproduce-all artifact pipeline (``scripts/reproduce_all``).
 
 One command regenerates every paper table/figure through the parallel
-harness (disk cache + sweep memoization engaged) and leaves a
-self-describing artifact directory — ``manifest.json``,
+harness (persistent result cache engaged, phase-snapshot tier off) and
+leaves a self-describing artifact directory — ``manifest.json``,
 ``metrics.jsonl``, ``summary.json`` — plus the consolidated
 ``results/BENCH_all.json`` perf trajectory and a regenerated
 ``EXPERIMENTS.md``.  See :mod:`repro.artifacts.pipeline`.
@@ -18,18 +18,14 @@ from repro.artifacts.pipeline import (
     write_bench_all,
 )
 from repro.artifacts.registry import (
-    BenchExperiment,
     discover_experiments,
-    experiment_order,
     normalize_exp_id,
     repo_root,
 )
 
 __all__ = [
-    "BenchExperiment",
     "SMOKE_APPS",
     "discover_experiments",
-    "experiment_order",
     "normalize_exp_id",
     "render_experiments_md",
     "repo_root",

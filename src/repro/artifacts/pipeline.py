@@ -1,14 +1,14 @@
 """One-command reproduce-all orchestrator.
 
 ``scripts/reproduce_all`` (and ``repro-oasis reproduce``) drive every
-``bench_fig*``/``bench_table*`` experiment through the existing parallel
-harness with the disk cache and sweep memoization engaged, and write a
-per-run artifact directory::
+experiment in :data:`repro.harness.EXPERIMENTS`, in paper order, through
+the parallel harness with the persistent result cache engaged (and the
+phase-snapshot tier off), and write a per-run artifact directory::
 
     results/artifacts/<run-id>/
         manifest.json     git SHA, config digest, seeds, env knobs
         metrics.jsonl     one line per (experiment, seed): wall time,
-                          cache/memo hit deltas, new-simulation count
+                          cache hit deltas, new-simulation count
         summary.json      roll-up of the whole run
         reports/          rendered per-experiment reports (.txt + .json)
         trace.json        Chrome trace of the pipeline timeline
@@ -44,28 +44,19 @@ from pathlib import Path
 
 from repro.config import baseline_config
 from repro.harness import (
+    EXPERIMENTS,
     SEEDED_EXPERIMENTS,
     cache_stats,
     configure,
-    memo_stats,
     run_experiment,
 )
 from repro.harness import runner as _runner
-from repro.artifacts.registry import (
-    discover_experiments,
-    normalize_exp_id,
-    repo_root,
-)
+from repro.artifacts.registry import normalize_exp_id, repo_root
 
 SCHEMA_VERSION = 1
 
 #: The smoke profile's application subset (3 apps, steady-state-heavy).
 SMOKE_APPS = ["mm", "st", "bfs"]
-
-#: metrics.jsonl keys every per-experiment record carries.
-METRICS_KEYS = (
-    "exp_id", "seed", "ok", "wall_s", "sims_new", "cache", "memo", "error",
-)
 
 
 def _git_info(root: Path) -> dict:
@@ -140,17 +131,12 @@ def _load_completed(metrics_path: Path) -> set[tuple[str, int]]:
 
 
 def _select(only: list[str] | None) -> list[str]:
-    registry = discover_experiments()
-    order = list(registry)
+    """The chosen experiment ids in paper order (every one without
+    ``only``); :func:`normalize_exp_id` rejects unknown ids."""
     if not only:
-        return order
+        return list(EXPERIMENTS)
     chosen = {normalize_exp_id(raw) for raw in only}
-    unknown = chosen - set(order)
-    if unknown:
-        raise ValueError(
-            "no benchmark module found for: " + ", ".join(sorted(unknown))
-        )
-    return [exp_id for exp_id in order if exp_id in chosen]
+    return [exp_id for exp_id in EXPERIMENTS if exp_id in chosen]
 
 
 def run_pipeline(
@@ -164,7 +150,6 @@ def run_pipeline(
     results_dir: str | Path | None = None,
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
-    no_memo: bool = False,
     fresh: bool = False,
     docs: bool | None = None,
     log=print,
@@ -187,7 +172,7 @@ def run_pipeline(
             land (default ``results/``).
         cache_dir: persistent result-store directory (default: the
             repo store under ``results/cache``).
-        no_cache / no_memo: disable the disk cache / sweep fast path.
+        no_cache: disable the persistent result cache.
         fresh: ignore (and truncate) a previous run's ``metrics.jsonl``
             instead of resuming from it.
         docs: force EXPERIMENTS.md regeneration on/off; ``None`` = only
@@ -204,11 +189,14 @@ def run_pipeline(
     run_apps = list(apps) if apps else (list(SMOKE_APPS) if smoke else None)
     git = _git_info(root)
 
+    # The snapshot tier stays off even after an earlier
+    # configure(memo=True): a snapshot's key is the run's full
+    # identity, so the result cache would always answer first.
     configure(
         jobs=jobs if jobs is not None else 1,
         disk_cache=not no_cache,
         cache_dir=str(cache_dir) if cache_dir and not no_cache else None,
-        memo=not no_memo,
+        memo=False,
     )
 
     profile = "smoke" if smoke else "full"
@@ -250,7 +238,6 @@ def run_pipeline(
         "apps": run_apps,
         "jobs": jobs if jobs is not None else 1,
         "no_cache": no_cache,
-        "no_memo": no_memo,
         "cache_dir": str(_runner.disk_cache().root)
                      if _runner.disk_cache() is not None else None,
         "env": _env_knobs(),
@@ -290,7 +277,6 @@ def run_pipeline(
                     log(f"  {exp_id} seed={seed}: already recorded, skipped")
                     continue
                 cache_before = cache_stats()
-                memo_before = memo_stats()
                 files_before = _result_file_count()
                 t0 = time.monotonic()
                 tracer.begin_span("pipeline", exp_id, now_ns(),
@@ -304,7 +290,6 @@ def run_pipeline(
                     tracer.end_span("pipeline", now_ns())
                 wall_s = time.monotonic() - t0
                 cache_after = cache_stats()
-                memo_after = memo_stats()
                 files_after = _result_file_count()
                 if files_before is not None and files_after is not None:
                     sims_new = files_after - files_before
@@ -320,14 +305,6 @@ def run_pipeline(
                         name: cache_after[name] - cache_before[name]
                         for name in ("hits", "misses",
                                      "disk_hits", "disk_misses")
-                    },
-                    "memo": {
-                        "enabled": memo_after["enabled"],
-                        **{
-                            name: memo_after[name] - memo_before[name]
-                            for name in ("hits", "misses", "stores",
-                                         "resumed_phases")
-                        },
                     },
                     "error": error,
                     "apps": run_apps or "all",
@@ -413,7 +390,7 @@ def write_bench_all(
     """Consolidate every ``results/BENCH_*.json`` into one trajectory.
 
     The record is self-describing: one ``benches`` entry per perf
-    artifact present (replay smoke, fig15, memo, fault path, ...), plus
+    artifact present (replay smoke, memo, fault path, ...), plus
     the pipeline summary that produced it — future re-anchors read a
     single file to see speed over time.
     """
@@ -480,8 +457,6 @@ def add_pipeline_arguments(parser: argparse.ArgumentParser) -> None:
                              "instead of resuming from it")
     parser.add_argument("--no-cache", action="store_true", dest="no_cache",
                         help="skip the persistent result cache")
-    parser.add_argument("--no-memo", action="store_true", dest="no_memo",
-                        help="disable the sweep fast path")
     parser.add_argument("--docs", action="store_true", default=None,
                         help="regenerate EXPERIMENTS.md even for "
                              "subset/smoke runs")
@@ -514,7 +489,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             results_dir=args.results_dir,
             cache_dir=args.cache_dir,
             no_cache=args.no_cache,
-            no_memo=args.no_memo,
             fresh=args.fresh,
             docs=args.docs,
             log=(lambda *_args, **_kw: None) if args.quiet else print,

@@ -50,22 +50,24 @@ from repro.workloads import APPLICATION_ORDER, APPLICATIONS
 
 
 def _build_config(args):
+    """The ``SystemConfig`` a command's flags select (``ValueError`` when
+    ``SystemConfig`` rejects them)."""
     kwargs = {}
-    if getattr(args, "gpus", None):
+    if args.gpus is not None:
         kwargs["n_gpus"] = args.gpus
-    if getattr(args, "large_pages", False):
+    if args.large_pages:
         kwargs["page_size"] = PAGE_SIZE_2M
-    if getattr(args, "oversubscription", None):
+    if args.oversubscription is not None:
         kwargs["oversubscription"] = args.oversubscription
-    if getattr(args, "distributed", False):
+    if args.distributed:
         kwargs["initial_placement"] = "distributed"
-    if getattr(args, "reset_threshold", None):
+    if args.reset_threshold is not None:
         kwargs["reset_threshold"] = args.reset_threshold
     return baseline_config(**kwargs)
 
 
 def cmd_simulate(args) -> int:
-    config = _build_config(args)
+    config = args.config
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
     results = {
         name: simulate(config, trace, make_policy(name))
@@ -90,17 +92,9 @@ def cmd_simulate(args) -> int:
 def _configure_runner(args) -> None:
     from repro.harness import configure
 
-    kwargs = {}
-    if hasattr(args, "no_memo"):
-        # Sweep-style commands run the sweep fast path by default
-        # (--no-memo opts out); --memo-dir adds a persistent snapshot
-        # tier on top of the in-memory one.
-        kwargs["memo"] = not args.no_memo
-        kwargs["memo_dir"] = getattr(args, "memo_dir", None)
     configure(
         jobs=getattr(args, "jobs", None),
         disk_cache=not getattr(args, "no_cache", False),
-        **kwargs,
     )
 
 
@@ -143,7 +137,7 @@ def cmd_list(_args) -> int:
 
 def cmd_sweep(args) -> int:
     _configure_runner(args)
-    config = _build_config(args)
+    config = args.config
     apps = (
         [a.strip() for a in args.apps.split(",") if a.strip()]
         if args.apps else list(APPLICATION_ORDER)
@@ -179,16 +173,6 @@ def cmd_sweep(args) -> int:
     print(header)
     for row in rows:
         print(f"{row[0]:<10s}" + "".join(f"{v:13.2f}" for v in row[1:]))
-    from repro.harness import memo_stats
-
-    memo = memo_stats()
-    if memo["enabled"]:
-        print(f"\nsweep fast path: {memo['hits']} snapshot hits, "
-              f"{memo['misses']} misses, {memo['prefix_forks']} prefix "
-              f"forks, {memo['resumed_phases']} phases resumed, "
-              f"{memo['snapshot_bytes'] / 1e6:.1f} MB stored"
-              + (f", {memo['corrupt']} quarantined"
-                 if memo["corrupt"] else ""))
     if args.metrics_out:
         import json
 
@@ -204,7 +188,7 @@ def cmd_trace(args) -> int:
     """Record one observed run and export its timeline."""
     from repro.obs import RecordingTracer, write_chrome_trace
 
-    config = _build_config(args)
+    config = args.config
     trace = get_workload(args.app, config, footprint_mb=args.footprint_mb)
     tracer = RecordingTracer()
     result = simulate(
@@ -390,9 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     rpr = sub.add_parser(
         "reproduce",
         help="reproduce every table/figure into an artifact dir",
-        description="One-command reproduce-all: run every bench_fig*/"
-                    "bench_table* experiment through the parallel "
-                    "harness (disk cache + sweep memoization), writing "
+        description="One-command reproduce-all: run every paper "
+                    "table/figure experiment through the parallel "
+                    "harness and its result cache, writing "
                     "manifest.json / metrics.jsonl / summary.json plus "
                     "results/BENCH_all.json.  Resumable: re-invoking "
                     "the same profile skips recorded experiments and "
@@ -417,13 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes for independent runs")
     swp.add_argument("--no-cache", action="store_true", dest="no_cache",
                      help="skip the persistent result cache")
-    swp.add_argument("--no-memo", action="store_true", dest="no_memo",
-                     help="disable the sweep fast path (phase-prefix "
-                          "snapshot memoization; on by default)")
-    swp.add_argument("--memo-dir", default=None, dest="memo_dir",
-                     metavar="DIR",
-                     help="persist phase snapshots under DIR so later "
-                          "sweeps resume across processes")
     swp.add_argument("--metrics-out", default=None, dest="metrics_out",
                      metavar="FILE",
                      help="write the sweep summary (runs, cache "
@@ -504,6 +481,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and not args.policy:
         args.policy = ["on_touch", "oasis"]
+    if hasattr(args, "gpus"):  # simulate, sweep and trace
+        try:
+            args.config = _build_config(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

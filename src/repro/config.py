@@ -169,9 +169,6 @@ class SystemConfig:
     #: fits; 1.5 means the working set is 150% of available GPU memory
     #: (Fig. 25).  ``None`` disables capacity modelling entirely.
     oversubscription: float | None = None
-    #: Number of accesses one GPU issues before the interleaver switches to
-    #: the next GPU's stream within a phase.
-    interleave_burst: int = 32
     #: Analytical cost model.
     latency: LatencyModel = field(default_factory=LatencyModel)
 

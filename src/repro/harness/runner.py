@@ -146,10 +146,11 @@ def configure(
         disk_cache: enable/disable the persistent result store.
         cache_dir: directory for the persistent store (implies enabling
             it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
-        memo: enable/disable the sweep fast path (phase-prefix snapshot
-            memoization; see :mod:`repro.sim.sweep`).  Off by default;
-            the sweep CLI turns it on for sweeps unless ``--no-memo`` is
-            given.
+        memo: enable/disable the phase-snapshot tier (phase-prefix
+            snapshot memoization; see :mod:`repro.sim.sweep`).  Off by
+            default, and no command turns it on: a snapshot's key is the
+            run's full identity, so the result store answers first.
+            ``repro-oasis reproduce`` turns it off for its run.
         memo_dir: directory for a persistent snapshot tier (implies
             enabling the memo).  Without it, snapshots share the result
             store's directory when the disk cache is on, else stay
@@ -192,7 +193,7 @@ def last_sweep_summary() -> dict | None:
         {
           "runs": 12, "ok": 11, "failed": 1,
           "cache": {"hits": 4, "misses": 8, "pool_failures": 0},
-          "memo": {"enabled": True, "hits": 6, "misses": 2, ...},
+          "memo": {"enabled": False, "hits": 0, "misses": 0, ...},
           "wall_clock_s": {"total": 3.2,
                            "per_run": {"st/oasis": 0.41, ...}},
           "counters": {"fault.page": ..., "migration.count": ..., ...},

@@ -13,7 +13,9 @@ shared across a cohort instead of being paid per run:
   phase* (:meth:`FastReplay.run_phase`), so every policy variant replays
   the same structure-of-arrays pass over them; and
 * the **phase prefix** — runs whose placement decisions agree through a
-  boundary resume from one shared snapshot (:mod:`repro.sim.snapshot`).
+  boundary resume from one shared snapshot (:mod:`repro.sim.snapshot`),
+  once ``repro.harness.configure(memo=True)`` turns this tier on; no
+  command does.
 
 Runs stay on the shared lane while their per-phase decision digests
 match the cohort's reference chain and fork off at the first divergent

@@ -1,4 +1,4 @@
-"""UVM driver model: fault taxonomy and page-management primitives.
+"""UVM driver model: the page-management primitives.
 
 The UVM driver lives on the host CPU, owns the centralized page table, and
 services GPU page faults (Fig. 1).  :class:`~repro.uvm.driver.UVMDriver`
@@ -8,6 +8,5 @@ costs.
 """
 
 from repro.uvm.driver import UVMDriver
-from repro.uvm.fault import FaultKind, PageFault
 
-__all__ = ["FaultKind", "PageFault", "UVMDriver"]
+__all__ = ["UVMDriver"]

@@ -6,7 +6,6 @@ from repro.workloads.base import (
     Trace,
     TraceBuilder,
 )
-from repro.workloads.io import load_trace, save_trace
 from repro.workloads.registry import (
     APPLICATION_ORDER,
     APPLICATIONS,
@@ -23,6 +22,4 @@ __all__ = [
     "Trace",
     "TraceBuilder",
     "get_workload",
-    "load_trace",
-    "save_trace",
 ]

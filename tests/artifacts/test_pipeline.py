@@ -2,8 +2,9 @@
 
 A smoke run writes manifest/metrics/summary with the pinned schemas, a
 second invocation of the same profile performs zero new simulations,
-and a run killed mid-pipeline resumes without re-simulating what it
-already journaled.
+a run killed mid-pipeline resumes without re-simulating what it
+already journaled, and neither ``reproduce`` nor ``sweep`` writes a
+phase snapshot.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.artifacts import SMOKE_APPS, run_pipeline, write_experiments_md
 from repro.artifacts import pipeline
+from repro.harness import configure, memo_stats, runner
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -73,7 +75,7 @@ def test_smoke_run_writes_full_artifact_set(dirs):
     assert rec["wall_s"] > 0
     assert set(rec["cache"]) == {"hits", "misses",
                                  "disk_hits", "disk_misses"}
-    assert rec["memo"]["enabled"] is True
+    assert "memo" not in rec
 
     # Rendered report and pipeline trace ride along.
     assert (art / "reports" / "fig2.txt").exists()
@@ -85,6 +87,40 @@ def test_smoke_run_writes_full_artifact_set(dirs):
     )
     assert bench_all["pipeline"]["run_id"] == summary["run_id"]
     assert "benches" in bench_all
+
+
+def test_reproduce_and_sweep_run_without_the_snapshot_tier(
+    dirs, tmp_path, monkeypatch, capsys,
+):
+    from repro.cli import main
+
+    monkeypatch.setattr(runner, "_session", runner.Session())
+    summary = _run(dirs, apps=["st"])
+    assert summary["ok"] and summary["sims_new"] > 0
+    assert not (dirs["cache_dir"] / "snap").exists()
+    assert memo_stats()["enabled"] is False
+
+    sweep_cache = tmp_path / "sweep-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(sweep_cache))
+    assert main([
+        "sweep", "--apps", "st", "--footprint-mb", "2",
+        "--policy", "on_touch", "--policy", "oasis",
+    ]) == 0
+    assert "geomean" in capsys.readouterr().out
+    assert any(sweep_cache.glob("[0-9a-f][0-9a-f]/*.json"))
+    assert not (sweep_cache / "snap").exists()
+    assert memo_stats()["enabled"] is False
+
+
+def test_reproduce_overrides_an_earlier_snapshot_tier_setting(
+    dirs, monkeypatch,
+):
+    monkeypatch.setattr(runner, "_session", runner.Session())
+    configure(memo=True)
+    summary = _run(dirs, apps=["st"])
+    assert summary["sims_new"] > 0
+    assert memo_stats()["enabled"] is False
+    assert not (dirs["cache_dir"] / "snap").exists()
 
 
 def test_second_invocation_does_zero_new_simulations(dirs):

@@ -1,40 +1,42 @@
-"""Benchmark-experiment discovery and id canonicalization."""
+"""The pipeline's experiment list and id canonicalization."""
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
-from repro.artifacts import (
-    discover_experiments,
-    experiment_order,
-    normalize_exp_id,
-)
-from repro.harness import EXPERIMENTS, SEEDED_EXPERIMENTS
+from repro.artifacts import discover_experiments, normalize_exp_id
+from repro.harness import EXPERIMENTS
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 def test_discovery_covers_every_registry_experiment():
-    # One bench_* module per registry entry: the pipeline's notion of
-    # "every experiment" and the harness's must never drift apart.
-    assert set(discover_experiments()) == set(EXPERIMENTS)
+    # The pipeline runs exactly the harness's experiments, in its order.
+    assert discover_experiments() == list(EXPERIMENTS)
+
+
+def test_every_experiment_has_a_benchmark_module():
+    # `make bench` times and shape-checks every experiment the
+    # pipeline runs.
+    benched = {
+        f"{match['kind']}{int(match['number'])}"
+        for path in (REPO / "benchmarks").glob("bench_*.py")
+        if (match := re.match(
+            r"bench_(?P<kind>fig|table)(?P<number>\d+)_", path.name))
+    }
+    assert set(EXPERIMENTS) <= benched, set(EXPERIMENTS) - benched
 
 
 def test_discovery_order_is_tables_then_figures():
-    order = experiment_order()
+    order = discover_experiments()
     tables = [e for e in order if e.startswith("table")]
     figures = [e for e in order if e.startswith("fig")]
     assert order == tables + figures
     assert tables == sorted(tables, key=lambda e: int(e[5:]))
     assert figures == sorted(figures, key=lambda e: int(e[3:]))
-
-
-def test_discovery_metadata():
-    registry = discover_experiments()
-    fig2 = registry["fig2"]
-    assert fig2.kind == "fig" and fig2.number == 2
-    assert fig2.path.name.startswith("bench_fig02")
-    assert fig2.title  # first docstring line, parsed without importing
-    assert fig2.seeded == ("fig2" in SEEDED_EXPERIMENTS)
-    assert registry["table1"].seeded is False
 
 
 @pytest.mark.parametrize("raw, canonical", [

@@ -61,6 +61,20 @@ class TestSimulate:
             "--policy", "oasis",
         ]) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--gpus", "0"],
+        ["--oversubscription", "0"],
+        ["--oversubscription", "-1"],
+        ["--reset-threshold", "0"],
+    ])
+    def test_rejected_config_is_a_usage_error(self, flags, capsys):
+        # A zero reaches SystemConfig's checks instead of selecting the
+        # baseline, and a rejected config exits 2 like any bad flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "mm", "--footprint-mb", "1", *flags])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCharacterize:
     def test_characterize_prints_objects(self, capsys):
