@@ -19,15 +19,17 @@ verify-sim:
 	$(PYTHON) -m pytest tests/verify tests/workloads/test_table2_conformance.py -q
 	$(PYTHON) -m repro.cli verify --jobs 4
 
-# Phase-snapshot tier verification: snapshot round-trip/corruption
-# tests, the memoized-vs-cold differential lane on multi-phase apps, and
-# the ~60s memoized-sweep smoke (speedup > 1.5x, zero golden-digest
-# drift).  No command turns the tier on; each of these turns it on itself.
-# The memo lane also runs inside verify-sim's full differential pass.
+# Phase-snapshot tier verification: snapshot round-trip, digest and
+# corruption tests, the memoized-vs-cold differential lane on
+# multi-phase apps, and the ~60s serial memoized-sweep smoke (warm hits,
+# speedup > 1.5x, zero golden-digest drift), whose record goes under
+# $TMPDIR so the tracked full-matrix results/BENCH_memo.json stays put.
+# No command turns the tier on; each of these turns it on itself.  The
+# memo lane also runs inside verify-sim's full differential pass.
 verify-memo:
 	$(PYTHON) -m pytest tests/sim/test_snapshot.py tests/harness/test_memo_runner.py -q
 	$(PYTHON) -m repro.cli verify --differential --lanes memo --apps c2d,st --jobs 4
-	$(PYTHON) benchmarks/bench_memo.py --smoke
+	$(PYTHON) benchmarks/bench_memo.py --smoke --out $${TMPDIR:-/tmp}/BENCH_memo.json
 
 verify: verify-obs verify-sim verify-memo
 

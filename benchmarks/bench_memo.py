@@ -1,22 +1,19 @@
-"""Sweep fast path benchmark: memoized vs cold wall clock + digest drift.
+"""Phase-snapshot benchmark: memoized vs cold wall clock + digest drift.
 
-Times the same policy sweep three ways — cold (memo off), populate
-(memo on, empty store) and warm (memo on, populated store) — asserts
-the warm sweep's speedup over cold, verifies every warm result against
-the pinned golden digests (zero drift allowed), and writes the
-trajectory to ``results/BENCH_memo.json`` so future re-anchors can see
-speed over time.
+Times the same serial policy sweep three ways — cold (memo off),
+populate (memo on, empty store) and warm (memo on, populated store) —
+asserts the warm sweep's speedup over cold, verifies every warm result
+against the pinned golden digests (zero drift allowed), and writes the
+record to ``--out`` (default ``results/BENCH_memo.json``).
 
-Modes:
+* ``--smoke`` — two multi-phase apps x three policies, about a minute,
+  speedup > 1.5x (``make verify-memo``).
+* default (full) — all registry apps x all policies, speedup > 5x.
 
-* ``--smoke`` — two multi-phase apps x three policies, serial; finishes
-  in about a minute and asserts speedup > 1.5x (the CI job's budget).
-* default (full) — the fig15-style matrix (all registry apps x all
-  policies); asserts speedup > 5x, the tentpole target.
-
-The result disk cache is disabled throughout so the comparison measures
-simulation work, not result-cache hits; snapshots persist in a
-throwaway directory so pool workers (``--jobs N``) share them too.
+The result disk cache is off throughout, so the comparison measures
+simulation work.  Counters come from the session's ``PhaseMemo``; its
+snapshots also go to a throwaway blob tier, because the full matrix's
+outgrow the in-memory one.
 """
 
 from __future__ import annotations
@@ -35,21 +32,19 @@ SMOKE_APPS = ["c2d", "st"]
 SMOKE_POLICIES = ["oasis", "on_touch", "grit"]
 
 
-def _sweep(config, pairs, jobs):
-    from repro.harness import last_sweep_summary, run_sims_parallel
+def _sweep(config, pairs):
+    from repro.harness import run_sims_parallel
 
     requests = [(config, app, policy) for app, policy in pairs]
     t0 = time.perf_counter()
-    results = run_sims_parallel(requests, jobs=jobs)
-    return results, time.perf_counter() - t0, last_sweep_summary()
+    results = run_sims_parallel(requests, jobs=1)
+    return results, time.perf_counter() - t0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="small matrix, ~60s budget, speedup > 1.5x")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes per sweep (default serial)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="override the warm-vs-cold floor "
                              "(default 1.5 smoke, 5.0 full)")
@@ -59,7 +54,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro import POLICY_FACTORIES, baseline_config
-    from repro.harness import clear_cache, configure, runner
+    from repro.harness import DiskCache, clear_cache, configure, runner
     from repro.sim import SimulationResult
     from repro.verify.golden import entry_for, golden_key, load_golden
     from repro.workloads import APPLICATION_ORDER
@@ -75,33 +70,36 @@ def main(argv=None) -> int:
     config = baseline_config()
     mode = "smoke" if args.smoke else "full"
     print(f"bench_memo [{mode}]: {len(apps)} apps x {len(policies)} "
-          f"policies = {len(pairs)} runs, jobs={args.jobs}")
+          f"policies = {len(pairs)} runs, serial")
 
-    with tempfile.TemporaryDirectory(prefix="repro-memo-") as memo_dir:
-        configure(jobs=args.jobs, disk_cache=False, memo=False)
+    with tempfile.TemporaryDirectory(prefix="repro-snap-") as snap_dir:
+        configure(jobs=1, disk_cache=False, memo=False)
         clear_cache()
-        _, t_cold, _ = _sweep(config, pairs, args.jobs)
+        _, t_cold = _sweep(config, pairs)
         print(f"  cold (no memo):           {t_cold:8.2f}s")
 
-        configure(memo=True, memo_dir=memo_dir)
+        configure(memo=True)
         clear_cache()
-        _, t_pop, pop_summary = _sweep(config, pairs, args.jobs)
+        memo = runner._session.memo
+        memo.disk = DiskCache(snap_dir)
+        _, t_pop = _sweep(config, pairs)
+        pop_memo = memo.stats()
         print(f"  populate (memo, empty):   {t_pop:8.2f}s")
 
         # Drop only the result tier; the snapshot store must carry the
         # warm sweep on its own.
         runner._session.results.clear()
-        results, t_warm, warm_summary = _sweep(config, pairs, args.jobs)
+        results, t_warm = _sweep(config, pairs)
+        warm_memo = {
+            key: value - pop_memo[key] for key, value in memo.stats().items()
+        }
         speedup = t_cold / t_warm if t_warm > 0 else float("inf")
         print(f"  warm (memo, populated):   {t_warm:8.2f}s  "
               f"-> {speedup:.1f}x vs cold")
-        configure(memo=False, memo_dir="")
+        configure(memo=False)
 
-    pop_memo = pop_summary["memo"]
-    warm_memo = warm_summary["memo"]
     print(f"  populate: {pop_memo['stores']} snapshots "
-          f"({pop_memo['snapshot_bytes'] / 1e6:.1f} MB), "
-          f"{pop_memo['prefix_forks']} prefix forks")
+          f"({pop_memo['snapshot_bytes'] / 1e6:.1f} MB)")
     print(f"  warm: {warm_memo['hits']} hits / {warm_memo['misses']} "
           f"misses, {warm_memo['resumed_phases']} phases resumed")
 
@@ -128,7 +126,6 @@ def main(argv=None) -> int:
         "mode": mode,
         "apps": apps,
         "policies": policies,
-        "jobs": args.jobs,
         "wall_clock_s": {
             "cold": round(t_cold, 3),
             "populate": round(t_pop, 3),

@@ -155,14 +155,14 @@ def cmd_sweep(args) -> int:
     )
     summary = None
     if args.metrics_out:
-        # Drive every cell through run_sims_parallel so the sweep-level
-        # summary covers the whole table (the speedup_table call below
-        # then hits the warm cache — capture the summary now, before
-        # that warm pass overwrites it).
+        # Drive every cell, the on-touch baseline included, through
+        # run_sims_parallel so the sweep-level summary covers the whole
+        # table (the speedup_table call below then hits the warm cache —
+        # capture the summary now, before that warm pass overwrites it).
         requests = []
         for app in apps:
             mb = footprints.get(app) if footprints else None
-            for policy in policies:
+            for policy in dict.fromkeys(["on_touch", *policies]):
                 requests.append((config, app, policy, {"footprint_mb": mb}))
         run_sims_parallel(requests)
         summary = last_sweep_summary()

@@ -26,7 +26,6 @@ from repro.harness.runner import (
     configure,
     disk_cache,
     last_sweep_summary,
-    memo_stats,
     run_sim,
     run_sims_parallel,
     speedup_table,
@@ -45,7 +44,6 @@ __all__ = [
     "format_table",
     "geomean",
     "last_sweep_summary",
-    "memo_stats",
     "run_experiment",
     "run_sim",
     "run_sims_parallel",

@@ -48,8 +48,7 @@ from repro.sim.results import SimulationResult
 
 #: Bump whenever simulator semantics change in a way that alters results;
 #: every previously cached entry becomes unreachable (stale files are
-#: inert JSON and can be deleted with ``repro-oasis``'s cache pruning or
-#: a plain ``rm -r``).
+#: inert JSON; delete them by removing the store, ``rm -r results/cache``).
 SIMULATOR_VERSION = 2
 
 #: Default cache directory, relative to the current working directory.

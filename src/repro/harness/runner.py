@@ -18,8 +18,8 @@ memoizes them, so every policy of a cohort replays one trace object.
 All runner state lives in one :class:`Session`: its :class:`Settings`
 (set only through :func:`configure`), the stores they open, the result
 LRU, one counter dict and the last sweep's summary.  :func:`clear_cache`
-clears it; :func:`cache_stats`, :func:`memo_stats`,
-:func:`last_sweep_summary` and :func:`disk_cache` read it.
+clears it; :func:`cache_stats`, :func:`last_sweep_summary` and
+:func:`disk_cache` read it.
 
 Independent runs can also be computed in parallel across worker
 processes with :func:`run_sims_parallel`; :func:`speedup_table` uses it
@@ -43,28 +43,17 @@ from repro.config import SystemConfig
 from repro.harness.diskcache import DiskCache, cache_key
 from repro.harness.report import geomean
 from repro.sim import SimulationResult, simulate
-from repro.sim.sweep import PhaseMemo
+from repro.sim.snapshot import PhaseMemo
 from repro.workloads import get_workload
 
 #: In-process memoized results kept, least recently used dropped first.
 DEFAULT_CACHE_SIZE = 256
 
-#: Scalar memo counters shipped as per-run deltas from pool workers.
-_MEMO_DELTA_KEYS = (
-    "hits", "misses", "stores", "snapshot_bytes",
-    "resumed_phases", "corrupt", "io_errors",
-)
-
 #: A session's counters (see :func:`cache_stats`).  ``store_errors``
 #: counts result-store writes that failed with OSError (disk full,
 #: read-only store): the result survives in memory and a later process
-#: recomputes it.  The ``memo_*`` counters are merged back from pool
-#: workers; the serial path's live on the session's PhaseMemo itself,
-#: so :func:`memo_stats` sums both (the sources are disjoint).
-_COUNTERS = (
-    "hits", "misses", "evictions", "pool_failures",
-    "store_errors", *("memo_" + key for key in _MEMO_DELTA_KEYS),
-)
+#: recomputes it.
+_COUNTERS = ("hits", "misses", "evictions", "pool_failures", "store_errors")
 
 
 @dataclass(frozen=True)
@@ -75,11 +64,9 @@ class Settings:
     jobs: int = 1
     #: Directory of the persistent result store, or None when it is off.
     disk_root: str | None = None
-    #: Whether runs resume from phase-prefix snapshots (repro.sim.sweep).
+    #: Whether runs resume from phase-prefix snapshots (repro.sim.snapshot),
+    #: kept beside the result store's entries (or in memory without one).
     memo: bool = False
-    #: Directory of a persistent snapshot tier; None shares the result
-    #: store's directory (or keeps snapshots in memory without one).
-    memo_dir: str | None = None
 
 
 class Session:
@@ -107,12 +94,7 @@ class Session:
             DiskCache(settings.disk_root)
             if settings.disk_root is not None else None
         )
-        self.memo = None
-        if settings.memo:
-            self.memo = PhaseMemo(
-                disk=DiskCache(settings.memo_dir) if settings.memo_dir
-                else self.disk
-            )
+        self.memo = PhaseMemo(disk=self.disk) if settings.memo else None
 
     def clear(self) -> None:
         """Drop every memoized result and snapshot; zero every counter."""
@@ -136,7 +118,6 @@ def configure(
     disk_cache: bool | None = None,
     cache_dir: str | None = None,
     memo: bool | None = None,
-    memo_dir: str | None = None,
 ) -> None:
     """Adjust runner-wide settings.
 
@@ -147,14 +128,12 @@ def configure(
         cache_dir: directory for the persistent store (implies enabling
             it); defaults to ``results/cache`` / ``REPRO_CACHE_DIR``.
         memo: enable/disable the phase-snapshot tier (phase-prefix
-            snapshot memoization; see :mod:`repro.sim.sweep`).  Off by
-            default, and no command turns it on: a snapshot's key is the
-            run's full identity, so the result store answers first.
+            snapshot memoization; see :mod:`repro.sim.snapshot`).  Off
+            by default, and no command turns it on: a snapshot's key is
+            the run's full identity, so the result store answers first.
             ``repro-oasis reproduce`` turns it off for its run.
-        memo_dir: directory for a persistent snapshot tier (implies
-            enabling the memo).  Without it, snapshots share the result
-            store's directory when the disk cache is on, else stay
-            purely in-memory.
+            Snapshots share the result store's directory when the disk
+            cache is on, else stay in memory.
     """
     changes: dict = {}
     if jobs is not None:
@@ -165,10 +144,6 @@ def configure(
         changes["disk_root"] = str(cache_dir)
     elif disk_cache is not None:
         changes["disk_root"] = str(DiskCache().root) if disk_cache else None
-    if memo_dir is not None:
-        changes["memo_dir"] = memo_dir or None
-        if memo is None:
-            memo = True
     if memo is not None:
         changes["memo"] = bool(memo)
     _session.configure(replace(_session.settings, **changes))
@@ -193,7 +168,6 @@ def last_sweep_summary() -> dict | None:
         {
           "runs": 12, "ok": 11, "failed": 1,
           "cache": {"hits": 4, "misses": 8, "pool_failures": 0},
-          "memo": {"enabled": False, "hits": 0, "misses": 0, ...},
           "wall_clock_s": {"total": 3.2,
                            "per_run": {"st/oasis": 0.41, ...}},
           "counters": {"fault.page": ..., "migration.count": ..., ...},
@@ -230,31 +204,6 @@ def cache_stats() -> dict[str, int]:
     if _session.disk is not None:
         stats.update(_session.disk.stats())
     return stats
-
-
-def memo_stats() -> dict:
-    """Session sweep-fast-path counters, all sources combined.
-
-    Serial runs count on the session's :class:`PhaseMemo`; pool runs
-    ship per-run deltas back from their workers into the session's
-    counters — the two sources are disjoint, so their sum is the total.
-    """
-    totals: dict = {
-        key: _session.stats["memo_" + key] for key in _MEMO_DELTA_KEYS
-    }
-    totals.update(
-        {"prefix_forks": 0, "mem_entries": 0, "mem_bytes": 0}
-    )
-    memo = _session.memo
-    if memo is not None:
-        live = memo.stats()
-        for key in _MEMO_DELTA_KEYS:
-            totals[key] += live[key]
-        totals["prefix_forks"] = live["prefix_forks"]
-        totals["mem_entries"] = live["mem_entries"]
-        totals["mem_bytes"] = live["mem_bytes"]
-    totals["enabled"] = _session.settings.memo
-    return totals
 
 
 def run_sim(
@@ -388,50 +337,19 @@ def _spec_key(spec: dict) -> tuple:
 
 
 def _worker(payload: tuple) -> tuple:
-    """Pool entry point: run one spec, ship back (result, memo delta,
-    the run's wall-clock seconds).
+    """Pool entry point: run one spec, ship back (result, the run's
+    wall-clock seconds).
 
     The payload carries the parent's :class:`Settings`.  A forked worker
     already holds them and keeps its session across the runs it
     computes; a spawned one starts from the defaults and opens the
-    parent's stores on its first run.  Memo counters accumulate across
-    those runs, so the delta (this run's counter movement plus its lane
-    records) is what the parent merges, keeping the sweep's accounting
-    double-count-free.
+    parent's stores on its first run.
     """
     spec, settings = payload
     _session.configure(settings)
-    memo = _session.memo
-    if memo is not None:
-        # Keep this run's lane records to ship; the parent keeps none.
-        memo.lanes.collect()
-        before = memo.stats()
     started = time.monotonic()
     result = _run_spec(spec)
-    elapsed = time.monotonic() - started
-    delta = None
-    if memo is not None:
-        after = memo.stats()
-        delta = {
-            "counters": {
-                key: after[key] - before[key] for key in _MEMO_DELTA_KEYS
-            },
-            "lanes": memo.lanes.drain(),
-        }
-    return result, delta, elapsed
-
-
-def _merge_memo_delta(delta: dict | None) -> None:
-    """Fold one worker run's memo delta into the parent's accounting."""
-    if not delta:
-        return
-    for key, value in delta["counters"].items():
-        _session.stats["memo_" + key] += value
-    memo = _session.memo
-    if memo is not None and delta["lanes"]:
-        # Replaying through the parent's lanes recomputes shared-prefix
-        # and fork accounting against the sweep-global cohort state.
-        memo.lanes.replay(delta["lanes"])
+    return result, time.monotonic() - started
 
 
 def _failure_from(spec: dict, exc: Exception) -> RunFailure:
@@ -487,13 +405,12 @@ def _drain_pool(
         for future in as_completed(futures):
             key, spec = futures[future]
             try:
-                result, memo_delta, elapsed = future.result()
+                result, elapsed = future.result()
             except BrokenProcessPool:
                 broken = True
             except Exception as exc:
                 failures[key] = _failure_from(spec, exc)
             else:
-                _merge_memo_delta(memo_delta)
                 fresh[key] = result
                 _session.remember(key, result)
                 timings[key] = elapsed
@@ -525,7 +442,6 @@ def run_sims_parallel(requests, jobs: int | None = None) -> list:
     session = _session
     sweep_started = time.monotonic()
     stats_before = dict(session.stats)
-    memo_before = memo_stats()
     specs = [_normalize_request(r) for r in requests]
     keys = [_spec_key(spec) for spec in specs]
     n_jobs = jobs if jobs is not None else session.settings.jobs
@@ -583,7 +499,6 @@ def run_sims_parallel(requests, jobs: int | None = None) -> list:
             for name, value in result.stats.items():
                 counters[name] = counters.get(name, 0.0) + value
     n_failed = sum(1 for r in out if isinstance(r, RunFailure))
-    memo_after = memo_stats()
     session.last_sweep = {
         "runs": len(specs),
         "ok": len(specs) - n_failed,
@@ -591,14 +506,6 @@ def run_sims_parallel(requests, jobs: int | None = None) -> list:
         "cache": {
             name: session.stats[name] - stats_before[name]
             for name in ("hits", "misses", "pool_failures")
-        },
-        # Sweep fast path accounting, as a delta over this sweep only.
-        "memo": {
-            "enabled": memo_after["enabled"],
-            **{
-                name: memo_after[name] - memo_before[name]
-                for name in (*_MEMO_DELTA_KEYS, "prefix_forks")
-            },
         },
         "wall_clock_s": {
             "total": time.monotonic() - sweep_started,

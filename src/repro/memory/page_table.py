@@ -13,8 +13,7 @@ paper's three translation structures know:
 
 State is stored column-wise in plain Python lists (one entry per global
 page index) because the simulator touches single pages on its hot path;
-bulk views for analysis are exposed via :meth:`policy_histogram` and
-friends.
+bulk views for analysis are exposed via :meth:`policy_histogram`.
 
 Reads come the same two ways.  :meth:`entry` returns a page's five
 columns after one bounds check; the machine's per-record path and the
@@ -28,23 +27,15 @@ Two kinds of mutator change the columns.  The *whole-page transitions*
 :meth:`release_to_host`, :meth:`release_copy`) are what the UVM
 driver's migrate, collapse, duplicate, evict and ``evict_from``
 primitives call: each moves one page to its final state with one bounds
-check and one mirror mark, and returns the page's prior columns so the
-caller derives copy source, shootdown victims and released holders with
-bit operations.  The *fine-grained* mutators (``map_local``,
-``unmap_all_except``, ``set_exclusive``, ``add_copy``, ...) change one
-aspect at a time; the driver's ``map_remote``, ``map_local`` and
-``ideal_copy`` use them, and every transition equals a fixed sequence of
-them.  The fast path's fused loops read the columns directly and write
-back through one batch transition, :meth:`store_entries`: the final
-entries (policy bits included) of the pages a loop installed, evicted
-or re-mapped.
-
-The same columns are also available as numpy arrays
-(:meth:`bulk_views`), which the phase-snapshot tier hashes into its
-decision digest.  The arrays are built lazily on first request.  After
-that every mutator records the page indices it changed, and
-:meth:`bulk_views` flushes them with one fancy-index store per column
-before returning.
+check, and returns the page's prior columns so the caller derives copy
+source, shootdown victims and released holders with bit operations.
+The *fine-grained* mutators (``map_local``, ``unmap_all_except``,
+``set_exclusive``, ``add_copy``, ...) change one aspect at a time; the
+driver's ``map_remote``, ``map_local`` and ``ideal_copy`` use them, and
+every transition equals a fixed sequence of them.  The fast path's
+fused loops read the columns directly and write back through one batch
+transition, :meth:`store_entries`: the final entries (policy bits
+included) of the pages a loop installed, evicted or re-mapped.
 
 Invariants maintained by the mutators (checked by :meth:`check_invariants`):
 
@@ -60,8 +51,6 @@ refuses to map a GPU that holds no copy.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.config import HOST
 from repro.memory.page import POLICY_ON_TOUCH
 
@@ -74,11 +63,6 @@ def duplicated(owner: int, copies: int) -> bool:
 
 class PageTables:
     """Unified page-table state, indexed by global virtual page number."""
-
-    #: Indices whose numpy mirrors are stale, flushed by :meth:`bulk_views`;
-    #: ``None`` while no mirrors exist.  A class attribute too, so tables
-    #: restored from snapshots pickled before it existed resolve it.
-    _dirty: list[int] | None = None
 
     def __init__(
         self,
@@ -119,8 +103,6 @@ class PageTables:
         self._mapped_mask = [0] * n_pages
         self._writable_mask = [0] * n_pages
         self._policy = [POLICY_ON_TOUCH] * n_pages
-        self._views: dict[str, np.ndarray] | None = None
-        self._dirty = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -138,62 +120,12 @@ class PageTables:
             raise IndexError(f"page {page} outside tracked range")
         return idx
 
-    # -- bulk numpy views ---------------------------------------------------
-
-    def bulk_views(self) -> dict[str, np.ndarray]:
-        """Numpy mirrors of the per-page columns.
-
-        Returns arrays indexed by ``page - first_page``: ``owner`` (device
-        ids), ``copies`` / ``mapped`` / ``writable`` (per-GPU bitmasks) and
-        ``policy`` (PTE policy bits), all int64.  Built lazily on first
-        call; every later call first flushes the pages mutated since the
-        previous one, so the arrays are current when returned.  Callers
-        must treat them as read-only and call again after any mutation.
-        """
-        views = self._views
-        if views is None:
-            views = self._views = {
-                "owner": np.array(self._owner, dtype=np.int64),
-                "copies": np.array(self._copy_mask, dtype=np.int64),
-                "mapped": np.array(self._mapped_mask, dtype=np.int64),
-                "writable": np.array(self._writable_mask, dtype=np.int64),
-                "policy": np.array(self._policy, dtype=np.int64),
-            }
-            self._dirty = []
-        elif self._dirty:
-            dirty = self._dirty
-            idxs = np.array(dirty, dtype=np.intp)
-            for name, column in (
-                ("owner", self._owner),
-                ("copies", self._copy_mask),
-                ("mapped", self._mapped_mask),
-                ("writable", self._writable_mask),
-                ("policy", self._policy),
-            ):
-                views[name][idxs] = [column[idx] for idx in dirty]
-            dirty.clear()
-        return views
-
-    def _touch(self, idx: int) -> None:
-        """Record a mutation of one page: mark its mirrors.
-
-        Once more marks pile up than the table has pages (a slow-path
-        run reads the mirrors only at phase boundaries), rebuilding is
-        cheaper than flushing: the mirrors are dropped instead.
-        """
-        dirty = self._dirty
-        if dirty is not None:
-            dirty.append(idx)
-            if len(dirty) > self._n_pages:
-                self._views = self._dirty = None
-
     def store_entries(self, entries: dict[int, list[int]]) -> None:
         """Write back the entries a fused replay loop kept locally.
 
         ``entries`` maps a page to its final ``[owner, copies, mapped,
         writable, policy]`` (the :meth:`entry` columns), each a state the
-        driver primitives and policies reach.  Each page gets one
-        mirror mark for :meth:`bulk_views` to flush.
+        driver primitives and policies reach.
         """
         if not entries:
             return
@@ -203,7 +135,6 @@ class PageTables:
         writable = self._writable_mask
         policy = self._policy
         first = self._first_page
-        idxs = []
         for page, state in entries.items():
             idx = page - first
             owner[idx] = state[0]
@@ -211,12 +142,6 @@ class PageTables:
             mapped[idx] = state[2]
             writable[idx] = state[3]
             policy[idx] = state[4]
-            idxs.append(idx)
-        dirty = self._dirty
-        if dirty is not None:
-            dirty.extend(idxs)
-            if len(dirty) > self._n_pages:
-                self._views = self._dirty = None
 
     # -- whole-entry probe ---------------------------------------------------
 
@@ -283,7 +208,6 @@ class PageTables:
             self._writable_mask[idx] |= bit
         else:
             self._writable_mask[idx] &= ~bit
-        self._touch(idx)
 
     def map_remote(self, gpu: int, page: int) -> None:
         """Install a PTE pointing at the remote authoritative copy."""
@@ -295,7 +219,6 @@ class PageTables:
             )
         self._mapped_mask[idx] |= bit
         self._writable_mask[idx] &= ~bit
-        self._touch(idx)
 
     def unmap(self, gpu: int, page: int) -> bool:
         """Invalidate ``gpu``'s PTE; returns True if it was valid."""
@@ -304,7 +227,6 @@ class PageTables:
         was = bool(self._mapped_mask[idx] & bit)
         self._mapped_mask[idx] &= ~bit
         self._writable_mask[idx] &= ~bit
-        self._touch(idx)
         return was
 
     def unmap_all_except(self, page: int, keep: int | None = None) -> list[int]:
@@ -317,7 +239,6 @@ class PageTables:
         keep_bit = 0 if keep is None else (mask & (1 << keep))
         self._mapped_mask[idx] = keep_bit
         self._writable_mask[idx] &= keep_bit
-        self._touch(idx)
         return victims
 
     # -- data movement ------------------------------------------------------
@@ -331,7 +252,6 @@ class PageTables:
         idx = self._idx(page)
         self._owner[idx] = device
         self._copy_mask[idx] = 0 if device == HOST else (1 << device)
-        self._touch(idx)
 
     def add_copy(self, gpu: int, page: int) -> None:
         """Record a duplicate of the page on ``gpu``.
@@ -343,7 +263,6 @@ class PageTables:
         self._copy_mask[idx] |= 1 << gpu
         if self._coherent:
             self._writable_mask[idx] = 0
-        self._touch(idx)
 
     def drop_copy(self, gpu: int, page: int) -> None:
         """Discard ``gpu``'s duplicate (PTE must be unmapped separately)."""
@@ -351,7 +270,6 @@ class PageTables:
         if self._owner[idx] == gpu:
             raise ValueError(f"cannot drop the owner copy of page {page}")
         self._copy_mask[idx] &= ~(1 << gpu)
-        self._touch(idx)
 
     # -- whole-page transitions ---------------------------------------------
 
@@ -388,7 +306,6 @@ class PageTables:
         self._copy_mask[idx] = mask
         self._mapped_mask[idx] = mask
         self._writable_mask[idx] = mask
-        self._touch(idx)
         return prior
 
     def install_duplicate(
@@ -420,7 +337,6 @@ class PageTables:
                 writers = mapped & writable
                 demoted |= writers & -writers
             self._writable_mask[idx] = writable & ~demoted
-        self._touch(idx)
         return prior
 
     def release_copy(
@@ -458,7 +374,6 @@ class PageTables:
         self._writable_mask[idx] = writable & ~bit
         if owner == gpu:
             self._owner[idx] = (others & -others).bit_length() - 1
-        self._touch(idx)
         return prior
 
     # -- PTE policy bits -----------------------------------------------------
@@ -471,7 +386,6 @@ class PageTables:
         """Set the PTE policy bits of one page."""
         idx = self._idx(page)
         self._policy[idx] = bits
-        self._touch(idx)
 
     def set_policy_range(self, first_page: int, n_pages: int, bits: int) -> None:
         """Set the policy bits of a contiguous page range (object-wide)."""
@@ -480,8 +394,6 @@ class PageTables:
         if stop > self._n_pages:
             raise IndexError("policy range extends past tracked pages")
         self._policy[start:stop] = [bits] * n_pages
-        if self._views is not None:
-            self._views["policy"][start:stop] = bits
 
     def policy_histogram(self) -> dict[int, int]:
         """Count of pages per policy-bit value."""

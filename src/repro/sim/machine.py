@@ -154,7 +154,7 @@ class Machine:
             None if self.tracer.enabled else FastReplay.for_machine(self)
         )
         # Phase-prefix memoization (a MemoSession from
-        # repro.sim.sweep.PhaseMemo): only unobserved, multi-phase runs
+        # repro.sim.snapshot.PhaseMemo): only unobserved, multi-phase runs
         # participate.  Observed runs would lose their per-event records
         # across skipped phases.  The session still captures boundaries
         # on slow-path runs — its key carries the replay-path flag, so
@@ -367,8 +367,6 @@ class Machine:
                 verifier.after_phase(self, index, replayed)
             if memo is not None:
                 memo.after_phase(self, index, now, phases)
-        if memo is not None:
-            memo.finish(self)
         if tracing:
             tracer.finish(now)
         result = SimulationResult(
@@ -500,7 +498,7 @@ def simulate(
     machine-wide invariants at every phase boundary (quiescent-point
     checks: the fast path stays engaged and the result is unchanged).
     Pass a :class:`~repro.sim.snapshot.MemoSession` (from
-    :meth:`~repro.sim.sweep.PhaseMemo.session`) to resume from / store
+    :meth:`~repro.sim.snapshot.PhaseMemo.session`) to resume from / store
     phase-boundary snapshots — memoized runs are bit-identical to cold
     ones (the ``memo`` differential lane asserts exactly that).
     """

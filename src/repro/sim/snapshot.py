@@ -3,33 +3,34 @@
 A simulation is a deterministic fold over its trace's phases: the machine
 state at any phase boundary is a pure function of (config, trace prefix,
 policy identity and the decisions it made so far).  This module gives
-that prefix a content-addressed name and serializes the machine state at
-selected boundaries, so a later run sharing the prefix resumes from the
-snapshot instead of re-simulating it (see
-:class:`repro.sim.sweep.PhaseMemo` for the store and
-``docs/MODEL.md`` §12 for the key construction and fork rule).
+that prefix a content-addressed name, serializes the machine state at
+selected boundaries and keeps the snapshots in a :class:`PhaseMemo`, so
+a later run of the same identity resumes from the deepest one instead of
+re-simulating the prefix (``docs/MODEL.md`` §12).  The tier is off
+unless ``repro.harness.configure(memo=True)`` turns it on; no command
+does.
 
-The prefix key chains three ingredients:
+The prefix key chains two ingredients:
 
 * the **run identity** — the same content hash the result cache uses
   (:func:`repro.harness.diskcache.cache_key`: simulator version, replay
   path, full config, app, footprint, seed, policy + canonical kwargs);
 * the **trace prefix** — a rolling sha256 over each phase's record
   arrays plus the object table (:func:`trace_prefix_chain`), so a
-  workload-generator change can never resurrect a stale snapshot;
-* the **decision prefix** — a sha256 per boundary over the page tables'
-  placement state (owner / copies / mapped / writable / policy bits,
-  :func:`decision_digest`).  Determinism makes it implied by the first
-  two ingredients, so it is carried *inside* the snapshot and verified
-  on restore (an integrity check, and the divergence signal the sweep
-  layer's fork accounting reads) rather than mixed into the lookup key.
+  workload-generator change can never resurrect a stale snapshot.
+
+Each snapshot also carries a **decision digest**: a sha256 over the
+page tables' placement state (owner / copies / mapped / writable /
+policy bits, :func:`decision_digest`) at its boundary.  Determinism
+makes it implied by the key, so it is an integrity check verified on
+restore rather than part of the lookup key.
 
 Serialization is a single :mod:`pickle` graph over the machine's mutable
 components; back-references to the immutable scaffolding (the machine
 itself, its config, trace, objects, tracer) are swapped for persistent-id
 tokens so they re-bind to the *resuming* machine's instances on load.
 A snapshot that fails any validation — unpicklable, wrong version or
-index, chain length mismatch, decision digest mismatch — raises
+index, missing component, decision digest mismatch — raises
 :class:`SnapshotError` before the machine is touched; the caller
 quarantines it and falls back to cold replay.
 """
@@ -40,6 +41,7 @@ import hashlib
 import io
 import math
 import pickle
+from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -58,14 +60,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: fault-injection and co-scheduling state.
 #: v6: the page tables drop their ``version`` counter.
 #: v7: the driver drops its metrics-registry fields.
-SNAPSHOT_VERSION = 7
+#: v8: the page tables drop their numpy mirrors; the payload carries one
+#: decision digest instead of a per-phase chain.
+SNAPSHOT_VERSION = 8
 
 #: Ceiling on stored boundaries per run.  Long traces (lenet/vgg/resnet
 #: have 128-158 phases) stride their boundaries so a run never writes
 #: more than this many snapshots; the deepest interior boundary is
 #: always kept, because "everything but the final phase" is the resume
-#: point a warm sweep actually uses.
+#: point a warm run actually uses.
 MAX_SNAPSHOTS = 8
+
+#: Budget of :class:`PhaseMemo`'s in-memory tier; the least recently
+#: used snapshots are dropped past it.
+MEM_BUDGET_BYTES = 256 * 1024 * 1024
 
 
 class SnapshotError(RuntimeError):
@@ -126,15 +134,17 @@ def trace_prefix_chain(trace: "Trace") -> list[str]:
 def decision_digest(page_tables) -> str:
     """Digest of every placement/migration decision made so far.
 
-    Hashes the page tables' five numpy mirrors (owner, copy / mapped /
-    writable masks, policy bits) — the complete observable outcome of
-    the policy's placement decisions, which is what two runs must agree
-    on phase-for-phase to share a lane.
+    Hashes the page tables' five columns (owner, copy / mapped /
+    writable masks, policy bits) as int64 arrays — the complete
+    observable outcome of the policy's placement decisions.
     """
-    views = page_tables.bulk_views()
     h = hashlib.sha256()
-    for name in ("owner", "copies", "mapped", "writable", "policy"):
-        h.update(views[name].tobytes())
+    for column in (
+        page_tables._owner, page_tables._copy_mask,
+        page_tables._mapped_mask, page_tables._writable_mask,
+        page_tables._policy,
+    ):
+        h.update(np.array(column, dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -226,45 +236,35 @@ class _SnapshotUnpickler(pickle.Unpickler):
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
-def capture(machine: "Machine", index: int, now: float, phases: list,
-            chain: list) -> bytes:
+def capture(machine: "Machine", index: int, now: float,
+            phases: list) -> bytes:
     """Serialize the machine state at the boundary after phase ``index``.
 
     Must be called at the quiescent point the run loop reaches after
     ``_do_frees`` — clocks synchronized, driver queue drained to ``now``
     — which is exactly the state the next iteration starts from.
     """
-    pt = machine.page_tables
-    # The numpy mirrors (and their pending flush marks) are derived state
-    # rebuilt on demand; dropping them halves the snapshot and the
-    # restored tables re-mirror lazily.
-    views, pt._views = pt._views, None
-    dirty, pt._dirty = pt._dirty, None
-    try:
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "index": index,
-            "now": now,
-            "chain": list(chain),
-            "phases": list(phases),
-            "clocks": list(machine.clocks),
-            "stats": machine.stats,
-            "page_tables": pt,
-            "tlbs": machine.tlbs,
-            "access_counters": machine.access_counters,
-            "capacity": machine.capacity,
-            "topology": machine.topology,
-            "driver": machine.driver,
-            "policy": machine.policy,
-            "l2_miss_policy_counts": machine.l2_miss_policy_counts,
-            "allocated": set(machine._allocated),
-        }
-        buf = io.BytesIO()
-        _SnapshotPickler(buf, machine).dump(payload)
-        return buf.getvalue()
-    finally:
-        pt._views = views
-        pt._dirty = dirty
+    payload = {
+        "version": SNAPSHOT_VERSION,
+        "index": index,
+        "now": now,
+        "digest": decision_digest(machine.page_tables),
+        "phases": list(phases),
+        "clocks": list(machine.clocks),
+        "stats": machine.stats,
+        "page_tables": machine.page_tables,
+        "tlbs": machine.tlbs,
+        "access_counters": machine.access_counters,
+        "capacity": machine.capacity,
+        "topology": machine.topology,
+        "driver": machine.driver,
+        "policy": machine.policy,
+        "l2_miss_policy_counts": machine.l2_miss_policy_counts,
+        "allocated": set(machine._allocated),
+    }
+    buf = io.BytesIO()
+    _SnapshotPickler(buf, machine).dump(payload)
+    return buf.getvalue()
 
 
 def restore(machine: "Machine", blob: bytes,
@@ -273,12 +273,10 @@ def restore(machine: "Machine", blob: bytes,
 
     Every check runs before the machine is touched, so a failing
     snapshot leaves the machine pristine for cold replay.  Returns the
-    payload (``index`` / ``now`` / ``phases`` / ``chain``).
+    payload (``index`` / ``now`` / ``phases`` / ``digest``).
     """
     try:
         payload = _SnapshotUnpickler(io.BytesIO(blob), machine).load()
-    except SnapshotError:
-        raise
     except Exception as exc:
         raise SnapshotError(f"snapshot deserialization failed: {exc!r}") from exc
     if not isinstance(payload, dict) or payload.get("version") != SNAPSHOT_VERSION:
@@ -288,14 +286,11 @@ def restore(machine: "Machine", blob: bytes,
         raise SnapshotError(
             f"snapshot is for boundary {index}, expected {expect_index}"
         )
-    chain = payload.get("chain")
-    if not isinstance(chain, list) or len(chain) != index + 1:
-        raise SnapshotError("decision chain length mismatch")
     missing = [k for k in _COMPONENTS if k not in payload]
     if missing:
         raise SnapshotError(f"snapshot missing components: {missing}")
-    if decision_digest(payload["page_tables"]) != chain[-1]:
-        raise SnapshotError("decision-prefix digest mismatch")
+    if decision_digest(payload["page_tables"]) != payload.get("digest"):
+        raise SnapshotError("decision digest mismatch")
     machine.stats = payload["stats"]
     machine.page_tables = payload["page_tables"]
     machine.tlbs = payload["tlbs"]
@@ -310,28 +305,137 @@ def restore(machine: "Machine", blob: bytes,
     return payload
 
 
-# -- per-run session -------------------------------------------------------
+# -- the store and its per-run sessions ------------------------------------
+
+
+class PhaseMemo:
+    """Two-tier content-addressed store of phase-boundary snapshots.
+
+    A bounded in-memory tier (:data:`MEM_BUDGET_BYTES`) over an optional
+    :class:`~repro.harness.diskcache.DiskCache` blob tier that shares the
+    result cache's checksum/quarantine discipline.
+    """
+
+    def __init__(self, disk=None) -> None:
+        self.disk = disk
+        self._mem: OrderedDict[str, bytes] = OrderedDict()
+        self.clear()
+
+    def session(
+        self,
+        config,
+        app: str,
+        policy: str,
+        *,
+        footprint_mb: float | None = None,
+        seed: int = 0,
+        policy_kwargs: dict | None = None,
+    ) -> "MemoSession":
+        """Bind one run's full identity to this store.
+
+        The session's ``base_key`` is the result cache's content hash
+        (simulator version, replay-path flag, config, app, footprint,
+        seed, policy + canonical kwargs).
+        """
+        from repro.harness.diskcache import cache_key
+
+        base = cache_key(
+            config, app, policy, footprint_mb, seed, dict(policy_kwargs or {})
+        )
+        return MemoSession(self, base)
+
+    def get(self, key: str) -> bytes | None:
+        blob = self._mem.get(key)
+        if blob is not None:
+            self._mem.move_to_end(key)
+            return blob
+        if self.disk is not None:
+            blob = self.disk.load_blob(key)
+            if blob is not None:
+                self._mem_put(key, blob)
+                return blob
+        return None
+
+    def contains(self, key: str) -> bool:
+        if key in self._mem:
+            return True
+        return self.disk is not None and self.disk.has_blob(key)
+
+    def put(self, key: str, blob: bytes) -> None:
+        if self.contains(key):
+            return
+        self.stores += 1
+        self.snapshot_bytes += len(blob)
+        self._mem_put(key, blob)
+        if self.disk is not None:
+            try:
+                self.disk.store_blob(key, blob)
+            except OSError:
+                # A blob tier that cannot accept writes (disk full,
+                # permission, injected fault) must not kill a simulation
+                # mid-run: the snapshot stays in the memory tier and the
+                # next process pays a cold replay instead.
+                self.io_errors += 1
+
+    def _mem_put(self, key: str, blob: bytes) -> None:
+        if len(blob) > MEM_BUDGET_BYTES:
+            return
+        old = self._mem.pop(key, None)
+        if old is not None:
+            self._mem_bytes -= len(old)
+        self._mem[key] = blob
+        self._mem_bytes += len(blob)
+        while self._mem_bytes > MEM_BUDGET_BYTES and len(self._mem) > 1:
+            _, evicted = self._mem.popitem(last=False)
+            self._mem_bytes -= len(evicted)
+
+    def discard(self, key: str, corrupt: bool = False) -> None:
+        old = self._mem.pop(key, None)
+        if old is not None:
+            self._mem_bytes -= len(old)
+        if corrupt:
+            self.corrupt += 1
+            if self.disk is not None:
+                self.disk.quarantine_blob(key)
+
+    def stats(self) -> dict:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "stores": self.stores,
+            "snapshot_bytes": self.snapshot_bytes,
+            "resumed_phases": self.resumed_phases,
+            "corrupt": self.corrupt,
+            "io_errors": self.io_errors,
+            "mem_entries": len(self._mem),
+            "mem_bytes": self._mem_bytes,
+        }
+
+    def clear(self) -> None:
+        """Drop the in-memory tier and zero every counter."""
+        self._mem.clear()
+        self._mem_bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
+        self.snapshot_bytes = 0
+        self.resumed_phases = 0
+        self.corrupt = 0
+        self.io_errors = 0
 
 
 class MemoSession:
-    """One run's binding to a :class:`~repro.sim.sweep.PhaseMemo`.
+    """One run's binding to a :class:`PhaseMemo`.
 
     Created by :meth:`PhaseMemo.session` with the run's full identity
     already hashed into ``base_key``; the machine drives it through
-    :meth:`resume` (once, before the phase loop), :meth:`after_phase`
-    (every boundary) and :meth:`finish` (after the loop).
+    :meth:`resume` (once, before the phase loop) and :meth:`after_phase`
+    (every boundary).
     """
 
-    def __init__(self, memo, base_key: str, cohort_key: str,
-                 label: str) -> None:
+    def __init__(self, memo: PhaseMemo, base_key: str) -> None:
         self.memo = memo
         self.base_key = base_key
-        self.cohort_key = cohort_key
-        self.label = label
-        #: Decision digest per completed phase (preloaded on resume).
-        self.chain: list[str] = []
-        #: Phases skipped via snapshot resume (None = cold start).
-        self.resumed_at: int | None = None
         self._bounds: frozenset | None = None
         self._prefix: list[str] | None = None
 
@@ -356,39 +460,29 @@ class MemoSession:
         if len(trace.phases) < 2:
             return None
         self._setup(trace)
+        memo = self.memo
         for boundary in sorted(self._bounds, reverse=True):
             n_done = boundary + 1
             key = self._key(n_done)
-            blob = self.memo.get(key)
+            blob = memo.get(key)
             if blob is None:
                 continue
             try:
                 payload = restore(machine, blob, expect_index=boundary)
             except SnapshotError:
-                self.memo.discard(key, corrupt=True)
+                memo.discard(key, corrupt=True)
                 continue
-            self.chain = list(payload["chain"])
-            self.resumed_at = n_done
-            self.memo.note_hit(n_done)
+            memo.hits += 1
+            memo.resumed_phases += n_done
             return n_done, payload["now"], list(payload["phases"])
-        self.memo.note_miss()
+        memo.misses += 1
         return None
 
     def after_phase(self, machine: "Machine", index: int, now: float,
                     phases: list) -> None:
-        """Record phase ``index``'s decision digest; snapshot if selected."""
+        """Snapshot the boundary after phase ``index`` if it is selected."""
         self._setup(machine.trace)
-        self.chain.append(decision_digest(machine.page_tables))
         if index in self._bounds:
             key = self._key(index + 1)
             if not self.memo.contains(key):
-                self.memo.put(
-                    key, capture(machine, index, now, phases, self.chain)
-                )
-
-    def finish(self, machine: "Machine") -> None:
-        """Register the completed decision chain for lane/fork accounting."""
-        self.memo.lanes.record(
-            self.cohort_key, self.label, self.chain,
-            resumed_phases=self.resumed_at or 0,
-        )
+                self.memo.put(key, capture(machine, index, now, phases))

@@ -4,10 +4,10 @@ The simulator computes the same run through several redundant machines —
 the vectorized fast path vs the per-record slow path, the parallel
 harness pool vs in-process serial execution, the two-level result cache
 vs a fresh computation, a traced run vs an
-unobserved one, and a snapshot-resumed run vs a cold replay (the sweep
-fast path of :mod:`repro.sim.sweep`).  Each redundancy is documented as
-*bit-identical*, so each one is a free oracle: run both sides and
-compare canonical digests.
+unobserved one, and a snapshot-resumed run vs a cold replay (the
+phase-snapshot tier of :mod:`repro.sim.snapshot`).  Each redundancy is
+documented as *bit-identical*, so each one is a free oracle: run both
+sides and compare canonical digests.
 A mismatch means one of the paths silently diverged — the exact class of
 bug a single-path test suite can never see.
 
@@ -210,14 +210,14 @@ def check_memoized_vs_cold(config, app: str, policy: str,
                            seed: int = 0) -> list[str]:
     """A snapshot-resumed run vs the same run replayed cold.
 
-    Three runs against one in-memory :class:`~repro.sim.sweep.PhaseMemo`:
+    Three runs against one in-memory :class:`~repro.sim.snapshot.PhaseMemo`:
     a cold reference (no memo), a populate run that captures the
     phase-boundary snapshots, and a warm run that must resume from them.
     All three must agree bit-for-bit; on a multi-phase app the warm run
     must additionally have *hit* — a memo that silently stopped resuming
     would otherwise pass on the strength of the cold path alone.
     """
-    from repro.sim.sweep import PhaseMemo
+    from repro.sim.snapshot import PhaseMemo
 
     cold = _simulate(config, app, policy, seed)
     memo = PhaseMemo()

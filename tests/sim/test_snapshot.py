@@ -1,8 +1,8 @@
 """Snapshot round-trip determinism and corruption handling.
 
-The sweep fast path (``repro.sim.snapshot`` + ``repro.sim.sweep``)
-promises that a run resumed from a phase-boundary snapshot is
-byte-identical to a cold replay.  These tests hold it to that across
+The phase-snapshot tier (``repro.sim.snapshot``) promises that a run
+resumed from a phase-boundary snapshot is byte-identical to a cold
+replay.  These tests hold it to that across
 the full workload registry against the pinned golden digests, and prove
 that a corrupted snapshot is quarantined and silently degrades to cold
 replay instead of crashing or corrupting the result.
@@ -17,14 +17,15 @@ import pytest
 from repro import make_policy
 from repro.config import baseline_config
 from repro.harness.diskcache import DiskCache
-from repro.sim.machine import simulate
+from repro.sim import snapshot
+from repro.sim.machine import Machine, simulate
 from repro.sim.snapshot import (
     MAX_SNAPSHOTS,
+    PhaseMemo,
     phase_digest,
     snapshot_boundaries,
     trace_prefix_chain,
 )
-from repro.sim.sweep import PhaseMemo
 from repro.verify.golden import GOLDEN_PATH, entry_for, golden_key
 from repro.workloads import APPLICATION_ORDER, get_workload
 
@@ -177,44 +178,20 @@ def test_trace_prefix_chain_is_cached_and_positional(config):
     assert phase_digest(trace.phases[0]) == trace.phases[0]._memo_digest
 
 
-def test_lane_fork_accounting(config):
-    """Policy variants share the cohort lane until their decisions split."""
-    app = "c2d"
-    trace = get_workload(app, config, seed=0)
-    memo = PhaseMemo()
-    for policy in ("oasis", "on_touch", "grit"):
-        _run(config, trace, app, policy, memo)
-    report = memo.lanes.report()
-    assert report["cohorts"] == 1
-    assert report["runs"] == 3
-    # Two non-reference policies diverged from the oasis reference lane.
-    assert report["prefix_forks"] == 2
-    (cohort,) = report["by_cohort"].values()
-    assert cohort["reference"] == "oasis"
-    for label, run in cohort["runs"].items():
-        assert run["phases"] == len(trace.phases)
-        if label != "oasis":
-            assert run["forked"]
-            assert run["shared_prefix"] < len(trace.phases)
-
-
 def test_previous_snapshot_version_is_unreachable(config, monkeypatch):
     """A snapshot written under the previous ``SNAPSHOT_VERSION`` is
     neither found (its key differs) nor restored (its payload is
     rejected), so no component resumes without the state it now has."""
-    from repro.sim import snapshot
-    from repro.sim.machine import Machine
-
     trace = get_workload("c2d", config, seed=0)
     machine = Machine(config, trace, make_policy("oasis"))
-    chain = [snapshot.decision_digest(machine.page_tables)]
-    current_key = snapshot.phase_key("base", 1, chain[0])
-    current = snapshot.capture(machine, 0, 0.0, [], chain)
+    prefix = trace_prefix_chain(trace)[1]
+    current_key = snapshot.phase_key("base", 1, prefix)
+    current = snapshot.capture(machine, 0, 0.0, [])
     monkeypatch.setattr(
         snapshot, "SNAPSHOT_VERSION", snapshot.SNAPSHOT_VERSION - 1
     )
-    previous_key = snapshot.phase_key("base", 1, chain[0])
-    previous = snapshot.capture(machine, 0, 0.0, [], chain)
+    previous_key = snapshot.phase_key("base", 1, prefix)
+    previous = snapshot.capture(machine, 0, 0.0, [])
     monkeypatch.undo()
 
     assert previous_key != current_key
@@ -222,3 +199,28 @@ def test_previous_snapshot_version_is_unreachable(config, monkeypatch):
     with pytest.raises(snapshot.SnapshotError, match="version"):
         snapshot.restore(fresh, previous, expect_index=0)
     assert snapshot.restore(fresh, current, expect_index=0)["index"] == 0
+
+
+def test_decision_digest_mismatch_is_refused(config, monkeypatch):
+    """A snapshot whose page tables do not hash to its stored decision
+    digest is refused before the restoring machine is touched."""
+    trace = get_workload("c2d", config, seed=0)
+    source = Machine(config, trace, make_policy("oasis"))
+    source.run()
+    monkeypatch.setattr(snapshot, "decision_digest", lambda tables: "0" * 64)
+    planted = snapshot.capture(source, 0, 0.0, [])
+    monkeypatch.undo()
+
+    fresh = Machine(config, trace, make_policy("oasis"))
+    before = {name: getattr(fresh, name) for name in snapshot._COMPONENTS}
+    clocks = list(fresh.clocks)
+    with pytest.raises(snapshot.SnapshotError, match="decision digest"):
+        snapshot.restore(fresh, planted, expect_index=0)
+    for name, component in before.items():
+        assert getattr(fresh, name) is component, name
+    assert fresh.clocks == clocks
+
+    # The same state under its true digest restores.
+    genuine = snapshot.capture(source, 0, 0.0, [])
+    assert snapshot.restore(fresh, genuine, expect_index=0)["index"] == 0
+    assert fresh.page_tables is not before["page_tables"]

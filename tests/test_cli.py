@@ -102,6 +102,31 @@ class TestSweep:
         assert "geomean" in out
         assert "ideal" in out
 
+    @pytest.mark.parametrize("policies", [
+        ["oasis"], ["on_touch", "oasis"],
+    ], ids=["without-baseline", "with-baseline"])
+    def test_metrics_out_covers_the_baseline_once(
+        self, policies, tmp_path, monkeypatch,
+    ):
+        # The table normalizes to on-touch runs, so the summary must time
+        # them even when --policy leaves on_touch out.
+        import json
+
+        from repro.harness import runner
+
+        monkeypatch.setattr(runner, "_session", runner.Session())
+        out = tmp_path / "s.json"
+        flags = [arg for policy in policies for arg in ("--policy", policy)]
+        assert main([
+            "sweep", "--apps", "st", "--footprint-mb", "2", *flags,
+            "--no-cache", "--metrics-out", str(out),
+        ]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["runs"] == 2 and summary["ok"] == 2
+        assert set(summary["wall_clock_s"]["per_run"]) == {
+            "st/on_touch@2MB", "st/oasis@2MB",
+        }
+
     def test_sweep_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--policy", "bogus"])
