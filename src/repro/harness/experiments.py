@@ -18,7 +18,6 @@ from repro.analysis import (
     access_share_by_object,
     classify_object,
     classify_pages,
-    object_pattern_by_phase,
     page_type_percentages,
     pages_by_object,
     page_pattern_timeline,
@@ -27,7 +26,7 @@ from repro.analysis import (
 )
 from repro.config import PAGE_SIZE_2M, baseline_config
 from repro.harness.report import ExperimentResult, geomean
-from repro.harness.runner import run_sim, speedup_table
+from repro.harness.runner import prewarm, run_sim, speedup_table
 from repro.workloads import APPLICATION_ORDER, APPLICATIONS, get_workload
 
 DEFAULT_APPS = list(APPLICATION_ORDER)
@@ -43,6 +42,12 @@ ALL_POLICIES = [
 
 def _pct(speedup: float) -> str:
     return f"{(speedup - 1.0) * 100:+.0f}%"
+
+
+def _runs(configs, apps, policies, seed: int) -> list[tuple]:
+    """Run requests for every (config, app, policy) combination."""
+    return [(cfg, app, policy, {"seed": seed})
+            for cfg in configs for app in apps for policy in policies]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +227,19 @@ def fig6(apps=None, seed: int = 0) -> ExperimentResult:
     trace = get_workload("c2d", cfg)
     focus = ["C2D_Input", "C2D_Weights", "Im2col_Output", "GEMM_Output",
              "MT_Output"]
+    overall = classify_pages(trace)
+    per_phase = [classify_pages(trace, phases=[i])
+                 for i in range(len(trace.phases))]
     rows = []
     for obj in trace.objects:
         if obj.name not in focus:
             continue
-        overall = classify_object(trace, obj)
-        per_phase = object_pattern_by_phase(trace, obj)
+        patterns = [classify_object(trace, obj, cls) for cls in per_phase]
         labels = [
-            p.label if p.sharing != "untouched" else "-" for p in per_phase
+            p.label if p.sharing != "untouched" else "-" for p in patterns
         ]
-        rows.append([obj.name, overall.label, *labels])
+        rows.append([obj.name, classify_object(trace, obj, overall).label,
+                     *labels])
     headers = ["object", "overall", *(p.name for p in trace.phases)]
     return ExperimentResult(
         "fig6", "C2D object patterns across phases (Fig. 6)",
@@ -298,6 +306,9 @@ def fig16(apps=None, seed: int = 0) -> ExperimentResult:
     rows = []
     geos = {}
     speeds = {t: [] for t in thresholds}
+    prewarm(_runs([base_cfg], apps, ["on_touch"], seed) + _runs(
+        [base_cfg.replace(reset_threshold=t) for t in thresholds], apps,
+        ["oasis"], seed))
     for app in apps:
         base = run_sim(base_cfg, app, "on_touch", seed=seed)
         row = [app]
@@ -325,6 +336,8 @@ def fig17(apps=None, seed: int = 0) -> ExperimentResult:
     apps = apps or DEFAULT_APPS
     rows = []
     geos = {}
+    prewarm(_runs([baseline_config(n_gpus=n) for n in (8, 16)], apps,
+                  ["on_touch", "oasis"], seed))
     for n in (8, 16):
         cfg = baseline_config(n_gpus=n)
         speeds = []
@@ -430,6 +443,7 @@ def fig22(apps=None, seed: int = 0) -> ExperimentResult:
     cfg = baseline_config()
     rows = []
     speeds = []
+    prewarm(_runs([cfg], apps, ["grit", "oasis"], seed))
     for app in apps:
         grit = run_sim(cfg, app, "grit", seed=seed)
         oasis = run_sim(cfg, app, "oasis", seed=seed)
@@ -452,6 +466,7 @@ def fig23(apps=None, seed: int = 0) -> ExperimentResult:
     apps = apps or DEFAULT_APPS
     cfg = baseline_config()
     rows = []
+    prewarm(_runs([cfg], apps, ["grit", "oasis"], seed))
     for app in apps:
         for policy in ("grit", "oasis"):
             result = run_sim(cfg, app, policy, seed=seed)
@@ -477,6 +492,7 @@ def fig24(apps=None, seed: int = 0) -> ExperimentResult:
     rows = []
     total_grit = 0.0
     total_oasis = 0.0
+    prewarm(_runs([cfg], apps, ["grit", "oasis"], seed))
     for app in apps:
         g = run_sim(cfg, app, "grit", seed=seed).total_faults
         o = run_sim(cfg, app, "oasis", seed=seed).total_faults
